@@ -13,32 +13,25 @@ from .scenario import (FREE_SPACE_IMPEDANCE, SPEED_OF_LIGHT, AntennaPair,
                        Scenario, all_pairs, antenna_z_position,
                        reference_scenario)
 from .special_fn import fresnel, fresnel_conj
-from .em_exact import (IntegrandSample, QuadratureSpec,
-                       exact_received_signal, integrand, integrand_parts,
+from .em_exact import (QuadratureSpec, exact_received_signal, integrand,
                        path_length_sum)
-from .em_spa import (PairCoefficient, SpecularGeometry, alpha_coefficient,
-                     pair_coefficient, spa_phase_expansion,
-                     spa_received_signal, specular_geometry, xi)
+from .em_spa import spa_phase_expansion, spa_received_signal, xi
 from .signal import (SignalSet, WaveformRef, add_awgn, default_window,
                      save_signal_set, synthesize, waveform_value)
 from .estimator import (AmbiguityCurve, CrbResult, ModelKind, ambiguity,
                         crb, default_crb_step, estimate_range,
-                        half_power_width, ml_objective, model_signals,
-                        pair_contributions, pair_inner_products)
+                        half_power_width)
 
 __all__ = [
     "FREE_SPACE_IMPEDANCE", "SPEED_OF_LIGHT",
     "AntennaPair", "Scenario", "all_pairs", "antenna_z_position",
     "reference_scenario",
     "fresnel", "fresnel_conj",
-    "IntegrandSample", "QuadratureSpec", "exact_received_signal",
-    "integrand", "integrand_parts", "path_length_sum",
-    "PairCoefficient", "SpecularGeometry", "alpha_coefficient",
-    "pair_coefficient", "spa_phase_expansion", "spa_received_signal",
-    "specular_geometry", "xi",
+    "QuadratureSpec", "exact_received_signal", "integrand",
+    "path_length_sum",
+    "spa_phase_expansion", "spa_received_signal", "xi",
     "SignalSet", "WaveformRef", "add_awgn", "default_window",
     "save_signal_set", "synthesize", "waveform_value",
     "AmbiguityCurve", "CrbResult", "ModelKind", "ambiguity", "crb",
-    "default_crb_step", "estimate_range", "half_power_width", "ml_objective",
-    "model_signals", "pair_contributions", "pair_inner_products",
+    "default_crb_step", "estimate_range", "half_power_width",
 ]

@@ -29,6 +29,8 @@ from .signal import (DEFAULT_EXACT_CARRIER_CEILING, WaveformRef, add_awgn,
 
 EXPERIMENTS = ("validate-spa", "ambiguity", "crb")
 SWEEPABLE = ("bandwidth", "carrier_freq", "range")
+# largest range grid a run may allocate (the default grid has 12,329 points)
+MAX_GRID_POINTS = 1_000_000
 
 _SCENARIO_DEFAULTS = (
     ("n_antennas", "13"),
@@ -149,6 +151,11 @@ def parse_config(path: str | None = None,
         free_space_impedance=sc.getfloat("free_space_impedance"),
         min_range_wavelengths=sc.getfloat("min_range_wavelengths"),
     )
+    # Scenario accepts these at 0 for library use; no experiment does
+    for key in ("plate_width", "plate_height", "antenna_gain_factor"):
+        if getattr(scenario, key) == 0:
+            raise ValueError(
+                f"scenario.{key} = 0 gives an identically zero return")
 
     sweep = []
     for key in cp.options("sweep"):
@@ -173,6 +180,7 @@ def parse_config(path: str | None = None,
         grid_step = float(step_text)
         if grid_step <= 0:
             raise ValueError("grid step must be positive")
+        _grid_size(grid_min, grid_max, grid_step)
 
     ex = cp["experiment"]
     model = ex.get("model")
@@ -246,16 +254,21 @@ def emit_config(cfg: ExperimentConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _grid_size(grid_min: float, grid_max: float, step: float) -> int:
+    """Range grid point count, refused above MAX_GRID_POINTS."""
+    n = np.floor((grid_max - grid_min) / step + 1e-9) + 1
+    if not n <= MAX_GRID_POINTS:
+        raise ValueError(
+            f"range grid of {n:g} points exceeds {MAX_GRID_POINTS}")
+    return int(n)
+
+
 def _range_grid(cfg: ExperimentConfig, scenario: Scenario) -> np.ndarray:
     step = cfg.grid_step
     if step is None:
         step = scenario.wavelength / 8.0
-    n = int(np.floor((cfg.grid_max - cfg.grid_min) / step + 1e-9)) + 1
+    n = _grid_size(cfg.grid_min, cfg.grid_max, step)
     return cfg.grid_min + step * np.arange(n)
-
-
-def _scenario_variant(scenario: Scenario, param: str, value: float) -> Scenario:
-    return dataclasses.replace(scenario, **{param: value})
 
 
 def _fmt(value) -> str:
@@ -270,7 +283,9 @@ def run_validate_spa(cfg: ExperimentConfig):
     """Exact-vs-closed-form comparison, one row per pair.
 
     Uses the constant waveform and, unless slow mode is on, replaces the
-    configured carrier with the cheaper validation carrier.
+    configured carrier with the cheaper validation carrier. Where the
+    specular point is off the plate the closed form is exactly 0, and the
+    spa_db, amp_err_db and phase_err_deg cells stay empty.
     """
     scenario = cfg.scenario
     if not cfg.slow and scenario.carrier_freq > cfg.validation_carrier:
@@ -291,11 +306,14 @@ def run_validate_spa(cfg: ExperimentConfig):
         u_exact = exact_received_signal(pair, scenario, 0.0, waveform, quad)
         u_spa = complex(spa_received_signal(pair, scenario, 0.0, waveform))
         exact_db = 20.0 * np.log10(abs(u_exact))
-        spa_db = 20.0 * np.log10(abs(u_spa)) if u_spa != 0 else -np.inf
-        amp_err = spa_db - exact_db
-        phase_err = np.angle(u_spa / u_exact, deg=True)
+        if u_spa == 0:
+            # parse_config rejects the other zero-return scenes
+            rows.append((pair.tx_index, pair.rx_index, exact_db, "", "", ""))
+            continue
+        spa_db = 20.0 * np.log10(abs(u_spa))
         rows.append((pair.tx_index, pair.rx_index, exact_db, spa_db,
-                     amp_err, phase_err))
+                     spa_db - exact_db,
+                     np.angle(u_spa / u_exact, deg=True)))
     return columns, rows
 
 
@@ -317,7 +335,7 @@ def run_ambiguity(cfg: ExperimentConfig):
                "width", "argmax"]
     rows = []
     for value in values:
-        scenario = _scenario_variant(cfg.scenario, param, value)
+        scenario = dataclasses.replace(cfg.scenario, **{param: value})
         grid = _range_grid(cfg, scenario)
         received = synthesize(scenario)
         if cfg.noise_power > 0:

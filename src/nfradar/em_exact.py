@@ -64,14 +64,6 @@ class QuadratureSpec:
             raise ValueError(f"unknown quadrature rule {self.rule!r}")
 
 
-@dataclass(frozen=True)
-class IntegrandSample:
-    """Split integrand value: amplitude g (1/m^2 times signal) and phase psi."""
-
-    amplitude: float
-    phase: float
-
-
 def path_length_sum(pair: AntennaPair, R: float, y, z):
     """r_l + r_l' from plate point (y, z), >= 2R with equality only when
     y = 0 and z = z_l = z_l'."""
@@ -107,26 +99,13 @@ def _amplitude_phase(pair: AntennaPair, scenario: Scenario, y, z, t: float,
     return g, psi
 
 
-def _check_on_plate(scenario: Scenario, y, z) -> None:
-    if np.any(np.abs(y) > scenario.plate_width / 2) or \
-            np.any(np.abs(z) > scenario.plate_height / 2):
-        raise ValueError("integration point outside the plate rectangle")
-
-
 def integrand(pair: AntennaPair, scenario: Scenario, y: float, z: float,
               t: float, waveform: WaveformRef) -> complex:
     """g * exp(j psi) at a single plate point."""
-    _check_on_plate(scenario, y, z)
+    if abs(y) > scenario.plate_width / 2 or abs(z) > scenario.plate_height / 2:
+        raise ValueError("integration point outside the plate rectangle")
     g, psi = _amplitude_phase(pair, scenario, y, z, t, waveform)
     return complex(g * np.exp(1j * psi))
-
-
-def integrand_parts(pair: AntennaPair, scenario: Scenario, y: float, z: float,
-                    t: float, waveform: WaveformRef) -> IntegrandSample:
-    """Amplitude and phase of the integrand, separately."""
-    _check_on_plate(scenario, y, z)
-    g, psi = _amplitude_phase(pair, scenario, y, z, t, waveform)
-    return IntegrandSample(amplitude=float(g), phase=float(psi))
 
 
 def _axis_nodes(half_extent: float, wavelength: float,

@@ -15,14 +15,13 @@ conjugate Fresnel integrals measuring how much of the plate contributes:
 
 The two z arguments are the distances from the specular point to the plate
 edges in Fresnel units; both are nonnegative whenever the specular point is
-on the plate. The array-valued helpers at the bottom are the same formulas
-broadcast over hypothesized ranges; the estimator builds its model signals
-from them so there is exactly one implementation of the physics.
+on the plate. gain_and_delay_arrays is the one implementation of this
+model: synthesis, the estimator and the single-pair view
+spa_received_signal all evaluate it, broadcast over pairs and hypothesized
+ranges.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,44 +30,9 @@ from .signal import WaveformRef, waveform_value
 from .special_fn import fresnel_conj
 
 
-@dataclass(frozen=True)
-class SpecularGeometry:
-    """Specular point of one pair: y_s is always 0; r_s is the common
-    distance from either antenna to the specular point."""
-
-    y_s: float
-    z_s: float
-    r_s: float
-    on_plate: bool
-
-
-@dataclass(frozen=True)
-class PairCoefficient:
-    """Everything multiplying the delayed waveform in the pair model."""
-
-    alpha: complex
-    xi: complex
-    full_gain: complex
-    delay: float
-
-
-def specular_geometry(pair: AntennaPair, scenario: Scenario) -> SpecularGeometry:
-    """Specular-point coordinates and distance for one pair.
-
-    z_s = (z_l + z_l')/2 exactly; r_s = sqrt(R^2 + (z_l - z_s)^2). A point
-    exactly on the plate edge counts as on-plate.
-    """
-    z_s = (pair.tx_z + pair.rx_z) / 2.0
-    # same expression as the vectorized helpers, so scalar and bulk paths
-    # round identically
-    d = pair.tx_z - z_s
-    r_s = float(np.sqrt(scenario.range * scenario.range + d * d))
-    on_plate = abs(z_s) <= scenario.plate_height / 2.0
-    return SpecularGeometry(y_s=0.0, z_s=z_s, r_s=r_s, on_plate=on_plate)
-
-
-def spa_phase_expansion(geom: SpecularGeometry, scenario: Scenario, y, z):
-    """Quadratic expansion of the phase about the specular point:
+def spa_phase_expansion(z_s: float, r_s: float, scenario: Scenario, y, z):
+    """Quadratic expansion of the phase about the specular point (0, z_s)
+    at specular distance r_s:
 
     psi ~ -2 k r_s - (k / r_s) y^2 - (k R^2 / r_s^3) (z - z_s)^2
     """
@@ -76,63 +40,16 @@ def spa_phase_expansion(geom: SpecularGeometry, scenario: Scenario, y, z):
     R = scenario.range
     y = np.asarray(y, dtype=float)
     z = np.asarray(z, dtype=float)
-    out = (-2.0 * k * geom.r_s
-           - (k / geom.r_s) * y * y
-           - (k * R * R / geom.r_s ** 3) * (z - geom.z_s) ** 2)
+    out = (-2.0 * k * r_s
+           - (k / r_s) * y * y
+           - (k * R * R / r_s ** 3) * (z - z_s) ** 2)
     return float(out) if out.ndim == 0 else out
-
-
-def _alpha_from_geometry(z_s, r_s, R, wavelength, plate_width, plate_height):
-    # argument forms: Dy/sqrt(lambda r) in y, edge distances scaled by
-    # 2R/sqrt(lambda r^3) in z
-    y_arg = np.sqrt(plate_width ** 2 / (wavelength * r_s))
-    z_scale = 2.0 * R / np.sqrt(wavelength * r_s ** 3)
-    upper = (plate_height / 2.0 - z_s) * z_scale
-    lower = (plate_height / 2.0 + z_s) * z_scale
-    on_plate = np.abs(z_s) <= plate_height / 2.0
-    return (fresnel_conj(y_arg)
-            * (fresnel_conj(upper) + fresnel_conj(lower))
-            * on_plate)
-
-
-def alpha_coefficient(pair: AntennaPair, scenario: Scenario) -> complex:
-    """Fresnel-integral pair coefficient; exactly 0 off-plate.
-
-    Depends on the pair only through z_l + z_l', so swapping tx and rx
-    leaves it unchanged.
-    """
-    geom = specular_geometry(pair, scenario)
-    if not geom.on_plate:
-        return 0.0 + 0.0j
-    return complex(_alpha_from_geometry(
-        geom.z_s, geom.r_s, scenario.range, scenario.wavelength,
-        scenario.plate_width, scenario.plate_height))
 
 
 def xi(scenario: Scenario) -> complex:
     """Common prefactor -k eta L^2 I0 / (8 pi); real and negative."""
     return complex(-scenario.wavenumber * scenario.free_space_impedance
                    * scenario.antenna_gain_factor / (8.0 * np.pi))
-
-
-def pair_coefficient(pair: AntennaPair, scenario: Scenario) -> PairCoefficient:
-    """Assembled gain xi * alpha * exp(-j 2 k r_s) / r_s and delay 2 r_s / c."""
-    geom = specular_geometry(pair, scenario)
-    alpha = alpha_coefficient(pair, scenario)
-    xi_val = xi(scenario)
-    k = scenario.wavenumber
-    gain = xi_val * alpha * np.exp(-2j * k * geom.r_s) / geom.r_s
-    return PairCoefficient(alpha=alpha, xi=xi_val, full_gain=complex(gain),
-                           delay=2.0 * geom.r_s / SPEED_OF_LIGHT)
-
-
-def spa_received_signal(pair: AntennaPair, scenario: Scenario, t,
-                        waveform: WaveformRef):
-    """full_gain times the waveform at the delayed time."""
-    coeff = pair_coefficient(pair, scenario)
-    t = np.asarray(t, dtype=float)
-    out = coeff.full_gain * waveform_value(waveform, t - coeff.delay)
-    return complex(out) if np.ndim(out) == 0 else out
 
 
 def pair_offsets(scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
@@ -147,18 +64,39 @@ def pair_offsets(scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
     return z_s, tx - z_s
 
 
-def gain_and_delay_arrays(scenario: Scenario, z_s: np.ndarray,
-                          d: np.ndarray, R) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized pair gains and delays at hypothesized standoff R.
+def gain_and_delay_arrays(scenario: Scenario, z_s, d, R
+                          ) -> tuple[np.ndarray, np.ndarray]:
+    """Pair gains xi * alpha * exp(-j 2 k r_s) / r_s and delays 2 r_s / c
+    at hypothesized standoff R.
 
-    z_s and d come from pair_offsets; R broadcasts against them (e.g. shape
-    (1, G) against (P, 1) for a grid of hypotheses). Same formulas as
-    pair_coefficient, evaluated in bulk.
+    z_s and d come from pair_offsets (or are one pair's scalars); R
+    broadcasts against them (e.g. shape (1, G) against (P, 1) for a grid of
+    hypotheses). The gain is exactly 0 where the specular point is off the
+    plate; a point exactly on the edge counts as on-plate.
     """
     R = np.asarray(R, dtype=float)
     r_s = np.sqrt(R * R + d * d)
-    alpha = _alpha_from_geometry(z_s, r_s, R, scenario.wavelength,
-                                 scenario.plate_width, scenario.plate_height)
+    wavelength = scenario.wavelength
+    half = scenario.plate_height / 2.0
+    # argument forms: Dy/sqrt(lambda r) in y, edge distances scaled by
+    # 2R/sqrt(lambda r^3) in z
+    y_arg = np.sqrt(scenario.plate_width ** 2 / (wavelength * r_s))
+    z_scale = 2.0 * R / np.sqrt(wavelength * r_s ** 3)
+    alpha = (fresnel_conj(y_arg)
+             * (fresnel_conj((half - z_s) * z_scale)
+                + fresnel_conj((half + z_s) * z_scale))
+             * (np.abs(z_s) <= half))
     k = scenario.wavenumber
     gain = xi(scenario) * alpha * np.exp(-2j * k * r_s) / r_s
     return gain, 2.0 * r_s / SPEED_OF_LIGHT
+
+
+def spa_received_signal(pair: AntennaPair, scenario: Scenario, t,
+                        waveform: WaveformRef):
+    """One pair's closed-form signal at the scenario range: the pair gain
+    times the waveform at the delayed time t."""
+    z_s = (pair.tx_z + pair.rx_z) / 2.0
+    gain, delay = gain_and_delay_arrays(scenario, z_s, pair.tx_z - z_s,
+                                        scenario.range)
+    out = gain * waveform_value(waveform, np.asarray(t, dtype=float) - delay)
+    return complex(out) if np.ndim(out) == 0 else out

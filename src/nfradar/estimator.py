@@ -94,84 +94,12 @@ def _validate_hypothesis(scenario: Scenario, r_hat) -> None:
             f"({scenario.min_range_wavelengths:g} wavelengths)")
 
 
-def model_signals(scenario: Scenario, r_hat: float, kind: ModelKind,
-                  window: tuple[float, float] | None = None,
-                  sample_rate: float | None = None) -> SignalSet:
-    """Model SignalSet at hypothesized standoff r_hat.
-
-    Full information returns the closed-form synthesis at r_hat; partial
-    information returns unit-gain templates carrying only the delay and
-    carrier phase of each pair. The window is not required to cover the
-    hypothesized delay (off-window hypotheses are legitimate grid points),
-    so coverage validation is skipped here.
-    """
-    _validate_hypothesis(scenario, r_hat)
-    if kind is ModelKind.FULL_INFORMATION:
-        return synthesize(scenario, true_range=r_hat, backend="spa",
-                          window=window, sample_rate=sample_rate,
-                          validate_window=False)
-    base = synthesize(scenario, true_range=r_hat, backend="spa",
-                      window=window, sample_rate=sample_rate,
-                      validate_window=False)
-    z_s, d = pair_offsets(scenario)
-    r_s = np.sqrt(r_hat * r_hat + d * d)
-    k = scenario.wavenumber
-    phase = np.exp(-2j * k * r_s)
-    w = WaveformRef.sinc(scenario.bandwidth)
-    t = base.times
-    traces = phase[:, None] * waveform_value(
-        w, t[None, :] - (2.0 * r_s / SPEED_OF_LIGHT)[:, None])
-    return SignalSet(sample_rate=base.sample_rate, t_start=base.t_start,
-                     n_samples=base.n_samples, pairs=base.pairs,
-                     traces=traces)
-
-
-def pair_inner_products(received: SignalSet, model: SignalSet
-                        ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-pair <m_p, y_p> and ||m_p||^2 on a shared time base."""
-    if not received.same_time_base(model):
-        raise ValueError("received and model do not share a time base")
-    ip = np.einsum("pn,pn->p", np.conj(model.traces), received.traces)
-    energy = np.einsum("pn,pn->p",
-                       np.abs(model.traces), np.abs(model.traces))
-    return ip, energy.real
-
-
-def ml_objective(received: SignalSet, model: SignalSet,
-                 coherence: str = "coherent") -> float:
-    """Matched-energy objective; higher is a better fit.
-
-    Invariant to a global phase rotation of the received set; scaling the
-    received set by complex c scales the objective by |c|^2.
-    """
-    if coherence not in _COHERENCE:
-        raise ValueError(f"unknown coherence {coherence!r}")
-    ip, energy = pair_inner_products(received, model)
-    if coherence == "coherent":
-        total = energy.sum()
-        if total == 0.0:
-            return 0.0
-        return float(np.abs(ip.sum()) ** 2 / total)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        per_pair = np.where(energy > 0.0, np.abs(ip) ** 2 / energy, 0.0)
-    return float(per_pair.sum())
-
-
-def pair_contributions(received: SignalSet, model: SignalSet) -> np.ndarray:
-    """Per-pair matched energies |<m_p, y_p>|^2 / ||m_p||^2 (zero where the
-    model trace is identically zero). Diagnostic surface for symmetry and
-    weighting checks."""
-    ip, energy = pair_inner_products(received, model)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        return np.where(energy > 0.0, np.abs(ip) ** 2 / energy, 0.0)
-
-
 def _objective_on_grid(received: SignalSet, scenario: Scenario,
                        grid: np.ndarray, kind: ModelKind,
                        coherence: str) -> np.ndarray:
     """Raw objective J over a grid of hypotheses, vectorized over pairs and
-    grid chunks. Identical by construction to looping ml_objective over
-    model_signals (a unit test asserts the equality)."""
+    grid chunks. The one implementation of the objective; a unit test
+    checks it against a plain per-pair loop in tests/oracles.py."""
     if coherence not in _COHERENCE:
         raise ValueError(f"unknown coherence {coherence!r}")
     _validate_hypothesis(scenario, grid)

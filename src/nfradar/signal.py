@@ -10,11 +10,12 @@ with no inter-transmitter interference term.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .scenario import SPEED_OF_LIGHT, AntennaPair, Scenario, all_pairs
+from .scenario import SPEED_OF_LIGHT, Scenario, all_pairs
 
 DEFAULT_OVERSAMPLING = 4.0
 # window half-span around the nominal delay, in units of 1/B; +-16/B keeps
@@ -68,39 +69,27 @@ class SignalSet:
     """Sampled complex traces, one per ordered (tx, rx) pair.
 
     All traces share the uniform time base t_start + n / sample_rate,
-    n = 0 .. n_samples-1. traces has shape (len(pairs), n_samples).
+    n = 0 .. n_samples-1. traces has shape (pairs, n_samples), rows in
+    tx-major order: for an N-element array row i is tx i // N, rx i % N.
     Identity comparison only (the array field makes elementwise == a trap).
     """
 
     sample_rate: float
     t_start: float
     n_samples: int
-    pairs: tuple[AntennaPair, ...]
     traces: np.ndarray
 
     def __post_init__(self) -> None:
         if self.sample_rate <= 0:
             raise ValueError("sample_rate must be positive")
-        if self.traces.shape != (len(self.pairs), self.n_samples):
+        if self.traces.ndim != 2 or self.traces.shape[1] != self.n_samples:
             raise ValueError(
                 f"traces shape {self.traces.shape} does not match "
-                f"({len(self.pairs)}, {self.n_samples})")
+                f"(pairs, {self.n_samples})")
 
     @property
     def times(self) -> np.ndarray:
         return self.t_start + np.arange(self.n_samples) / self.sample_rate
-
-    @property
-    def window(self) -> tuple[float, float]:
-        """(t_start, t_start + n_samples / sample_rate): the span that,
-        passed back to synthesize or model_signals with this sample_rate,
-        reproduces this exact time base."""
-        return self.t_start, self.t_start + self.n_samples / self.sample_rate
-
-    def same_time_base(self, other: "SignalSet") -> bool:
-        return (self.sample_rate == other.sample_rate
-                and self.t_start == other.t_start
-                and self.n_samples == other.n_samples)
 
 
 def default_window(scenario: Scenario, true_range: float | None = None
@@ -118,14 +107,14 @@ def synthesize(scenario: Scenario, true_range: float | None = None,
                sample_rate: float | None = None,
                waveform: WaveformRef | None = None,
                quad=None,
-               exact_carrier_ceiling: float = DEFAULT_EXACT_CARRIER_CEILING,
-               validate_window: bool = True) -> SignalSet:
+               exact_carrier_ceiling: float = DEFAULT_EXACT_CARRIER_CEILING
+               ) -> SignalSet:
     """Noise-free SignalSet at plate standoff true_range.
 
     backend "spa" uses the closed-form pair model; "exact" integrates the
     physical-optics field (refused above exact_carrier_ceiling; slow).
-    window defaults to +-16/B around 2R/c and, when validate_window is on,
-    must cover at least +-8/B around it. sample_rate defaults to 4B.
+    window defaults to +-16/B around 2R/c and must cover at least +-8/B
+    around it. sample_rate defaults to 4B.
     waveform defaults to the unit sinc of the scenario bandwidth.
     """
     if backend not in ("spa", "exact"):
@@ -136,13 +125,12 @@ def synthesize(scenario: Scenario, true_range: float | None = None,
     if window is None:
         window = default_window(scenario, R)
     t0, t1 = window
-    if validate_window:
-        center = 2.0 * R / SPEED_OF_LIGHT
-        need = 8.0 / scenario.bandwidth
-        if t0 > center - need or t1 < center + need:
-            raise ValueError(
-                "window too short: must cover 2R/c +- 8/B "
-                f"([{center - need:g}, {center + need:g}] s)")
+    center = 2.0 * R / SPEED_OF_LIGHT
+    need = 8.0 / scenario.bandwidth
+    if t0 > center - need or t1 < center + need:
+        raise ValueError(
+            "window too short: must cover 2R/c +- 8/B "
+            f"([{center - need:g}, {center + need:g}] s)")
     if sample_rate is None:
         sample_rate = DEFAULT_OVERSAMPLING * scenario.bandwidth
     if sample_rate < 2.0 * scenario.bandwidth:
@@ -150,7 +138,6 @@ def synthesize(scenario: Scenario, true_range: float | None = None,
 
     n_samples = max(int(round((t1 - t0) * sample_rate)), 1)
     t = t0 + np.arange(n_samples) / sample_rate
-    pairs = tuple(all_pairs(scenario))
 
     if backend == "spa":
         from .em_spa import gain_and_delay_arrays, pair_offsets
@@ -167,6 +154,7 @@ def synthesize(scenario: Scenario, true_range: float | None = None,
         from .em_exact import exact_received_signal
         work = scenario if R == scenario.range else \
             dataclasses.replace(scenario, range=R)
+        pairs = all_pairs(scenario)
         traces = np.empty((len(pairs), n_samples), dtype=complex)
         for i, pair in enumerate(pairs):
             if waveform.kind == "constant":
@@ -179,7 +167,7 @@ def synthesize(scenario: Scenario, true_range: float | None = None,
                                                          waveform, quad)
 
     return SignalSet(sample_rate=float(sample_rate), t_start=float(t0),
-                     n_samples=n_samples, pairs=pairs,
+                     n_samples=n_samples,
                      traces=np.ascontiguousarray(traces, dtype=complex))
 
 
@@ -196,7 +184,7 @@ def add_awgn(signals: SignalSet, noise_power: float, seed: int) -> SignalSet:
     if noise_power == 0:
         return dataclasses.replace(signals, traces=signals.traces.copy())
     scale = np.sqrt(noise_power / 2.0)
-    children = np.random.SeedSequence(seed).spawn(len(signals.pairs))
+    children = np.random.SeedSequence(seed).spawn(signals.traces.shape[0])
     noisy = signals.traces.copy()
     for i, child in enumerate(children):
         rng = np.random.Generator(np.random.PCG64(child))
@@ -210,10 +198,14 @@ def save_signal_set(signals: SignalSet, path) -> None:
 
     Floats use repr-faithful %.17g so a dump is reproducible byte for byte.
     """
+    n = math.isqrt(signals.traces.shape[0])
+    if n * n != signals.traces.shape[0]:
+        raise ValueError("trace count is not the N^2 pairs of an array")
     t = signals.times
     with open(path, "w", encoding="ascii") as fh:
         fh.write("tx,rx,time,re,im\n")
-        for pair, trace in zip(signals.pairs, signals.traces):
+        for i, trace in enumerate(signals.traces):
+            tx, rx = divmod(i, n)
             for tj, v in zip(t, trace):
-                fh.write(f"{pair.tx_index},{pair.rx_index},"
+                fh.write(f"{tx},{rx},"
                          f"{tj:.17g},{v.real:.17g},{v.imag:.17g}\n")

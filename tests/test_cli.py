@@ -1,5 +1,9 @@
+import configparser
 import csv
 import io
+import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +11,7 @@ import pytest
 from nfradar import reference_scenario
 from nfradar.cli import (
     ExperimentConfig,
+    MAX_GRID_POINTS,
     emit_config,
     main,
     parse_config,
@@ -15,6 +20,8 @@ from nfradar.cli import (
     run_validate_spa,
     write_table,
 )
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def read_csv(path):
@@ -87,6 +94,46 @@ class TestParseConfig:
         with pytest.raises(ValueError, match="step must be positive"):
             parse_config(overrides=("grid.step=-0.1",))
 
+    def test_grid_size_bounded(self):
+        # refused before any allocation: at parse time for an explicit
+        # step, when the grid is built for step = auto
+        with pytest.raises(ValueError, match=f"exceeds {MAX_GRID_POINTS}"):
+            parse_config(overrides=("grid.step=1e-12",))
+        cfg = parse_config(overrides=("scenario.carrier_freq=1e13",))
+        with pytest.raises(ValueError, match=f"exceeds {MAX_GRID_POINTS}"):
+            run_ambiguity(cfg)
+
+    @pytest.mark.parametrize("experiment",
+                             ["validate-spa", "ambiguity", "crb"])
+    @pytest.mark.parametrize("key", ["plate_width", "plate_height",
+                                     "antenna_gain_factor"])
+    def test_zero_return_scene_rejected(self, key, experiment, tmp_path):
+        out = tmp_path / "out.csv"
+        with pytest.raises(ValueError, match=f"scenario.{key} = 0"):
+            main([experiment, "--set", f"scenario.{key}=0", "--out", str(out)])
+        assert not out.exists()
+
+    def test_readme_config_block(self):
+        # the README's default configuration parses to the defaults and
+        # names exactly the sections and keys emit_config writes
+        text = README.read_text(encoding="utf-8")
+        block = re.search(r"full default configuration.*?```ini\n(.*?)```",
+                          text, re.S).group(1)
+        documented = configparser.ConfigParser(
+            interpolation=None, inline_comment_prefixes=(";",))
+        documented.read_string(block)
+        buf = io.StringIO()
+        documented.write(buf)
+        assert parse_config(text=buf.getvalue()) == parse_config()
+        emitted = configparser.ConfigParser(interpolation=None)
+        emitted.read_string(emit_config(parse_config()))
+
+        def keys(cp):
+            return {(sec, key) for sec in cp.sections() for key in cp[sec]}
+
+        assert documented.sections() == emitted.sections()
+        assert keys(documented) == keys(emitted)
+
     def test_model_and_coherence_validation(self):
         with pytest.raises(ValueError, match="unknown model"):
             parse_config(overrides=("experiment.model=oracle",))
@@ -132,6 +179,32 @@ class TestRunners:
         # at 10 GHz the exact level for the center pair sits near -56 dB;
         # a 77 GHz run would land elsewhere entirely
         assert len(rows) == 1
+
+    def test_validate_spa_off_plate_cells_empty(self, tmp_path):
+        # at plate_height 0.5 the specular point of 72 pairs is off the
+        # plate: the closed form is exactly 0 there and its three cells
+        # stay empty; every other cell is a finite number
+        out = tmp_path / "val.csv"
+        assert main(["validate-spa", "--set", "scenario.plate_height=0.5",
+                     "--out", str(out)]) == 0
+        _, header, data = read_csv(out)
+        spacing = 0.125
+        off = 0
+        for row in data:
+            tx, rx = int(row[0]), int(row[1])
+            if abs((tx + rx - 12) * spacing / 2) > 0.25:
+                off += 1
+                assert row[3:] == ["", "", ""]
+                assert math.isfinite(float(row[2]))
+            else:
+                assert all(math.isfinite(float(v)) for v in row[2:])
+        assert off == 72
+        # on-plate rows keep their values (pair 6,6 as written before the
+        # off-plate cells were emptied)
+        center = next(r for r in data if r[:2] == ["6", "6"])
+        assert [float(v) for v in center[2:]] == pytest.approx(
+            [61.147193309557196, 61.17601002335957, 0.02881671380237094,
+             -0.35520730352818464], rel=1e-9)
 
     def test_ambiguity_rows(self):
         cfg = parse_config(overrides=("grid.min=3.8", "grid.max=4.2",

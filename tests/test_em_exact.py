@@ -9,7 +9,6 @@ from nfradar import (
     antenna_z_position,
     exact_received_signal,
     integrand,
-    integrand_parts,
     path_length_sum,
     reference_scenario,
 )
@@ -68,43 +67,56 @@ class TestPathLengthSum:
 
 
 class TestIntegrand:
+    # the integrand is g * exp(j psi) with psi = -k * path_length_sum, so
+    # dividing out that phase leaves the amplitude g
+
     def test_specular_amplitude_is_R_over_r_cubed(self, ref_sc):
         # pins the direction-cosine convention: at the specular point of
         # any pair the product of cosines collapses to R^2/r^2 and the
         # amplitude to R/r^3
         pair = center_pair(ref_sc)
-        s = integrand_parts(pair, ref_sc, 0.0, 0.0, 0.0, CONST)
-        assert s.amplitude == 0.0625  # R/r^3 = 4/4^3, exact
-        assert s.phase == -2.0 * ref_sc.wavenumber * 4.0
+        psi = -ref_sc.wavenumber * path_length_sum(pair, 4.0, 0.0, 0.0)
+        assert psi == -2.0 * ref_sc.wavenumber * 4.0
+        u = integrand(pair, ref_sc, 0.0, 0.0, 0.0, CONST)
+        assert u * np.exp(-1j * psi) == pytest.approx(0.0625, rel=1e-15)
 
     def test_specular_amplitude_bistatic(self, ref_sc):
         pair = AntennaPair(0, 12, -0.75, 0.75)
-        s = integrand_parts(pair, ref_sc, 0.0, 0.0, 0.0, CONST)
         r = np.sqrt(16.5625)
-        assert s.amplitude == pytest.approx(4.0 / r**3, rel=1e-14)
-        assert s.phase == pytest.approx(-ref_sc.wavenumber * 2 * r, rel=1e-15)
+        psi = -ref_sc.wavenumber * path_length_sum(pair, 4.0, 0.0, 0.0)
+        assert psi == pytest.approx(-ref_sc.wavenumber * 2 * r, rel=1e-15)
+        u = integrand(pair, ref_sc, 0.0, 0.0, 0.0, CONST)
+        assert u * np.exp(-1j * psi) == pytest.approx(4.0 / r**3, rel=1e-14)
 
     def test_phase_peaks_at_specular(self, ref_sc):
         # psi = -k (r + r') is maximal where the path is shortest
         pair = center_pair(ref_sc)
-        psi0 = integrand_parts(pair, ref_sc, 0.0, 0.0, 0.0, CONST).phase
+        k = ref_sc.wavenumber
+        psi0 = -k * path_length_sum(pair, 4.0, 0.0, 0.0)
         for y, z in [(0.1, 0.0), (0.0, 0.2), (-0.3, -0.5)]:
-            assert integrand_parts(pair, ref_sc, y, z, 0.0, CONST).phase < psi0
+            assert -k * path_length_sum(pair, 4.0, y, z) < psi0
 
     def test_parts_reassemble(self, ref_sc):
+        # amplitude rebuilt from the direction cosines written out:
+        # s(t - path/c) (R / r_tx) (rho_rx^2 / r_rx^2) / (r_tx r_rx)
         pair = AntennaPair(1, 4, -0.625, -0.25)
         w = WaveformRef.sinc(ref_sc.bandwidth)
-        t = 27e-9
-        s = integrand_parts(pair, ref_sc, 0.1, -0.3, t, w)
-        assert integrand(pair, ref_sc, 0.1, -0.3, t, w) == \
-            pytest.approx(s.amplitude * np.exp(1j * s.phase), rel=1e-15)
+        t, y, z = 27e-9, 0.1, -0.3
+        r_tx = np.sqrt(16.0 + y * y + (z - pair.tx_z) ** 2)
+        rho_rx_sq = 16.0 + (z - pair.rx_z) ** 2
+        r_rx = np.sqrt(rho_rx_sq + y * y)
+        path = path_length_sum(pair, 4.0, y, z)
+        g = (np.sinc(ref_sc.bandwidth * (t - path / 299792458.0))
+             * (4.0 / r_tx) * (rho_rx_sq / r_rx**2) / (r_tx * r_rx))
+        assert integrand(pair, ref_sc, y, z, t, w) == pytest.approx(
+            g * np.exp(1j * (-ref_sc.wavenumber * path)), rel=1e-12)
 
     def test_rejects_points_off_plate(self, ref_sc):
         pair = center_pair(ref_sc)
         with pytest.raises(ValueError, match="outside the plate"):
             integrand(pair, ref_sc, 0.5, 0.0, 0.0, CONST)
         with pytest.raises(ValueError, match="outside the plate"):
-            integrand_parts(pair, ref_sc, 0.0, 1.0, 0.0, CONST)
+            integrand(pair, ref_sc, 0.0, 1.0, 0.0, CONST)
 
     def test_stationary_point_on_grid(self, ref_sc_10ghz):
         # the sampled phase attains its maximum at the grid cell holding

@@ -6,83 +6,96 @@ import pytest
 from nfradar import (
     AntennaPair,
     WaveformRef,
-    alpha_coefficient,
-    pair_coefficient,
+    all_pairs,
     path_length_sum,
     spa_phase_expansion,
     spa_received_signal,
-    specular_geometry,
     reference_scenario,
     xi,
 )
 from nfradar.em_spa import gain_and_delay_arrays, pair_offsets
 
-from oracles import quadratic_phase_integral
+from oracles import fresnel_reference, pair_gain, quadratic_phase_integral
 
 CENTER = AntennaPair(6, 6, 0.0, 0.0)
 OUTER = AntennaPair(0, 12, -0.75, 0.75)
 EDGE_MONO = AntennaPair(0, 0, -0.75, -0.75)
+# row indices of those pairs in tx-major order
+I_CENTER, I_OUTER, I_EDGE_MONO = 6 * 13 + 6, 12, 0
+CENTER_DELAY = 2.6685127615852163e-08  # 2 * 4 m / c
+OUTER_DELAY = 2.7150150315155204e-08   # 2 * sqrt(16.5625) / c
+
+
+def arrays(sc):
+    """Gains and delays of all pairs at the scenario range."""
+    z_s, d = pair_offsets(sc)
+    return gain_and_delay_arrays(sc, z_s, d, sc.range)
+
+
+def scalar_gain(pair, sc):
+    """Gain of one pair through the scalar view: the constant waveform
+    makes spa_received_signal the bare pair gain."""
+    return spa_received_signal(pair, sc, 0.0, WaveformRef.constant())
 
 
 class TestSpecularGeometry:
     def test_center_pair(self, ref_sc):
-        g = specular_geometry(CENTER, ref_sc)
-        assert (g.y_s, g.z_s, g.r_s, g.on_plate) == (0.0, 0.0, 4.0, True)
+        z_s, d = pair_offsets(ref_sc)
+        assert (z_s[I_CENTER], d[I_CENTER]) == (0.0, 0.0)
+        assert arrays(ref_sc)[1][I_CENTER] == 2 * 4.0 / 299792458.0
 
     def test_outer_pair(self, ref_sc):
-        g = specular_geometry(OUTER, ref_sc)
-        assert g.z_s == 0.0
+        z_s, d = pair_offsets(ref_sc)
+        assert z_s[I_OUTER] == 0.0
         # half-separation 0.75 against standoff 4
-        assert g.r_s == pytest.approx(math.sqrt(16.5625), rel=1e-15)
+        assert math.hypot(4.0, d[I_OUTER]) == \
+            pytest.approx(math.sqrt(16.5625), rel=1e-15)
 
     def test_monostatic_offset_pair(self, ref_sc):
-        g = specular_geometry(EDGE_MONO, ref_sc)
-        assert g.z_s == -0.75
-        assert g.r_s == 4.0
-        assert g.on_plate  # 0.75 < 0.875
+        z_s, d = pair_offsets(ref_sc)
+        assert (z_s[I_EDGE_MONO], d[I_EDGE_MONO]) == (-0.75, 0.0)
+        assert arrays(ref_sc)[0][I_EDGE_MONO] != 0.0  # 0.75 < 0.875
 
     def test_off_plate(self):
         sc = reference_scenario(plate_height=0.875)
-        g = specular_geometry(EDGE_MONO, sc)
-        assert not g.on_plate  # 0.75 > 0.4375
+        assert scalar_gain(EDGE_MONO, sc) == 0.0  # 0.75 > 0.4375
 
     def test_edge_inclusive(self):
         sc = reference_scenario(plate_height=1.5)
-        pair = AntennaPair(0, 0, -0.75, -0.75)
-        assert specular_geometry(pair, sc).on_plate  # exactly on the edge
+        assert scalar_gain(EDGE_MONO, sc) != 0.0  # exactly on the edge
 
 
 class TestPhaseExpansion:
+    R_S = math.sqrt(16.5625)  # specular distance of OUTER, z_s = 0
+
     def test_value_at_specular_point(self, ref_sc):
-        g = specular_geometry(OUTER, ref_sc)
-        assert spa_phase_expansion(g, ref_sc, 0.0, g.z_s) == \
-            -2.0 * ref_sc.wavenumber * g.r_s
+        assert spa_phase_expansion(0.0, self.R_S, ref_sc, 0.0, 0.0) == \
+            -2.0 * ref_sc.wavenumber * self.R_S
 
     def test_curvatures(self, ref_sc):
-        g = specular_geometry(OUTER, ref_sc)
         k = ref_sc.wavenumber
         h = 1e-3
-        p0 = spa_phase_expansion(g, ref_sc, 0.0, g.z_s)
-        py = spa_phase_expansion(g, ref_sc, h, g.z_s)
-        pz = spa_phase_expansion(g, ref_sc, 0.0, g.z_s + h)
+        p0 = spa_phase_expansion(0.0, self.R_S, ref_sc, 0.0, 0.0)
+        py = spa_phase_expansion(0.0, self.R_S, ref_sc, h, 0.0)
+        pz = spa_phase_expansion(0.0, self.R_S, ref_sc, 0.0, h)
         # second differences of a phase near 1.3e4 rad: cancellation leaves
         # roughly 7 significant digits
-        assert (py - p0) / h**2 == pytest.approx(-k / g.r_s, rel=1e-6)
+        assert (py - p0) / h**2 == pytest.approx(-k / self.R_S, rel=1e-6)
         assert (pz - p0) / h**2 == pytest.approx(
-            -k * ref_sc.range**2 / g.r_s**3, rel=1e-6)
+            -k * ref_sc.range**2 / self.R_S**3, rel=1e-6)
 
     def test_agreement_inside_fresnel_window(self, ref_sc):
         # the quadratic expansion must track the true phase to a fraction
         # of a radian across the first Fresnel zone in each axis
-        g = specular_geometry(OUTER, ref_sc)
         lam = ref_sc.wavelength
-        y_half = math.sqrt(lam * g.r_s) / 2
-        z_half = math.sqrt(lam * g.r_s**3) / (2 * ref_sc.range)
+        y_half = math.sqrt(lam * self.R_S) / 2
+        z_half = math.sqrt(lam * self.R_S**3) / (2 * ref_sc.range)
         y = np.linspace(-y_half, y_half, 101)
-        z = g.z_s + np.linspace(-z_half, z_half, 101)
+        z = np.linspace(-z_half, z_half, 101)
         exact = -ref_sc.wavenumber * path_length_sum(
             OUTER, ref_sc.range, y[None, :], z[:, None])
-        approx = spa_phase_expansion(g, ref_sc, y[None, :], z[:, None])
+        approx = spa_phase_expansion(0.0, self.R_S, ref_sc, y[None, :],
+                                     z[:, None])
         assert np.max(np.abs(exact - approx)) <= 0.2
 
 
@@ -90,32 +103,41 @@ class TestAlpha:
     def test_wide_plate_limit(self, ref_sc):
         # for huge Fresnel arguments alpha approaches
         # (0.5 - 0.5j) * (1 - 1j) = -j
-        a = alpha_coefficient(CENTER, ref_sc)
-        assert abs(a - (-1j)) <= 0.15
+        gain = arrays(ref_sc)[0][I_CENTER]
+        alpha = gain * 4.0 / (xi(ref_sc)
+                              * np.exp(-2j * ref_sc.wavenumber * 4.0))
+        assert abs(alpha - (-1j)) <= 0.15
 
     def test_swap_exact(self, ref_sc):
-        a = alpha_coefficient(AntennaPair(2, 9, -0.5, 0.375), ref_sc)
-        b = alpha_coefficient(AntennaPair(9, 2, 0.375, -0.5), ref_sc)
-        assert a == b
+        gain, delay = arrays(ref_sc)
+        assert gain[2 * 13 + 9] == gain[9 * 13 + 2]
+        assert delay[2 * 13 + 9] == delay[9 * 13 + 2]
+        assert scalar_gain(AntennaPair(2, 9, -0.5, 0.375), ref_sc) == \
+            scalar_gain(AntennaPair(9, 2, 0.375, -0.5), ref_sc)
 
     def test_off_plate_is_zero(self):
+        # every pair with its specular point beyond the edge, and only
+        # those, has gain exactly 0
         sc = reference_scenario(plate_height=0.875)
-        assert alpha_coefficient(EDGE_MONO, sc) == 0.0
+        z_s, _ = pair_offsets(sc)
+        gain = arrays(sc)[0]
+        assert np.array_equal(gain == 0.0, np.abs(z_s) > 0.4375)
+        assert np.any(gain == 0.0)
 
     def test_indicator_edge(self):
         # specular point exactly on the edge contributes; 1e-12 beyond does not
         sc = reference_scenario()
-        on = AntennaPair(0, 0, -0.875, -0.875)
-        off = AntennaPair(0, 0, -0.875 - 1e-12, -0.875 - 1e-12)
-        assert alpha_coefficient(on, sc) != 0.0
-        assert alpha_coefficient(off, sc) == 0.0
+        gain, _ = gain_and_delay_arrays(
+            sc, np.array([-0.875, -0.875 - 1e-12]), np.zeros(2), sc.range)
+        assert gain[0] != 0.0
+        assert gain[1] == 0.0
 
     def test_depends_only_on_z_sum(self, ref_sc):
-        # (z_l + z_l')/2 fixes both z_s and r_s enters only via the offset,
-        # so pairs with equal sum and equal offset magnitude coincide
-        a = alpha_coefficient(AntennaPair(0, 12, -0.75, 0.75), ref_sc)
-        b = alpha_coefficient(AntennaPair(12, 0, 0.75, -0.75), ref_sc)
-        assert a == b
+        # (z_l + z_l')/2 fixes z_s, and r_s enters only via the offset
+        # magnitude, so pairs with equal sum and equal offset coincide
+        gain = arrays(ref_sc)[0]
+        assert gain[0 * 13 + 12] == gain[12 * 13 + 0]
+        assert gain[1 * 13 + 11] == gain[11 * 13 + 1]
 
 
 class TestXi:
@@ -136,46 +158,49 @@ class TestXi:
 
 class TestPairCoefficient:
     def test_center_delay(self, ref_sc):
-        c = pair_coefficient(CENTER, ref_sc)
-        assert c.delay == pytest.approx(2.6685127615852163e-08, rel=1e-12)
+        delay = arrays(ref_sc)[1][I_CENTER]
+        assert delay == pytest.approx(CENTER_DELAY, rel=1e-12)
 
     def test_outer_delay(self, ref_sc):
-        c = pair_coefficient(OUTER, ref_sc)
-        assert c.delay == pytest.approx(2.7150150315155204e-08, rel=1e-12)
-        assert c.delay > pair_coefficient(CENTER, ref_sc).delay
+        delay = arrays(ref_sc)[1]
+        assert delay[I_OUTER] == pytest.approx(OUTER_DELAY, rel=1e-12)
+        assert delay[I_OUTER] > delay[I_CENTER]
 
     def test_full_gain_assembly(self, ref_sc):
-        g = specular_geometry(OUTER, ref_sc)
-        c = pair_coefficient(OUTER, ref_sc)
-        expected = (c.xi * c.alpha
-                    * np.exp(-2j * ref_sc.wavenumber * g.r_s) / g.r_s)
-        assert c.full_gain == pytest.approx(expected, rel=1e-15)
+        # xi * alpha * exp(-j 2 k r_s) / r_s, with alpha rebuilt from the
+        # Gauss-Legendre Fresnel reference
+        lam, k = ref_sc.wavelength, ref_sc.wavenumber
+        r_s = math.sqrt(16.5625)
+        scale = 2 * 4.0 / math.sqrt(lam * r_s**3)
+        alpha = np.conj(fresnel_reference(math.sqrt(0.64 / (lam * r_s)))) \
+            * 2 * np.conj(fresnel_reference(0.875 * scale))
+        expected = xi(ref_sc) * alpha * np.exp(-2j * k * r_s) / r_s
+        assert arrays(ref_sc)[0][I_OUTER] == pytest.approx(expected,
+                                                           rel=1e-12)
 
     def test_off_plate_gain_zero_delay_finite(self):
         sc = reference_scenario(plate_height=0.875)
-        c = pair_coefficient(EDGE_MONO, sc)
-        assert c.full_gain == 0.0
-        assert c.delay == pytest.approx(2.6685127615852163e-08, rel=1e-12)
+        gain, delay = arrays(sc)
+        assert gain[I_EDGE_MONO] == 0.0
+        assert delay[I_EDGE_MONO] == pytest.approx(CENTER_DELAY, rel=1e-12)
 
     def test_equal_z_sum_pairs_identical(self, ref_sc):
         # (0,12) and (3,9) share z_s = 0 but differ in offset, so they
         # must differ; (0,12) and (12,0) share everything
-        ca = pair_coefficient(AntennaPair(0, 12, -0.75, 0.75), ref_sc)
-        cb = pair_coefficient(AntennaPair(12, 0, 0.75, -0.75), ref_sc)
-        assert ca == cb
-        cc = pair_coefficient(AntennaPair(3, 9, -0.375, 0.375), ref_sc)
-        assert cc.delay < ca.delay
+        assert scalar_gain(AntennaPair(0, 12, -0.75, 0.75), ref_sc) == \
+            scalar_gain(AntennaPair(12, 0, 0.75, -0.75), ref_sc)
+        delay = arrays(ref_sc)[1]
+        assert delay[3 * 13 + 9] < delay[0 * 13 + 12]
 
     def test_gain_magnitude_decreases_with_distance(self):
         # deep-Fresnel regime (arguments > 13, alpha pinned near -j): the
         # 1/r_s spreading dominates. On the small reference plate the
         # Fresnel ripple near argument 4 can locally beat 1/r, so the
         # guarantee only holds with alpha pinned.
-        mags = []
-        for R in (4.0, 5.0, 6.5, 8.0, 10.0, 12.0):
-            sc = reference_scenario(range=R, plate_width=3.0, plate_height=6.0)
-            mags.append(abs(pair_coefficient(CENTER, sc).full_gain))
-        assert all(a > b for a, b in zip(mags, mags[1:]))
+        sc = reference_scenario(plate_width=3.0, plate_height=6.0)
+        R = np.array([4.0, 5.0, 6.5, 8.0, 10.0, 12.0])
+        mags = np.abs(gain_and_delay_arrays(sc, 0.0, 0.0, R)[0])
+        assert np.all(np.diff(mags) < 0)
 
 
 class TestLongFormEquivalence:
@@ -198,35 +223,35 @@ class TestLongFormEquivalence:
             z = (np.arange(n) - (n - 1) / 2) * spacing
             l = int(rng.integers(0, n))
             lp = int(rng.integers(0, n))
-            pair = AntennaPair(l, lp, z[l], z[lp])
-            g = specular_geometry(pair, sc)
-            if not g.on_plate:
+            z_s = (z[l] + z[lp]) / 2
+            if abs(z_s) > dz / 2:
                 continue
             checked += 1
-            c = pair_coefficient(pair, sc)
+            r_s = math.hypot(R, z[l] - z_s)
+            gain = scalar_gain(AntennaPair(l, lp, z[l], z[lp]), sc)
             k = sc.wavenumber
             pre = (-2 * k * k * sc.free_space_impedance
                    * sc.antenna_gain_factor / (4 * np.pi) ** 2)
-            i_y = quadratic_phase_integral(k / g.r_s, -dy / 2, dy / 2)
+            i_y = quadratic_phase_integral(k / r_s, -dy / 2, dy / 2)
             i_z = quadratic_phase_integral(
-                k * R * R / g.r_s**3, -dz / 2 - g.z_s, dz / 2 - g.z_s)
-            long_form = (pre * np.exp(-2j * k * g.r_s)
-                         * (R / g.r_s**3) * i_y * i_z)
-            assert abs(c.full_gain - long_form) <= 1e-6 * abs(long_form)
+                k * R * R / r_s**3, -dz / 2 - z_s, dz / 2 - z_s)
+            long_form = (pre * np.exp(-2j * k * r_s)
+                         * (R / r_s**3) * i_y * i_z)
+            assert abs(gain - long_form) <= 1e-6 * abs(long_form)
 
 
 class TestSpaReceivedSignal:
     def test_peak_sample_is_full_gain(self, ref_sc):
-        c = pair_coefficient(CENTER, ref_sc)
+        gain, delay = gain_and_delay_arrays(ref_sc, 0.0, 0.0, ref_sc.range)
         w = WaveformRef.sinc(ref_sc.bandwidth)
-        assert spa_received_signal(CENTER, ref_sc, c.delay, w) == c.full_gain
+        assert spa_received_signal(CENTER, ref_sc, delay, w) == gain
 
     def test_waveform_null(self, ref_sc):
-        c = pair_coefficient(CENTER, ref_sc)
+        gain, delay = gain_and_delay_arrays(ref_sc, 0.0, 0.0, ref_sc.range)
         w = WaveformRef.sinc(ref_sc.bandwidth)
-        t_null = c.delay + 1.0 / ref_sc.bandwidth
+        t_null = delay + 1.0 / ref_sc.bandwidth
         assert abs(spa_received_signal(CENTER, ref_sc, t_null, w)) < \
-            1e-12 * abs(c.full_gain)
+            1e-12 * abs(gain)
 
     def test_zero_drive_all_zero(self):
         sc = reference_scenario(antenna_gain_factor=0.0)
@@ -246,20 +271,20 @@ class TestVectorHelpers:
     def test_pair_offsets_match_all_pairs(self, ref_sc):
         z_s, d = pair_offsets(ref_sc)
         assert z_s.shape == d.shape == (169,)
-        from nfradar import all_pairs
         for i, pair in enumerate(all_pairs(ref_sc)):
-            g = specular_geometry(pair, ref_sc)
-            assert z_s[i] == g.z_s
-            assert np.hypot(ref_sc.range, d[i]) == g.r_s
+            assert z_s[i] == (pair.tx_z + pair.rx_z) / 2
+            assert d[i] == pair.tx_z - z_s[i]
 
-    def test_gain_and_delay_match_pair_coefficient(self, ref_sc):
-        from nfradar import all_pairs
-        z_s, d = pair_offsets(ref_sc)
-        gain, delay = gain_and_delay_arrays(ref_sc, z_s, d, ref_sc.range)
-        for i, pair in enumerate(all_pairs(ref_sc)):
-            c = pair_coefficient(pair, ref_sc)
-            # delays share one formula and match bitwise; gains may differ
-            # in the last bit because numpy's vectorized complex multiply
-            # rounds differently from the scalar loop
-            assert delay[i] == c.delay
-            assert gain[i] == pytest.approx(c.full_gain, rel=1e-15)
+    def test_gain_and_delay_match_oracle(self):
+        # every pair, on and off the plate, against the closed form written
+        # out with scalar math; delays share the correctly rounded sqrt and
+        # match bitwise
+        for sc in (reference_scenario(), reference_scenario(
+                carrier_freq=10e9, plate_height=0.5)):
+            gain, delay = arrays(sc)
+            for i, pair in enumerate(all_pairs(sc)):
+                g, tau, _ = pair_gain(sc, pair.tx_z, pair.rx_z, sc.range)
+                assert delay[i] == tau
+                assert gain[i] == pytest.approx(g, rel=1e-12, abs=0)
+                assert scalar_gain(pair, sc) == \
+                    pytest.approx(g, rel=1e-12, abs=0)

@@ -6,19 +6,18 @@ import pytest
 from nfradar import (
     AmbiguityCurve,
     ModelKind,
+    SignalSet,
     ambiguity,
     crb,
     default_crb_step,
     estimate_range,
     half_power_width,
-    ml_objective,
-    model_signals,
-    pair_contributions,
-    pair_inner_products,
     synthesize,
     reference_scenario,
 )
 from nfradar.estimator import _objective_on_grid
+
+from oracles import objective_loop
 
 PARTIAL = ModelKind.PARTIAL_INFORMATION
 FULL = ModelKind.FULL_INFORMATION
@@ -39,115 +38,110 @@ class TestModelKind:
             ModelKind.parse("oracle")
 
 
+def objective(received, sc, r_hat, kind=PARTIAL, coherence="coherent"):
+    return _objective_on_grid(received, sc, np.atleast_1d(r_hat), kind,
+                              coherence)
+
+
 class TestModelSignals:
     def test_full_equals_synthesize(self, ref_sc, received):
-        m = model_signals(ref_sc, 4.0, FULL,
-                          window=received.window,
-                          sample_rate=received.sample_rate)
-        ref = synthesize(ref_sc, true_range=4.0,
-                         window=received.window,
-                         sample_rate=received.sample_rate)
-        assert m.same_time_base(ref)
-        assert np.array_equal(m.traces, ref.traces)
+        # at the truth the full model trace of every pair is the received
+        # trace, so the coherent objective meets its Cauchy-Schwarz bound:
+        # the received energy
+        energy = np.sum(np.abs(received.traces) ** 2)
+        assert objective(received, ref_sc, 4.0, FULL)[0] == \
+            pytest.approx(energy, rel=1e-12)
+        assert objective(received, ref_sc, 4.0, FULL, "incoherent")[0] == \
+            pytest.approx(energy, rel=1e-12)
 
     def test_partial_single_antenna_template(self):
         # N = 1: r_s(R_hat) = R_hat exactly, so the template is the pure
-        # delayed sinc with the carrier phase
+        # delayed sinc with the carrier phase; received equal to it meets
+        # the Cauchy-Schwarz bound there and nowhere else
         sc = reference_scenario(n_antennas=1)
-        m = model_signals(sc, 4.2, PARTIAL)
-        k = sc.wavenumber
-        t = m.times
-        expected = (np.exp(-2j * k * 4.2)
+        base = synthesize(sc)
+        t = base.times
+        template = (np.exp(-2j * sc.wavenumber * 4.2)
                     * np.sinc(sc.bandwidth * (t - 2 * 4.2 / 299792458.0)))
-        assert np.allclose(m.traces[0], expected, rtol=1e-12, atol=0)
+        received = SignalSet(base.sample_rate, base.t_start, base.n_samples,
+                             template[None, :])
+        j = objective(received, sc, [4.19, 4.2, 4.21])
+        assert j[1] == pytest.approx(np.sum(np.abs(template) ** 2),
+                                     rel=1e-12)
+        assert j[0] < j[1] and j[2] < j[1]
 
-    def test_partial_unit_gain(self, ref_sc):
-        # partial templates carry no Fresnel amplitude: the envelope peak
-        # of every trace is 1 in magnitude
-        m = model_signals(ref_sc, 4.0, PARTIAL)
-        assert np.abs(m.traces).max() == pytest.approx(1.0, abs=1e-3)
+    def test_partial_unit_gain(self, ref_sc, received):
+        # partial templates carry no Fresnel amplitude or drive level: the
+        # partial objective ignores plate size and gain, the full one not
+        other = reference_scenario(plate_width=3.0, plate_height=6.0,
+                                   antenna_gain_factor=5.0)
+        grid = [3.97, 4.0, 4.05]
+        assert np.array_equal(objective(received, ref_sc, grid),
+                              objective(received, other, grid))
+        assert not np.allclose(objective(received, ref_sc, grid, FULL),
+                               objective(received, other, grid, FULL))
 
-    def test_hypothesis_floor(self, ref_sc):
+    def test_hypothesis_floor(self, ref_sc, received):
         with pytest.raises(ValueError, match="validity floor"):
-            model_signals(ref_sc, 0.1, PARTIAL)
+            objective(received, ref_sc, 0.1)
         with pytest.raises(ValueError, match="positive"):
-            model_signals(ref_sc, -1.0, PARTIAL)
+            objective(received, ref_sc, -1.0)
 
 
 class TestObjective:
-    def test_time_base_mismatch(self, ref_sc, received):
-        t0, t1 = received.window
-        m = model_signals(ref_sc, 4.0, PARTIAL,
-                          window=(t0 + 1e-9, t1 + 1e-9),
-                          sample_rate=received.sample_rate)
-        with pytest.raises(ValueError, match="time base"):
-            ml_objective(received, m)
-
     def test_unknown_coherence(self, ref_sc, received):
-        m = model_signals(ref_sc, 4.0, PARTIAL,
-                          window=received.window,
-                          sample_rate=received.sample_rate)
         with pytest.raises(ValueError, match="unknown coherence"):
-            ml_objective(received, m, coherence="semi")
+            objective(received, ref_sc, 4.0, coherence="semi")
 
     def test_zero_received_zero_objective(self, ref_sc, received):
         zero = dataclasses.replace(received,
                                    traces=np.zeros_like(received.traces))
-        m = model_signals(ref_sc, 4.0, PARTIAL,
-                          window=received.window,
-                          sample_rate=received.sample_rate)
-        assert ml_objective(zero, m) == 0.0
-        assert ml_objective(zero, m, coherence="incoherent") == 0.0
+        for kind in (PARTIAL, FULL):
+            assert objective(zero, ref_sc, 4.0, kind)[0] == 0.0
+            assert objective(zero, ref_sc, 4.0, kind, "incoherent")[0] == 0.0
 
     def test_scaling_quadratic(self, ref_sc, received):
-        m = model_signals(ref_sc, 4.05, PARTIAL,
-                          window=received.window,
-                          sample_rate=received.sample_rate)
-        base = ml_objective(received, m)
+        base = objective(received, ref_sc, 4.05)[0]
         for c in (2.0, 0.5j, -1.3 + 0.7j):
             scaled = dataclasses.replace(received,
                                          traces=c * received.traces)
-            assert ml_objective(scaled, m) == \
+            assert objective(scaled, ref_sc, 4.05)[0] == \
                 pytest.approx(abs(c) ** 2 * base, rel=1e-12)
 
     def test_incoherent_at_least_coherent(self, ref_sc, received):
         # dropping the cross-pair phase constraint can only raise the
         # profiled objective
-        m = model_signals(ref_sc, 4.1, PARTIAL,
-                          window=received.window,
-                          sample_rate=received.sample_rate)
-        coh = ml_objective(received, m, "coherent")
-        inc = ml_objective(received, m, "incoherent")
+        coh = objective(received, ref_sc, 4.1)[0]
+        inc = objective(received, ref_sc, 4.1, coherence="incoherent")[0]
         assert inc >= coh
 
     def test_pair_symmetry(self, ref_sc, received):
         # swapping tx and rx gives the identical propagation path, so the
-        # per-pair matched energies must be symmetric
-        m = model_signals(ref_sc, 4.05, PARTIAL,
-                          window=received.window,
-                          sample_rate=received.sample_rate)
-        contrib = pair_contributions(received, m).reshape(13, 13)
-        assert np.allclose(contrib, contrib.T, rtol=1e-9, atol=0)
+        # per-pair matched energies must be symmetric; the incoherent
+        # objective of a set holding one pair's trace is that pair's
+        # matched energy
+        def contribution(p):
+            traces = np.zeros_like(received.traces)
+            traces[p] = received.traces[p]
+            one = dataclasses.replace(received, traces=traces)
+            return objective(one, ref_sc, 4.05, coherence="incoherent")[0]
 
-    def test_inner_products_shapes(self, ref_sc, received):
-        m = model_signals(ref_sc, 4.0, PARTIAL,
-                          window=received.window,
-                          sample_rate=received.sample_rate)
-        ip, energy = pair_inner_products(received, m)
-        assert ip.shape == energy.shape == (169,)
-        assert np.all(energy >= 0)
+        for l in range(13):
+            for lp in range(l + 1, 13):
+                a, b = contribution(l * 13 + lp), contribution(lp * 13 + l)
+                assert a == pytest.approx(b, rel=1e-9, abs=0)
 
     def test_vectorized_grid_matches_loop(self, ref_sc, received):
         grid = np.array([3.9, 3.97, 4.0, 4.06, 4.2])
         for kind in (PARTIAL, FULL):
-            fast = _objective_on_grid(received, ref_sc, grid, kind,
-                                      "coherent")
-            for g, f in zip(grid, fast):
-                m = model_signals(ref_sc, float(g), kind,
-                                  window=received.window,
-                                  sample_rate=received.sample_rate)
-                slow = ml_objective(received, m)
-                assert f == pytest.approx(slow, rel=1e-12)
+            for coherence in ("coherent", "incoherent"):
+                fast = _objective_on_grid(received, ref_sc, grid, kind,
+                                          coherence)
+                for g, f in zip(grid, fast):
+                    slow = objective_loop(received, ref_sc, float(g),
+                                          kind is FULL,
+                                          coherence == "coherent")
+                    assert f == pytest.approx(slow, rel=1e-12)
 
 
 class TestAmbiguity:

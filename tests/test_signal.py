@@ -5,17 +5,18 @@ import pytest
 
 from nfradar import (
     SPEED_OF_LIGHT,
-    AntennaPair,
     SignalSet,
     WaveformRef,
     add_awgn,
     default_window,
-    pair_coefficient,
     save_signal_set,
     synthesize,
     reference_scenario,
     waveform_value,
 )
+from nfradar.em_spa import gain_and_delay_arrays, pair_offsets
+
+from oracles import pair_gain
 
 CENTER_DELAY = 2.6685127615852163e-08  # 2 * 4 m / c
 OUTER_DELAY = 2.7150150315155204e-08   # 2 * sqrt(16.5625) / c
@@ -50,33 +51,30 @@ class TestWaveform:
 
 class TestSignalSet:
     def test_shape_validation(self):
-        pairs = (AntennaPair(0, 0, 0.0, 0.0),)
         with pytest.raises(ValueError, match="does not match"):
             SignalSet(sample_rate=1.0, t_start=0.0, n_samples=4,
-                      pairs=pairs, traces=np.zeros((1, 3), dtype=complex))
+                      traces=np.zeros((1, 3), dtype=complex))
+        with pytest.raises(ValueError, match="does not match"):
+            SignalSet(sample_rate=1.0, t_start=0.0, n_samples=3,
+                      traces=np.zeros(3, dtype=complex))
         with pytest.raises(ValueError, match="sample_rate"):
             SignalSet(sample_rate=0.0, t_start=0.0, n_samples=3,
-                      pairs=pairs, traces=np.zeros((1, 3), dtype=complex))
+                      traces=np.zeros((1, 3), dtype=complex))
 
     def test_times(self):
-        pairs = (AntennaPair(0, 0, 0.0, 0.0),)
         s = SignalSet(sample_rate=2.0, t_start=1.0, n_samples=3,
-                      pairs=pairs, traces=np.zeros((1, 3), dtype=complex))
+                      traces=np.zeros((1, 3), dtype=complex))
         assert np.array_equal(s.times, [1.0, 1.5, 2.0])
 
-    def test_same_time_base(self):
-        pairs = (AntennaPair(0, 0, 0.0, 0.0),)
-        a = SignalSet(2.0, 1.0, 3, pairs, np.zeros((1, 3), dtype=complex))
-        b = SignalSet(2.0, 1.0, 3, pairs, np.ones((1, 3), dtype=complex))
-        c = SignalSet(2.0, 0.5, 3, pairs, np.zeros((1, 3), dtype=complex))
-        assert a.same_time_base(b)
-        assert not a.same_time_base(c)
-
     def test_window_reproduces_time_base(self, ref_sc):
+        # (t_start, t_start + n_samples / sample_rate) passed back with the
+        # same sample rate reproduces the time base and the traces
         s = synthesize(ref_sc)
-        again = synthesize(ref_sc, window=s.window,
+        t1 = s.t_start + s.n_samples / s.sample_rate
+        again = synthesize(ref_sc, window=(s.t_start, t1),
                            sample_rate=s.sample_rate)
-        assert s.same_time_base(again)
+        assert (again.t_start, again.n_samples, again.sample_rate) == \
+            (s.t_start, s.n_samples, s.sample_rate)
         assert np.array_equal(s.traces, again.traces)
 
 
@@ -89,7 +87,6 @@ class TestSynthesize:
 
     def test_shapes_and_defaults(self, ref_sc):
         s = synthesize(ref_sc)
-        assert len(s.pairs) == 169
         assert s.sample_rate == 4.0 * ref_sc.bandwidth
         assert s.traces.shape == (169, s.n_samples)
         assert s.traces.dtype == np.complex128
@@ -105,11 +102,11 @@ class TestSynthesize:
         # sample the model exactly at the pair delay by starting the
         # window on it
         i = 6 * 13 + 6
-        c = pair_coefficient(AntennaPair(6, 6, 0.0, 0.0), ref_sc)
-        t0 = c.delay - 16.0 / ref_sc.bandwidth
+        gain, delay, _ = pair_gain(ref_sc, 0.0, 0.0, 4.0)
+        t0 = delay - 16.0 / ref_sc.bandwidth
         n_shift = 64  # 16/B at 4B sampling
-        s = synthesize(ref_sc, window=(t0, c.delay + 16.0 / ref_sc.bandwidth))
-        assert s.traces[i, n_shift] == pytest.approx(c.full_gain, rel=1e-12)
+        s = synthesize(ref_sc, window=(t0, delay + 16.0 / ref_sc.bandwidth))
+        assert s.traces[i, n_shift] == pytest.approx(gain, rel=1e-12)
 
     def test_outer_pair_arrives_later(self, ref_sc):
         s = synthesize(ref_sc)
@@ -128,10 +125,10 @@ class TestSynthesize:
         # at least 99% of each trace's energy within +-8/B of its delay
         s = synthesize(ref_sc)
         t = s.times
-        from nfradar import all_pairs
-        for pair, trace in zip(all_pairs(ref_sc), s.traces):
-            c = pair_coefficient(pair, ref_sc)
-            mask = np.abs(t - c.delay) <= 8.0 / ref_sc.bandwidth
+        z_s, d = pair_offsets(ref_sc)
+        _, delays = gain_and_delay_arrays(ref_sc, z_s, d, ref_sc.range)
+        for delay, trace in zip(delays, s.traces):
+            mask = np.abs(t - delay) <= 8.0 / ref_sc.bandwidth
             total = np.sum(np.abs(trace) ** 2)
             assert np.sum(np.abs(trace[mask]) ** 2) >= 0.99 * total
 
@@ -145,10 +142,6 @@ class TestSynthesize:
         rt = 2.0 * 4.0 / SPEED_OF_LIGHT
         with pytest.raises(ValueError, match="window too short"):
             synthesize(ref_sc, window=(rt - 4e-8, rt + 4e-8))
-        # the same window is accepted without validation
-        s = synthesize(ref_sc, window=(rt - 4e-8, rt + 4e-8),
-                       validate_window=False)
-        assert s.n_samples == 32
 
     def test_sample_rate_floor(self, ref_sc):
         with pytest.raises(ValueError, match="at least 2B"):
@@ -207,9 +200,7 @@ class TestAwgn:
 
     def test_variance(self):
         # >= 1e5 complex samples, sample variance within 2%
-        pairs = tuple(AntennaPair(i, 0, 0.0, 0.0) for i in range(100))
-        base = SignalSet(1.0, 0.0, 1024, pairs,
-                         np.zeros((100, 1024), dtype=complex))
+        base = SignalSet(1.0, 0.0, 1024, np.zeros((100, 1024), dtype=complex))
         noisy = add_awgn(base, 0.25, seed=99)
         n = noisy.traces.ravel()
         assert n.size >= 1e5
@@ -222,10 +213,8 @@ class TestAwgn:
     def test_noise_independent_of_trace_count(self, ref_sc):
         # child streams are spawned per trace: the first trace's noise
         # must not depend on how many other traces exist
-        pairs1 = (AntennaPair(0, 0, 0.0, 0.0),)
-        pairs2 = (AntennaPair(0, 0, 0.0, 0.0), AntennaPair(0, 1, 0.0, 0.125))
-        a = SignalSet(1.0, 0.0, 64, pairs1, np.zeros((1, 64), dtype=complex))
-        b = SignalSet(1.0, 0.0, 64, pairs2, np.zeros((2, 64), dtype=complex))
+        a = SignalSet(1.0, 0.0, 64, np.zeros((1, 64), dtype=complex))
+        b = SignalSet(1.0, 0.0, 64, np.zeros((2, 64), dtype=complex))
         na = add_awgn(a, 1.0, seed=5)
         nb = add_awgn(b, 1.0, seed=5)
         assert np.array_equal(na.traces[0], nb.traces[0])
@@ -246,6 +235,12 @@ class TestSaveSignalSet:
         assert int(r[0]) == 0 and int(r[1]) == 0
         assert float(r[2]) == s.times[0]
         assert float(r[3]) + 1j * float(r[4]) == s.traces[0, 0]
+        # rows are tx-major: trace 2 is tx 1, rx 0
+        r = rows[1 + 2 * s.n_samples]
+        assert (int(r[0]), int(r[1])) == (1, 0)
+        assert float(r[3]) + 1j * float(r[4]) == s.traces[2, 0]
+        with pytest.raises(ValueError, match="N\\^2"):
+            save_signal_set(SignalSet(1.0, 0.0, 4, np.zeros((2, 4))), out)
 
     def test_deterministic_bytes(self, tmp_path, ref_sc):
         sc = reference_scenario(n_antennas=2)
