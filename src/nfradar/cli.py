@@ -169,15 +169,14 @@ def parse_config(path: str | None = None,
         sweep.append((key, values))
     sweep.sort()  # deterministic order regardless of file order
 
-    grid_min = cp.getfloat("grid", "min")
-    grid_max = cp.getfloat("grid", "max")
+    grid_min = _finite(cp, "grid", "min")
+    grid_max = _finite(cp, "grid", "max")
     if not grid_min < grid_max:
         raise ValueError("grid min must be below grid max")
-    step_text = cp.get("grid", "step")
-    if step_text == "auto":
+    if cp.get("grid", "step") == "auto":
         grid_step = None
     else:
-        grid_step = float(step_text)
+        grid_step = _finite(cp, "grid", "step")
         if grid_step <= 0:
             raise ValueError("grid step must be positive")
         _grid_size(grid_min, grid_max, grid_step)
@@ -192,6 +191,23 @@ def parse_config(path: str | None = None,
     snr_norm = ex.get("snr_normalization")
     if snr_norm not in ("total", "per_pair"):
         raise ValueError(f"unknown snr_normalization {snr_norm!r}")
+    snr = ex.getfloat("snr")
+    if not snr > 0:
+        raise ValueError(f"experiment.snr = {snr!r} must be positive")
+    points = _finite(cp, "experiment", "quad_points_per_wavelength")
+    try:
+        QuadratureSpec(points_per_wavelength=points)
+    except ValueError as err:
+        raise ValueError(
+            f"experiment.quad_points_per_wavelength = {points!r}: {err}"
+        ) from None
+    noise_power = _finite(cp, "noise", "noise_power")
+    if noise_power < 0:
+        raise ValueError(
+            f"noise.noise_power = {noise_power!r} must be nonnegative")
+    seed = cp.getint("noise", "seed")
+    if seed < 0:
+        raise ValueError(f"noise.seed = {seed} must be nonnegative")
 
     return ExperimentConfig(
         scenario=scenario,
@@ -200,18 +216,25 @@ def parse_config(path: str | None = None,
         grid_min=grid_min,
         grid_max=grid_max,
         grid_step=grid_step,
-        noise_power=cp.getfloat("noise", "noise_power"),
-        seed=cp.getint("noise", "seed"),
+        noise_power=noise_power,
+        seed=seed,
         output_path=cp.get("output", "path"),
         model=model,
         coherence=coherence,
-        snr=ex.getfloat("snr"),
+        snr=snr,
         snr_normalization=snr_norm,
         validation_carrier=ex.getfloat("validation_carrier"),
         exact_carrier_ceiling=ex.getfloat("exact_carrier_ceiling"),
-        quad_points_per_wavelength=ex.getfloat("quad_points_per_wavelength"),
+        quad_points_per_wavelength=points,
         slow=slow,
     )
+
+
+def _finite(cp: configparser.ConfigParser, section: str, key: str) -> float:
+    value = cp.getfloat(section, key)
+    if not np.isfinite(value):
+        raise ValueError(f"{section}.{key} = {value!r} must be finite")
+    return value
 
 
 def emit_config(cfg: ExperimentConfig) -> str:

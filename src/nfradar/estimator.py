@@ -35,9 +35,15 @@ from .em_spa import gain_and_delay_arrays, pair_offsets
 
 _COHERENCE = ("coherent", "incoherent")
 
-# grid chunk for the vectorized objective; fixed so summation order (and
-# bitwise output) never depends on grid length or available memory
+# grid chunk for the vectorized objective: bounds the envelope block's
+# memory. The same call gives the same bits; a value may still differ in
+# the last bit when the grid is cut differently, because numpy and BLAS
+# pick their reduction order by block shape
 _GRID_CHUNK = 64
+# smallest crb stencil second difference, relative to J(R), taken as
+# curvature: each J carries rounding error of up to about 1e-15 of J, so
+# the floor keeps that error below a few percent of the curvature
+_CURVATURE_FLOOR = 1e-13
 
 
 class ModelKind(enum.Enum):
@@ -99,31 +105,43 @@ def _objective_on_grid(received: SignalSet, scenario: Scenario,
                        coherence: str) -> np.ndarray:
     """Raw objective J over a grid of hypotheses, vectorized over pairs and
     grid chunks. The one implementation of the objective; a unit test
-    checks it against a plain per-pair loop in tests/oracles.py."""
+    checks it against a plain per-pair loop in tests/oracles.py.
+
+    A pair's delay depends only on |d|, so the pairs fall into delay
+    groups (13 for a 13-element array) that share one envelope; each
+    group's correlations are one real matrix product of its envelopes with
+    its traces stacked as real and imaginary columns."""
     if coherence not in _COHERENCE:
         raise ValueError(f"unknown coherence {coherence!r}")
     _validate_hypothesis(scenario, grid)
     z_s, d = pair_offsets(scenario)
-    t = received.times
+    abs_d, group = np.unique(np.abs(d), return_inverse=True)
+    members = [np.flatnonzero(group == u) for u in range(abs_d.size)]
+    # per group (n, 2m): the member traces' real parts, then imaginary
     y = received.traces
+    stacked = [np.concatenate([y[idx].real, y[idx].imag]).T
+               for idx in members]
+    t = received.times
     k = scenario.wavenumber
     w = WaveformRef.sinc(scenario.bandwidth)
 
     out = np.empty(grid.size, dtype=float)
     for start in range(0, grid.size, _GRID_CHUNK):
         rh = grid[start:start + _GRID_CHUNK]
+        r_s = np.sqrt(rh[None, :] ** 2 + abs_d[:, None] ** 2)
+        # envelope block (groups, g, n); the chunk's only n-sized array
+        env = waveform_value(
+            w, t[None, None, :] - (2.0 * r_s / SPEED_OF_LIGHT)[:, :, None])
+        env_sq = np.einsum("ugn,ugn->ug", env, env)[group]
+        corr = np.empty((d.size, rh.size), dtype=complex)
+        for u, idx in enumerate(members):
+            prod = env[u] @ stacked[u]
+            corr[idx] = (prod[:, :idx.size] + 1j * prod[:, idx.size:]).T
         if kind is ModelKind.FULL_INFORMATION:
-            gain, delay = gain_and_delay_arrays(
+            gain, _ = gain_and_delay_arrays(
                 scenario, z_s[:, None], d[:, None], rh[None, :])
         else:
-            r_s = np.sqrt(rh[None, :] ** 2 + d[:, None] ** 2)
-            gain = np.exp(-2j * k * r_s)
-            delay = 2.0 * r_s / SPEED_OF_LIGHT
-        # envelope block (P, g, n); the only n-sized allocation
-        env = waveform_value(
-            w, t[None, None, :] - delay[:, :, None])
-        corr = np.einsum("pgn,pn->pg", env, y)
-        env_sq = np.einsum("pgn,pgn->pg", env, env)
+            gain = np.exp(-2j * k * r_s)[group]
         ip = np.conj(gain) * corr
         energy = np.abs(gain) ** 2 * env_sq
         if coherence == "coherent":
@@ -259,12 +277,13 @@ def crb(scenario: Scenario, R: float,
     stencil = np.array([R - h, R, R + h])
     j0, j1, j2 = _objective_on_grid(received, scenario, stencil, kind,
                                     coherence)
-    if not (j1 > j0 and j1 > j2):
+    second = j0 - 2.0 * j1 + j2
+    if not (j1 > j0 and j1 > j2) or -second <= _CURVATURE_FLOOR * j1:
         raise ValueError(
             "non-concave stencil at R: step does not resolve the "
             "objective curvature (too large for the main lobe, or so "
             "small the objective change is below float resolution)")
-    curvature = abs(j0 - 2.0 * j1 + j2) / (h * h)
+    curvature = abs(second) / (h * h)
     power = np.abs(received.traces) ** 2
     if snr_normalization == "total":
         signal_power = float(power.mean())

@@ -143,8 +143,10 @@ def synthesize(scenario: Scenario, true_range: float | None = None,
         from .em_spa import gain_and_delay_arrays, pair_offsets
         z_s, d = pair_offsets(scenario)
         gain, delay = gain_and_delay_arrays(scenario, z_s, d, R)
+        # pairs with equal |d| share a delay bit for bit: one envelope each
+        shared, row = np.unique(delay, return_inverse=True)
         traces = gain[:, None] * waveform_value(
-            waveform, t[None, :] - delay[:, None])
+            waveform, t[None, :] - shared[:, None])[row]
     else:
         if scenario.carrier_freq > exact_carrier_ceiling:
             raise ValueError(

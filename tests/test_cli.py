@@ -113,6 +113,25 @@ class TestParseConfig:
             main([experiment, "--set", f"scenario.{key}=0", "--out", str(out)])
         assert not out.exists()
 
+    @pytest.mark.parametrize("experiment",
+                             ["validate-spa", "ambiguity", "crb"])
+    @pytest.mark.parametrize("override", [
+        "noise.noise_power=-1", "noise.noise_power=inf",
+        "experiment.snr=0", "experiment.snr=-2", "experiment.snr=nan",
+        "experiment.quad_points_per_wavelength=3",
+        "experiment.quad_points_per_wavelength=nan",
+        "noise.seed=-1",
+        "grid.min=nan", "grid.max=inf", "grid.step=inf", "grid.step=nan",
+    ])
+    def test_runner_failures_refused_at_parse(self, override, experiment,
+                                              tmp_path):
+        # each value used to be ignored or to fail only inside a runner
+        out = tmp_path / "out.csv"
+        key = override.split("=")[0]
+        with pytest.raises(ValueError, match=re.escape(key)):
+            main([experiment, "--set", override, "--out", str(out)])
+        assert not out.exists()
+
     def test_readme_config_block(self):
         # the README's default configuration parses to the defaults and
         # names exactly the sections and keys emit_config writes

@@ -15,7 +15,9 @@ from nfradar import (
     synthesize,
     reference_scenario,
 )
+from nfradar import estimator
 from nfradar.estimator import _objective_on_grid
+from nfradar.signal import waveform_value
 
 from oracles import objective_loop
 
@@ -142,6 +144,39 @@ class TestObjective:
                                           kind is FULL,
                                           coherence == "coherent")
                     assert f == pytest.approx(slow, rel=1e-12)
+
+    @pytest.mark.parametrize("overrides", [
+        {"n_antennas": 1}, {"n_antennas": 4}, {}, {"plate_height": 0.5}])
+    def test_chunk_boundaries_match_loop(self, overrides):
+        # 130 points: chunks of 64, 64 and 2; check the first and last
+        # point of each against the per-pair loop
+        sc = reference_scenario(**overrides)
+        received = synthesize(sc)
+        grid = 3.9 + 0.0015 * np.arange(130)
+        for kind in (PARTIAL, FULL):
+            for coherence in ("coherent", "incoherent"):
+                fast = _objective_on_grid(received, sc, grid, kind,
+                                          coherence)
+                for i in (0, 63, 64, 128, 129):
+                    slow = objective_loop(received, sc, float(grid[i]),
+                                          kind is FULL,
+                                          coherence == "coherent")
+                    assert fast[i] == pytest.approx(slow, rel=1e-12)
+
+    def test_one_envelope_block_per_chunk(self, ref_sc, received,
+                                          monkeypatch):
+        # the envelope is evaluated once per distinct pair delay (13 for
+        # 13 antennas), never once per pair
+        shapes = []
+
+        def recording(w, t):
+            shapes.append(np.shape(t))
+            return waveform_value(w, t)
+
+        monkeypatch.setattr(estimator, "waveform_value", recording)
+        grid = 3.9 + 0.0015 * np.arange(130)
+        _objective_on_grid(received, ref_sc, grid, PARTIAL, "coherent")
+        assert [s[:2] for s in shapes] == [(13, 64), (13, 64), (13, 2)]
 
 
 class TestAmbiguity:

@@ -132,6 +132,20 @@ class TestSynthesize:
             total = np.sum(np.abs(trace) ** 2)
             assert np.sum(np.abs(trace[mask]) ** 2) >= 0.99 * total
 
+    @pytest.mark.parametrize("overrides", [
+        {}, {"plate_height": 0.5}, {"n_antennas": 4, "range": 3.3}])
+    def test_rows_exact_per_pair(self, overrides):
+        # synthesis evaluates one envelope per distinct delay; every row
+        # must still equal the row computed for its pair alone, bit for bit
+        sc = reference_scenario(**overrides)
+        s = synthesize(sc)
+        t = s.times
+        z_s, d = pair_offsets(sc)
+        gain, delay = gain_and_delay_arrays(sc, z_s, d, sc.range)
+        for p in range(s.traces.shape[0]):
+            row = gain[p] * np.sinc(sc.bandwidth * (t - delay[p]))
+            assert np.array_equal(s.traces[p], row)
+
     def test_true_range_override(self, ref_sc):
         s = synthesize(ref_sc, true_range=5.0)
         i = 6 * 13 + 6
