@@ -164,8 +164,9 @@ def parse_config(path: str | None = None,
                 f"sweep parameter {key!r} is not a sweepable Scenario field "
                 f"(choose from {', '.join(SWEEPABLE)})")
         values = tuple(float(v) for v in cp.get("sweep", key).split(","))
-        if not values:
-            raise ValueError(f"sweep parameter {key!r} has no values")
+        if not all(np.isfinite(values)):
+            raise ValueError(f"sweep.{key} = {cp.get('sweep', key)!r} "
+                             "must be finite")
         sweep.append((key, values))
     sweep.sort()  # deterministic order regardless of file order
 
@@ -201,6 +202,12 @@ def parse_config(path: str | None = None,
         raise ValueError(
             f"experiment.quad_points_per_wavelength = {points!r}: {err}"
         ) from None
+    validation_carrier = _finite(cp, "experiment", "validation_carrier")
+    ceiling = ex.getfloat("exact_carrier_ceiling")  # inf: no ceiling
+    for key, value in (("validation_carrier", validation_carrier),
+                       ("exact_carrier_ceiling", ceiling)):
+        if not value > 0:
+            raise ValueError(f"experiment.{key} = {value!r} must be positive")
     noise_power = _finite(cp, "noise", "noise_power")
     if noise_power < 0:
         raise ValueError(
@@ -223,8 +230,8 @@ def parse_config(path: str | None = None,
         coherence=coherence,
         snr=snr,
         snr_normalization=snr_norm,
-        validation_carrier=ex.getfloat("validation_carrier"),
-        exact_carrier_ceiling=ex.getfloat("exact_carrier_ceiling"),
+        validation_carrier=validation_carrier,
+        exact_carrier_ceiling=ceiling,
         quad_points_per_wavelength=points,
         slow=slow,
     )
@@ -325,8 +332,8 @@ def run_validate_spa(cfg: ExperimentConfig):
     columns = ["tx", "rx", "exact_db", "spa_db", "amp_err_db",
                "phase_err_deg"]
     rows = []
-    for pair in all_pairs(scenario):
-        u_exact = exact_received_signal(pair, scenario, 0.0, waveform, quad)
+    exact = exact_received_signal(scenario, 0.0, waveform, quad)
+    for pair, u_exact in zip(all_pairs(scenario), exact):
         u_spa = complex(spa_received_signal(pair, scenario, 0.0, waveform))
         exact_db = 20.0 * np.log10(abs(u_exact))
         if u_spa == 0:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scenario import SPEED_OF_LIGHT, Scenario, all_pairs
+from .scenario import SPEED_OF_LIGHT, Scenario
 
 DEFAULT_OVERSAMPLING = 4.0
 # window half-span around the nominal delay, in units of 1/B; +-16/B keeps
@@ -156,17 +156,7 @@ def synthesize(scenario: Scenario, true_range: float | None = None,
         from .em_exact import exact_received_signal
         work = scenario if R == scenario.range else \
             dataclasses.replace(scenario, range=R)
-        pairs = all_pairs(scenario)
-        traces = np.empty((len(pairs), n_samples), dtype=complex)
-        for i, pair in enumerate(pairs):
-            if waveform.kind == "constant":
-                # t-independent integrand: one integral serves every sample
-                traces[i, :] = exact_received_signal(pair, work, 0.0,
-                                                     waveform, quad)
-            else:
-                for j, tj in enumerate(t):
-                    traces[i, j] = exact_received_signal(pair, work, tj,
-                                                         waveform, quad)
+        traces = exact_received_signal(work, t, waveform, quad)
 
     return SignalSet(sample_rate=float(sample_rate), t_start=float(t0),
                      n_samples=n_samples,

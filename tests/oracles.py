@@ -115,3 +115,57 @@ def objective_loop(received, sc, r_hat: float, full: bool,
         total = sum(energies)
         return abs(sum(ips)) ** 2 / total if total > 0 else 0.0
     return sum(abs(ip) ** 2 / e for ip, e in zip(ips, energies) if e > 0)
+
+
+def _plate_axis(half: float, lam: float, points: float, rule: str):
+    """Nodes and weights of the plate quadrature rule on [-half, half],
+    written out: midpoint cells of at most lam/points, or 8-node
+    Gauss-Legendre panels with at least as many nodes in all."""
+    if half == 0.0:
+        return np.empty(0), np.empty(0)
+    n = max(math.ceil(2.0 * half * points / lam), 1)
+    if rule == "midpoint":
+        h = 2.0 * half / n
+        return np.array([-half + (i + 0.5) * h for i in range(n)]), \
+            np.full(n, h)
+    x, w = np.polynomial.legendre.leggauss(8)
+    panels = max(math.ceil(n / 8), 1)
+    width = 2.0 * half / panels
+    nodes = [-half + p * width + (xi + 1.0) * width / 2.0
+             for p in range(panels) for xi in x]
+    return np.array(nodes), np.tile(w * width / 2.0, panels)
+
+
+def exact_pair(sc, z_tx: float, z_rx: float, t, bandwidth=None,
+               points: float = 10.0, rule: str = "midpoint"):
+    """One pair's physical-optics signal u(t) by brute force over the whole
+    plate grid: -2 k^2 eta I0 / (4 pi)^2 times the weighted sum of
+    s(t - path/c) cos(theta_tx) cos(phi_tx) cos^2(theta_rx) / (r_tx r_rx)
+    exp(-j k path), with the direction cosines written out. bandwidth None
+    is the constant waveform, otherwise the unit sinc; t scalar or 1-D."""
+    lam = _C / sc.carrier_freq
+    k = 2.0 * math.pi / lam
+    R = sc.range
+    y, wy = _plate_axis(sc.plate_width / 2.0, lam, points, rule)
+    z, wz = _plate_axis(sc.plate_height / 2.0, lam, points, rule)
+    y, z = y[None, :], z[:, None]
+    w = wz[:, None] * wy[None, :]
+    rho_tx = np.sqrt(R * R + (z - z_tx) ** 2)
+    rho_rx = np.sqrt(R * R + (z - z_rx) ** 2)
+    r_tx = np.sqrt(R * R + y * y + (z - z_tx) ** 2)
+    r_rx = np.sqrt(R * R + y * y + (z - z_rx) ** 2)
+    cos_theta_tx = rho_tx / r_tx
+    cos_phi_tx = R / rho_tx
+    cos_theta_rx = rho_rx / r_rx
+    path = r_tx + r_rx
+    g = cos_theta_tx * cos_phi_tx * cos_theta_rx ** 2 / (r_tx * r_rx)
+    term = w * g * np.exp(-1j * k * path)
+    scale = (-2.0 * k * k * sc.free_space_impedance * sc.antenna_gain_factor
+             / (4.0 * math.pi) ** 2)
+    times = np.atleast_1d(np.asarray(t, dtype=float))
+    out = np.empty(times.size, dtype=complex)
+    for j, tj in enumerate(times):
+        s = 1.0 if bandwidth is None else \
+            np.sinc(bandwidth * (tj - path / _C))
+        out[j] = scale * np.sum(s * term)
+    return complex(out[0]) if np.ndim(t) == 0 else out

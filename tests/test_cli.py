@@ -122,6 +122,14 @@ class TestParseConfig:
         "experiment.quad_points_per_wavelength=nan",
         "noise.seed=-1",
         "grid.min=nan", "grid.max=inf", "grid.step=inf", "grid.step=nan",
+        "sweep.range=nan", "sweep.range=3,inf", "sweep.bandwidth=-inf",
+        "sweep.carrier_freq=1e10,nan",
+        "experiment.validation_carrier=nan",
+        "experiment.validation_carrier=0",
+        "experiment.validation_carrier=-1e10",
+        "experiment.exact_carrier_ceiling=nan",
+        "experiment.exact_carrier_ceiling=0",
+        "experiment.exact_carrier_ceiling=-1e10",
     ])
     def test_runner_failures_refused_at_parse(self, override, experiment,
                                               tmp_path):
@@ -131,6 +139,11 @@ class TestParseConfig:
         with pytest.raises(ValueError, match=re.escape(key)):
             main([experiment, "--set", override, "--out", str(out)])
         assert not out.exists()
+
+    def test_infinite_exact_ceiling_means_none(self):
+        cfg = parse_config(overrides=("experiment.exact_carrier_ceiling=inf",))
+        assert cfg.exact_carrier_ceiling == float("inf")
+        assert parse_config(text=emit_config(cfg)) == cfg
 
     def test_readme_config_block(self):
         # the README's default configuration parses to the defaults and

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from nfradar import em_exact
 from nfradar import (
     AntennaPair,
     QuadratureSpec,
@@ -11,10 +12,14 @@ from nfradar import (
     integrand,
     path_length_sum,
     reference_scenario,
+    waveform_value,
 )
-from nfradar.em_exact import _amplitude_phase
+
+from oracles import exact_pair
 
 CONST = WaveformRef.constant()
+# 2 GHz keeps the brute-force oracle cheap: about 6,000 plate nodes
+SMALL = dict(carrier_freq=2e9, min_range_wavelengths=20.0)
 
 
 def amp_db(a, b):
@@ -124,8 +129,8 @@ class TestIntegrand:
         pair = center_pair(ref_sc_10ghz)
         gy = np.linspace(-0.4, 0.4, 41)
         gz = np.linspace(-0.875, 0.875, 71)
-        _, psi = _amplitude_phase(pair, ref_sc_10ghz, gy[None, :],
-                                  gz[:, None], 0.0, CONST)
+        psi = -ref_sc_10ghz.wavenumber * path_length_sum(
+            pair, ref_sc_10ghz.range, gy[None, :], gz[:, None])
         iz, iy = np.unravel_index(np.argmax(psi), psi.shape)
         assert abs(gy[iy] - 0.0) <= gy[1] - gy[0]
         assert abs(gz[iz] - 0.0) <= gz[1] - gz[0]
@@ -141,44 +146,140 @@ class TestQuadratureSpec:
             QuadratureSpec(rule="simpson")
 
 
+def center_row(scenario):
+    m = (scenario.n_antennas - 1) // 2
+    return m * scenario.n_antennas + m
+
+
 class TestExactReceivedSignal:
+    @pytest.mark.parametrize("overrides, rule, sampled", [
+        ({"n_antennas": 1}, "midpoint", False),
+        # 54 and 51 y nodes: the fold with and without a middle node
+        ({"n_antennas": 4}, "midpoint", False),
+        ({"n_antennas": 4, "plate_width": 0.76}, "midpoint", False),
+        ({"n_antennas": 4}, "gauss_legendre_composite", False),
+        ({"n_antennas": 4, "plate_width": 0.76}, "midpoint", True),
+        ({"n_antennas": 4}, "gauss_legendre_composite", True),
+        # specular points of the outer pairs off the plate
+        ({"n_antennas": 4, "spacing": 0.25, "plate_height": 0.5},
+         "midpoint", False),
+        ({"n_antennas": 4, "spacing": 0.25, "plate_height": 0.5},
+         "gauss_legendre_composite", True),
+        ({"n_antennas": 4, "plate_width": 0.0}, "midpoint", False),
+        ({"n_antennas": 4, "plate_width": 0.0}, "midpoint", True),
+    ], ids=["n1", "even-y", "odd-y", "gl", "odd-y-sinc", "gl-sinc",
+            "off-plate", "off-plate-gl-sinc", "no-width", "no-width-sinc"])
+    def test_matches_oracle(self, overrides, rule, sampled):
+        # every pair, in tx-major rows, against the brute-force per-pair
+        # plate sum; sampled traces relative to each pair's peak
+        sc = reference_scenario(**overrides, **SMALL)
+        quad = QuadratureSpec(10.0, rule)
+        if sampled:
+            w = WaveformRef.sinc(sc.bandwidth)
+            t = 2.0 * sc.range / 299792458.0 + np.linspace(-8e-8, 8e-8, 17)
+        else:
+            w, t = CONST, 0.0
+        got = exact_received_signal(sc, t, w, quad)
+        n = sc.n_antennas
+        assert got.shape == (n * n,) + np.shape(t)
+        z = [antenna_z_position(sc, l) for l in range(n)]
+        for p in range(n * n):
+            want = exact_pair(sc, z[p // n], z[p % n], t, w.bandwidth,
+                              10.0, rule)
+            if sc.plate_width == 0.0:
+                assert np.all(got[p] == 0.0) and np.all(want == 0.0)
+                continue
+            scale = np.max(np.abs(want))
+            assert np.max(np.abs(got[p] - want)) <= 1e-12 * scale
+
+    def test_block_bound(self, ref_sc_10ghz, monkeypatch):
+        # the plate is visited in blocks of whole z rows whose per-node
+        # arrays hold at most _BLOCK_NODES values (antennas x nodes for the
+        # constant waveform, pairs x nodes for a sampled one), never the
+        # whole plate at once
+        shapes, envelopes = [], []
+        factors = em_exact._antenna_factors
+
+        def recording(*args):
+            out = factors(*args)
+            shapes.append(out[0].shape)
+            return out
+
+        def envelope(w, t):
+            envelopes.append(np.shape(t))
+            return waveform_value(w, t)
+
+        def blocks(n_rows, rows):
+            full, tail = divmod(n_rows, rows)
+            return [rows] * full + ([tail] if tail else [])
+
+        bound = em_exact._BLOCK_NODES
+        monkeypatch.setattr(em_exact, "_antenna_factors", recording)
+        exact_received_signal(ref_sc_10ghz, 0.0, CONST)
+        # 134 folded y nodes and 584 z rows at 10 GHz
+        rows = bound // (13 * 134)
+        assert shapes == [(13, b, 134) for b in blocks(584, rows)]
+
+        shapes.clear()
+        sc = reference_scenario(**SMALL)  # 27 folded y nodes, 117 z rows
+        monkeypatch.setattr(em_exact, "waveform_value", envelope)
+        exact_received_signal(sc, np.zeros(3), WaveformRef.sinc(1e8))
+        rows = bound // (169 * 27)
+        assert shapes == [(13, b, 27) for b in blocks(117, rows)]
+        assert envelopes == [(169, b * 27) for b in blocks(117, rows)
+                             for _ in range(3)]
+
+    def test_sample_times_bitwise(self):
+        # one call over many sample times gives each sample the bits of a
+        # call at that time alone
+        sc = reference_scenario(n_antennas=3, **SMALL)
+        w = WaveformRef.sinc(sc.bandwidth)
+        t = 2.0 * sc.range / 299792458.0 + np.array([-3e-9, 0.0, 4e-9])
+        u = exact_received_signal(sc, t, w)
+        for j, tj in enumerate(t):
+            assert np.array_equal(u[:, j], exact_received_signal(sc, tj, w))
+        const = exact_received_signal(sc, t, CONST)
+        assert np.array_equal(const, np.repeat(
+            exact_received_signal(sc, 0.0, CONST)[:, None], 3, axis=1))
+
+    def test_rejects_2d_times(self):
+        sc = reference_scenario(n_antennas=1, **SMALL)
+        with pytest.raises(ValueError, match="1-D"):
+            exact_received_signal(sc, np.zeros((2, 2)), CONST)
+
     def test_degenerate_plate_is_zero(self):
         sc = reference_scenario(plate_width=0.0)
-        pair = center_pair(sc)
-        assert exact_received_signal(pair, sc, 0.0, CONST) == 0.0
+        assert np.all(exact_received_signal(sc, 0.0, CONST) == 0.0)
 
     def test_zero_drive_is_zero(self, ref_sc_10ghz):
         sc = reference_scenario(carrier_freq=10e9, antenna_gain_factor=0.0)
-        pair = center_pair(sc)
-        assert exact_received_signal(pair, sc, 0.0, CONST) == 0.0
+        assert np.all(exact_received_signal(sc, 0.0, CONST) == 0.0)
 
     def test_reciprocity(self, ref_sc_10ghz):
-        sc = ref_sc_10ghz
-        pa = AntennaPair(0, 5, antenna_z_position(sc, 0), antenna_z_position(sc, 5))
-        pb = AntennaPair(5, 0, antenna_z_position(sc, 5), antenna_z_position(sc, 0))
-        ua = exact_received_signal(pa, sc, 0.0, CONST)
-        ub = exact_received_signal(pb, sc, 0.0, CONST)
-        assert amp_db(ua, ub) <= 0.1
-        assert phase_deg(ua, ub) <= 1.0
+        u = exact_received_signal(ref_sc_10ghz, 0.0, CONST).reshape(13, 13)
+        assert amp_db(u[0, 5], u[5, 0]) <= 0.1
+        assert phase_deg(u[0, 5], u[5, 0]) <= 1.0
+        assert np.max(amp_db(u, u.T)) <= 0.1
+        assert np.max(phase_deg(u, u.T)) <= 1.0
 
     def test_convergence_in_density(self, ref_sc_10ghz):
         # doubling the sampling density must not move the answer
-        pair = center_pair(ref_sc_10ghz)
-        u10 = exact_received_signal(pair, ref_sc_10ghz, 0.0, CONST,
-                                    QuadratureSpec(10.0))
-        u20 = exact_received_signal(pair, ref_sc_10ghz, 0.0, CONST,
-                                    QuadratureSpec(20.0))
+        i = center_row(ref_sc_10ghz)
+        u10 = exact_received_signal(ref_sc_10ghz, 0.0, CONST,
+                                    QuadratureSpec(10.0))[i]
+        u20 = exact_received_signal(ref_sc_10ghz, 0.0, CONST,
+                                    QuadratureSpec(20.0))[i]
         assert amp_db(u10, u20) <= 0.1
         assert phase_deg(u10, u20) <= 1.0
 
     def test_rule_cross_check(self, ref_sc_10ghz):
         # two genuinely different quadrature rules, same integral
-        pair = center_pair(ref_sc_10ghz)
-        um = exact_received_signal(pair, ref_sc_10ghz, 0.0, CONST,
-                                   QuadratureSpec(10.0, "midpoint"))
+        i = center_row(ref_sc_10ghz)
+        um = exact_received_signal(ref_sc_10ghz, 0.0, CONST,
+                                   QuadratureSpec(10.0, "midpoint"))[i]
         ug = exact_received_signal(
-            pair, ref_sc_10ghz, 0.0, CONST,
-            QuadratureSpec(10.0, "gauss_legendre_composite"))
+            ref_sc_10ghz, 0.0, CONST,
+            QuadratureSpec(10.0, "gauss_legendre_composite"))[i]
         assert amp_db(um, ug) <= 0.1
         assert phase_deg(um, ug) <= 1.0
 
@@ -188,13 +289,12 @@ class TestExactReceivedSignal:
         # only edge diffraction remains
         sc_on = reference_scenario(carrier_freq=24e9)
         sc_off = reference_scenario(carrier_freq=24e9, plate_height=0.875)
-        pair = all_pairs(sc_on)[0]
-        u_on = exact_received_signal(pair, sc_on, 0.0, CONST)
-        u_off = exact_received_signal(pair, sc_off, 0.0, CONST)
+        assert all_pairs(sc_on)[0] == AntennaPair(0, 0, -0.75, -0.75)
+        u_on = exact_received_signal(sc_on, 0.0, CONST)[0]
+        u_off = exact_received_signal(sc_off, 0.0, CONST)[0]
         assert 20 * np.log10(abs(u_on) / abs(u_off)) >= 20.0
 
     def test_deterministic(self, ref_sc_10ghz):
-        pair = center_pair(ref_sc_10ghz)
-        u1 = exact_received_signal(pair, ref_sc_10ghz, 0.0, CONST)
-        u2 = exact_received_signal(pair, ref_sc_10ghz, 0.0, CONST)
-        assert u1 == u2
+        u1 = exact_received_signal(ref_sc_10ghz, 0.0, CONST)
+        u2 = exact_received_signal(ref_sc_10ghz, 0.0, CONST)
+        assert np.array_equal(u1, u2)

@@ -16,7 +16,7 @@ from nfradar import (
 )
 from nfradar.em_spa import gain_and_delay_arrays, pair_offsets
 
-from oracles import pair_gain
+from oracles import exact_pair, pair_gain
 
 CENTER_DELAY = 2.6685127615852163e-08  # 2 * 4 m / c
 OUTER_DELAY = 2.7150150315155204e-08   # 2 * sqrt(16.5625) / c
@@ -168,6 +168,23 @@ class TestSynthesize:
     def test_exact_carrier_ceiling(self, ref_sc):
         with pytest.raises(ValueError, match="ceiling"):
             synthesize(ref_sc, backend="exact")
+
+    @pytest.mark.parametrize("true_range", [None, 4.3])
+    def test_exact_sinc_traces_match_oracle(self, true_range):
+        # every sample of every pair against the brute-force plate sum, on
+        # a 2 GHz scene small enough for the per-pair oracle
+        small = dict(n_antennas=3, carrier_freq=2e9,
+                     min_range_wavelengths=20.0)
+        sc = reference_scenario(**small)
+        s = synthesize(sc, true_range=true_range, backend="exact")
+        assert s.traces.shape == (9, 128)
+        work = reference_scenario(**small, range=true_range or sc.range)
+        z = (-0.125, 0.0, 0.125)
+        for p in range(9):
+            want = exact_pair(work, z[p // 3], z[p % 3], s.times,
+                              sc.bandwidth)
+            assert np.max(np.abs(s.traces[p] - want)) <= \
+                1e-12 * np.max(np.abs(want))
 
     def test_backend_consistency(self, ref_sc_10ghz):
         # constant waveform makes the exact integral time-independent so a
