@@ -22,7 +22,8 @@ import numpy as np
 from . import __version__
 from .em_exact import QuadratureSpec, exact_received_signal
 from .em_spa import spa_received_signal
-from .estimator import ModelKind, ambiguity, crb, half_power_width
+from .estimator import (ModelKind, ambiguity, crb, crb_stencil,
+                        half_power_width)
 from .scenario import Scenario, all_pairs
 from .signal import (DEFAULT_EXACT_CARRIER_CEILING, WaveformRef, add_awgn,
                      synthesize)
@@ -216,7 +217,7 @@ def parse_config(path: str | None = None,
     if seed < 0:
         raise ValueError(f"noise.seed = {seed} must be nonnegative")
 
-    return ExperimentConfig(
+    cfg = ExperimentConfig(
         scenario=scenario,
         experiment=experiment,
         sweep=tuple(sweep),
@@ -235,6 +236,8 @@ def parse_config(path: str | None = None,
         quad_points_per_wavelength=points,
         slow=slow,
     )
+    _check_scenes(cfg)
+    return cfg
 
 
 def _finite(cp: configparser.ConfigParser, section: str, key: str) -> float:
@@ -301,6 +304,75 @@ def _range_grid(cfg: ExperimentConfig, scenario: Scenario) -> np.ndarray:
     return cfg.grid_min + step * np.arange(n)
 
 
+def _scene(base: Scenario, label: str, **changes) -> Scenario:
+    """base with the given fields changed; a value the Scenario refuses
+    raises a ValueError that names label."""
+    try:
+        return dataclasses.replace(base, **changes)
+    except ValueError as err:
+        raise ValueError(f"{label}: {err}") from None
+
+
+def _validation_scene(cfg: ExperimentConfig) -> Scenario:
+    """validate-spa's scene: the configured one, its carrier lowered to the
+    validation carrier unless slow mode is on."""
+    carrier = cfg.validation_carrier
+    if cfg.slow or cfg.scenario.carrier_freq <= carrier:
+        return cfg.scenario
+    return _scene(cfg.scenario, f"experiment.validation_carrier = {carrier!r}",
+                  carrier_freq=carrier)
+
+
+def _ambiguity_scenes(cfg: ExperimentConfig):
+    """(param, value, scene) per value of ambiguity's first sweep
+    parameter, or of the scene's own range when nothing is swept."""
+    if cfg.sweep:
+        param, values = cfg.sweep[0]
+    else:
+        param, values = "range", (cfg.scenario.range,)
+    return [(param, value, _scene(cfg.scenario, f"sweep.{param} = {value!r}",
+                                  **{param: value}))
+            for value in values]
+
+
+def _crb_lines(cfg: ExperimentConfig):
+    """(carrier, bandwidth, scene) per crb line, in row order."""
+    sweep = dict(cfg.sweep)
+    base = cfg.scenario
+    lines = []
+    for fc in sorted(sweep.get("carrier_freq", (base.carrier_freq,))):
+        for bw in sorted(sweep.get("bandwidth", (base.bandwidth,))):
+            label = ", ".join(
+                f"sweep.{key} = {value!r}"
+                for key, value in (("carrier_freq", fc), ("bandwidth", bw))
+                if key in sweep)
+            lines.append((fc, bw, _scene(base, label, carrier_freq=fc,
+                                         bandwidth=bw)))
+    return lines
+
+
+def _check_scenes(cfg: ExperimentConfig) -> None:
+    """Builds every scene the experiment's runner builds, so that a value
+    the Scenario refuses fails at parse time with its key named. For crb
+    it also checks the stencil of the smallest range on every line, which
+    bounds every other range's stencil from below."""
+    if cfg.experiment == "validate-spa":
+        _validation_scene(cfg)
+    elif cfg.experiment == "ambiguity":
+        _ambiguity_scenes(cfg)
+    else:
+        ranges = dict(cfg.sweep).get("range")
+        key, lowest = (("sweep.range", min(ranges)) if ranges
+                       else ("grid.min", cfg.grid_min))
+        for fc, bw, scene in _crb_lines(cfg):
+            try:
+                crb_stencil(scene, lowest)
+            except ValueError as err:
+                raise ValueError(
+                    f"{key} = {lowest!r}: crb stencil at carrier {fc:g} Hz, "
+                    f"bandwidth {bw:g} Hz: {err}") from None
+
+
 def _fmt(value) -> str:
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
@@ -317,10 +389,7 @@ def run_validate_spa(cfg: ExperimentConfig):
     specular point is off the plate the closed form is exactly 0, and the
     spa_db, amp_err_db and phase_err_deg cells stay empty.
     """
-    scenario = cfg.scenario
-    if not cfg.slow and scenario.carrier_freq > cfg.validation_carrier:
-        scenario = dataclasses.replace(
-            scenario, carrier_freq=cfg.validation_carrier)
+    scenario = _validation_scene(cfg)
     ceiling = np.inf if cfg.slow else cfg.exact_carrier_ceiling
     if scenario.carrier_freq > ceiling:
         raise ValueError(
@@ -357,15 +426,10 @@ def run_ambiguity(cfg: ExperimentConfig):
             "ambiguity sweeps one parameter at a time; got "
             + ", ".join(name for name, _ in cfg.sweep))
     kind = ModelKind.parse(cfg.model if cfg.model != "auto" else "partial")
-    if cfg.sweep:
-        param, values = cfg.sweep[0]
-    else:
-        param, values = "range", (cfg.scenario.range,)
     columns = ["row_kind", "sweep_param", "sweep_value", "r_hat", "value",
                "width", "argmax"]
     rows = []
-    for value in values:
-        scenario = dataclasses.replace(cfg.scenario, **{param: value})
+    for param, value, scenario in _ambiguity_scenes(cfg):
         grid = _range_grid(cfg, scenario)
         received = synthesize(scenario)
         if cfg.noise_power > 0:
@@ -387,25 +451,21 @@ def run_ambiguity(cfg: ExperimentConfig):
 
 
 def run_crb(cfg: ExperimentConfig):
-    """Bound vs range per (carrier, bandwidth) line; rows sorted."""
+    """Bound vs range per (carrier, bandwidth) line, one crb call per line;
+    rows sorted."""
     kind = ModelKind.parse(cfg.model if cfg.model != "auto" else "full")
-    sweep = dict(cfg.sweep)
-    carriers = sweep.get("carrier_freq", (cfg.scenario.carrier_freq,))
-    bandwidths = sweep.get("bandwidth", (cfg.scenario.bandwidth,))
-    ranges = sweep.get("range")
+    ranges = dict(cfg.sweep).get("range")
     if ranges is None:
-        ranges = tuple(_range_grid(cfg, cfg.scenario))
+        ranges = _range_grid(cfg, cfg.scenario)
+    ranges = np.sort(ranges)
     columns = ["carrier_freq", "bandwidth", "range", "crb", "curvature"]
     rows = []
-    for fc in sorted(carriers):
-        for bw in sorted(bandwidths):
-            scenario = dataclasses.replace(
-                cfg.scenario, carrier_freq=fc, bandwidth=bw)
-            for R in sorted(ranges):
-                result = crb(scenario, R, kind, snr=cfg.snr,
-                             snr_normalization=cfg.snr_normalization,
-                             coherence=cfg.coherence)
-                rows.append((fc, bw, R, result.bound, result.curvature))
+    for fc, bw, scenario in _crb_lines(cfg):
+        result = crb(scenario, ranges, kind, snr=cfg.snr,
+                     snr_normalization=cfg.snr_normalization,
+                     coherence=cfg.coherence)
+        rows.extend((fc, bw, *row) for row in zip(
+            result.range, result.bound, result.curvature))
     return columns, rows
 
 

@@ -30,7 +30,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .scenario import SPEED_OF_LIGHT, Scenario
-from .signal import SignalSet, WaveformRef, synthesize, waveform_value
+from .signal import (DEFAULT_OVERSAMPLING, DEFAULT_WINDOW_HALFSPAN,
+                     SignalSet, WaveformRef, default_window, synthesize,
+                     waveform_value)
 from .em_spa import gain_and_delay_arrays, pair_offsets
 
 _COHERENCE = ("coherent", "incoherent")
@@ -40,6 +42,8 @@ _COHERENCE = ("coherent", "incoherent")
 # the last bit when the grid is cut differently, because numpy and BLAS
 # pick their reduction order by block shape
 _GRID_CHUNK = 64
+# crb ranges per block: bounds the stencil envelope block's memory
+_RANGE_CHUNK = 16
 # smallest crb stencil second difference, relative to J(R), taken as
 # curvature: each J carries rounding error of up to about 1e-15 of J, so
 # the floor keeps that error below a few percent of the curvature
@@ -82,7 +86,8 @@ class AmbiguityCurve:
 
 @dataclass(frozen=True)
 class CrbResult:
-    """Variance lower bound at one range: bound = noise / (2 |J''|)."""
+    """Variance lower bound at one range, bound = noise / (2 |J''|); from
+    an array of ranges every field is an array of that length."""
 
     range: float
     bound: float
@@ -90,22 +95,72 @@ class CrbResult:
 
 
 def _validate_hypothesis(scenario: Scenario, r_hat) -> None:
+    """Refuses, naming the first offender, a hypothesized range that is
+    not positive and finite or lies below the validity floor."""
     floor = scenario.min_range_wavelengths * scenario.wavelength
-    r_hat = np.asarray(r_hat, dtype=float)
-    if np.any(~np.isfinite(r_hat)) or np.any(r_hat <= 0):
-        raise ValueError("hypothesized range must be positive and finite")
-    if np.any(r_hat < floor):
+    r_hat = np.asarray(r_hat, dtype=float).ravel()
+    bad = ~(np.isfinite(r_hat) & (r_hat > 0))
+    if bad.any():
+        raise ValueError(f"hypothesized range {r_hat[bad.argmax()]:g} m "
+                         "must be positive and finite")
+    bad = r_hat < floor
+    if bad.any():
         raise ValueError(
-            f"hypothesized range below validity floor {floor:g} m "
+            f"hypothesized range {r_hat[bad.argmax()]:g} m below validity "
+            f"floor {floor:g} m "
             f"({scenario.min_range_wavelengths:g} wavelengths)")
+
+
+def _pair_groups(scenario: Scenario):
+    """(abs_d, group, geometry, of_pair): the pairs' delay groups and gain
+    geometries, so that nothing per pair is computed twice.
+
+    A pair's delay depends on |d| alone: abs_d holds the distinct values,
+    group[p] the index of pair p's. Its full-model gain depends on
+    (|z_s|, |d|) alone, bit for bit, because mirroring z_s only swaps the
+    two Fresnel edge terms of a commutative add: geometry holds the
+    distinct (|z_s|, |d|) as two rows, of_pair[p] the column of pair p's.
+    13 antennas give 13 delay groups and 49 geometries for 169 pairs."""
+    z_s, d = pair_offsets(scenario)
+    abs_d, group = np.unique(np.abs(d), return_inverse=True)
+    geometry, of_pair = np.unique(np.abs([z_s, d]), axis=1,
+                                  return_inverse=True)
+    return abs_d, group, geometry, of_pair
+
+
+def _full_gains(scenario: Scenario, geometry, of_pair, R) -> np.ndarray:
+    """Full-model gains of every pair at hypotheses R of any shape, shape
+    (pairs,) + R.shape, evaluated once per gain geometry."""
+    R = np.asarray(R, dtype=float)
+    column = (-1,) + (1,) * R.ndim
+    gain, _ = gain_and_delay_arrays(scenario, geometry[0].reshape(column),
+                                    geometry[1].reshape(column), R)
+    return gain[of_pair]
+
+
+def _reduce(ip: np.ndarray, energy: np.ndarray, coherence: str
+            ) -> np.ndarray:
+    """J from the pairs' inner products <m_p, y_p> and model energies
+    ||m_p||^2, pairs on the leading axis: |sum ip|^2 / sum energy
+    (coherent) or sum |ip|^2 / energy (incoherent); a zero-energy
+    denominator contributes 0."""
+    with np.errstate(invalid="ignore", divide="ignore"):
+        if coherence == "coherent":
+            num = np.abs(ip.sum(axis=0)) ** 2
+            den = energy.sum(axis=0)
+            return np.where(den > 0.0, num / den, 0.0)
+        per_pair = np.where(energy > 0.0, np.abs(ip) ** 2 / energy, 0.0)
+    return per_pair.sum(axis=0)
 
 
 def _objective_on_grid(received: SignalSet, scenario: Scenario,
                        grid: np.ndarray, kind: ModelKind,
                        coherence: str) -> np.ndarray:
     """Raw objective J over a grid of hypotheses, vectorized over pairs and
-    grid chunks. The one implementation of the objective; a unit test
-    checks it against a plain per-pair loop in tests/oracles.py.
+    grid chunks. The one implementation of the objective's correlation of
+    arbitrary received traces (crb correlates noise-free synthesis in
+    closed form); a unit test checks it against a plain per-pair loop in
+    tests/oracles.py.
 
     A pair's delay depends only on |d|, so the pairs fall into delay
     groups (13 for a 13-element array) that share one envelope; each
@@ -114,8 +169,7 @@ def _objective_on_grid(received: SignalSet, scenario: Scenario,
     if coherence not in _COHERENCE:
         raise ValueError(f"unknown coherence {coherence!r}")
     _validate_hypothesis(scenario, grid)
-    z_s, d = pair_offsets(scenario)
-    abs_d, group = np.unique(np.abs(d), return_inverse=True)
+    abs_d, group, geometry, of_pair = _pair_groups(scenario)
     members = [np.flatnonzero(group == u) for u in range(abs_d.size)]
     # per group (n, 2m): the member traces' real parts, then imaginary
     y = received.traces
@@ -133,28 +187,16 @@ def _objective_on_grid(received: SignalSet, scenario: Scenario,
         env = waveform_value(
             w, t[None, None, :] - (2.0 * r_s / SPEED_OF_LIGHT)[:, :, None])
         env_sq = np.einsum("ugn,ugn->ug", env, env)[group]
-        corr = np.empty((d.size, rh.size), dtype=complex)
+        corr = np.empty((group.size, rh.size), dtype=complex)
         for u, idx in enumerate(members):
             prod = env[u] @ stacked[u]
             corr[idx] = (prod[:, :idx.size] + 1j * prod[:, idx.size:]).T
         if kind is ModelKind.FULL_INFORMATION:
-            gain, _ = gain_and_delay_arrays(
-                scenario, z_s[:, None], d[:, None], rh[None, :])
+            gain = _full_gains(scenario, geometry, of_pair, rh)
         else:
             gain = np.exp(-2j * k * r_s)[group]
-        ip = np.conj(gain) * corr
-        energy = np.abs(gain) ** 2 * env_sq
-        if coherence == "coherent":
-            num = np.abs(ip.sum(axis=0)) ** 2
-            den = energy.sum(axis=0)
-            with np.errstate(invalid="ignore", divide="ignore"):
-                out[start:start + _GRID_CHUNK] = \
-                    np.where(den > 0.0, num / den, 0.0)
-        else:
-            with np.errstate(invalid="ignore", divide="ignore"):
-                per_pair = np.where(energy > 0.0,
-                                    np.abs(ip) ** 2 / energy, 0.0)
-            out[start:start + _GRID_CHUNK] = per_pair.sum(axis=0)
+        out[start:start + _GRID_CHUNK] = _reduce(
+            np.conj(gain) * corr, np.abs(gain) ** 2 * env_sq, coherence)
     return out
 
 
@@ -249,12 +291,81 @@ def default_crb_step(scenario: Scenario) -> float:
                SPEED_OF_LIGHT / (80.0 * scenario.bandwidth))
 
 
-def crb(scenario: Scenario, R: float,
+def crb_stencil(scenario: Scenario, R, step: float | None = None
+                ) -> tuple[np.ndarray, float]:
+    """(stencil, h): the hypotheses R - h, R, R + h of crb along a new last
+    axis, h the given step or default_crb_step. Refuses a step that is not
+    positive, and any hypothesis that is not positive and finite or lies
+    below the validity floor, naming the first."""
+    h = default_crb_step(scenario) if step is None else float(step)
+    if not h > 0:
+        raise ValueError("step must be positive")
+    R = np.asarray(R, dtype=float)
+    stencil = np.stack([R - h, R, R + h], axis=-1)
+    _validate_hypothesis(scenario, stencil)
+    return stencil, h
+
+
+def _stencil_objective(scenario: Scenario, stencil: np.ndarray,
+                       kind: ModelKind, coherence: str,
+                       snr_normalization: str
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """(J, signal_power) of crb: J at every stencil point (shape of
+    stencil, one row per range R = stencil[:, 1]) against the noise-free
+    synthesis at R, and that synthesis' signal power per range.
+
+    Pair p's received trace is g_p(R) e_u(R, t): its full-model gain times
+    its delay group's envelope on synthesize's default time base at R. So
+    its correlation with the model m_p at R_hat is
+    conj(m_p(R_hat)) g_p(R) sum_n e_u(R_hat, t_n) e_u(R, t_n), and no
+    trace is formed. Ranges are taken _RANGE_CHUNK at a time."""
+    abs_d, group, geometry, of_pair = _pair_groups(scenario)
+    w = WaveformRef.sinc(scenario.bandwidth)
+    k = scenario.wavenumber
+    # synthesize's default time base at R: 2 x 16/B sampled at 4B, i.e.
+    # 128 samples from 2R/c - 16/B
+    rate = DEFAULT_OVERSAMPLING * scenario.bandwidth
+    n = int(round(2.0 * DEFAULT_WINDOW_HALFSPAN * DEFAULT_OVERSAMPLING))
+    offsets = np.arange(n) / rate
+
+    j = np.empty(stencil.shape)
+    signal_power = np.empty(stencil.shape[0])
+    for start in range(0, stencil.shape[0], _RANGE_CHUNK):
+        block = slice(start, start + _RANGE_CHUNK)
+        rh = stencil[block]
+        t = default_window(scenario, rh[:, 1])[0][:, None] + offsets
+        r_s = np.sqrt(rh ** 2 + abs_d[:, None, None] ** 2)
+        # envelope block (groups, ranges, 3, n); the received envelope at
+        # R is its stencil centre
+        env = waveform_value(
+            w, t[None, :, None, :] - (2.0 * r_s / SPEED_OF_LIGHT)[..., None])
+        corr = np.einsum("ucjn,ucn->ucj", env, env[:, :, 1])[group]
+        env_sq = np.einsum("ucjn,ucjn->ucj", env, env)[group]
+        if kind is ModelKind.FULL_INFORMATION:
+            model = _full_gains(scenario, geometry, of_pair, rh)
+            gain = model[:, :, 1]
+        else:
+            model = np.exp(-2j * k * r_s)[group]
+            gain = _full_gains(scenario, geometry, of_pair, rh[:, 1])
+        j[block] = _reduce(np.conj(model) * gain[:, :, None] * corr,
+                           np.abs(model) ** 2 * env_sq, coherence)
+        # sum_n |y_p(t_n)|^2 per pair
+        energy = np.abs(gain) ** 2 * env_sq[:, :, 1]
+        if snr_normalization == "total":
+            signal_power[block] = energy.mean(axis=0) / n
+        else:
+            signal_power[block] = energy.max(axis=0) / n
+    return j, signal_power
+
+
+def crb(scenario: Scenario, R,
         kind: ModelKind = ModelKind.FULL_INFORMATION,
         step: float | None = None, snr: float = 1.0,
         snr_normalization: str = "total",
         coherence: str = "coherent") -> CrbResult:
-    """Numerical variance bound at range R from the objective curvature.
+    """Numerical variance bound from the objective curvature, at one range
+    R or at each of a 1-D array of ranges; for an array the result's fields
+    are arrays of its length.
 
     The noise-free objective is evaluated at R - step, R, R + step; the
     central second difference gives the curvature, and the bound is
@@ -264,31 +375,37 @@ def crb(scenario: Scenario, R: float,
     levels therefore depend on that convention; shapes across sweeps do
     not. The step must resolve the main lobe (about width/20 or finer), or
     the stencil stops being concave and is rejected.
+
+    The received data is the noise-free synthesis at R, correlated in
+    closed form without forming a trace. An array of ranges is all or
+    nothing: if any range is refused, the call raises, naming the first
+    such range, and returns no bound.
     """
     if snr <= 0:
         raise ValueError("snr must be positive")
     if snr_normalization not in ("total", "per_pair"):
         raise ValueError(
             f"unknown snr normalization {snr_normalization!r}")
-    h = default_crb_step(scenario) if step is None else float(step)
-    if h <= 0:
-        raise ValueError("step must be positive")
-    received = synthesize(scenario, true_range=R, backend="spa")
-    stencil = np.array([R - h, R, R + h])
-    j0, j1, j2 = _objective_on_grid(received, scenario, stencil, kind,
-                                    coherence)
+    if coherence not in _COHERENCE:
+        raise ValueError(f"unknown coherence {coherence!r}")
+    if np.ndim(R) > 1:
+        raise ValueError("R must be a scalar or a 1-D array of ranges")
+    ranges = np.atleast_1d(np.asarray(R, dtype=float))
+    stencil, h = crb_stencil(scenario, ranges, step)
+    j, signal_power = _stencil_objective(scenario, stencil, kind, coherence,
+                                         snr_normalization)
+    j0, j1, j2 = j.T
     second = j0 - 2.0 * j1 + j2
-    if not (j1 > j0 and j1 > j2) or -second <= _CURVATURE_FLOOR * j1:
+    bad = ~((j1 > j0) & (j1 > j2) & (-second > _CURVATURE_FLOOR * j1))
+    if bad.any():
         raise ValueError(
-            "non-concave stencil at R: step does not resolve the "
-            "objective curvature (too large for the main lobe, or so "
-            "small the objective change is below float resolution)")
-    curvature = abs(second) / (h * h)
-    power = np.abs(received.traces) ** 2
-    if snr_normalization == "total":
-        signal_power = float(power.mean())
-    else:
-        signal_power = float(power.mean(axis=1).max())
-    noise_power = signal_power / snr
-    return CrbResult(range=float(R), bound=noise_power / (2.0 * curvature),
-                     curvature=curvature)
+            f"non-concave stencil at R = {float(ranges[bad.argmax()])!r}"
+            " m: step does not resolve the objective curvature (too large "
+            "for the main lobe, or so small the objective change is below "
+            "float resolution)")
+    curvature = np.abs(second) / (h * h)
+    bound = signal_power / snr / (2.0 * curvature)
+    if np.ndim(R) == 0:
+        return CrbResult(range=float(ranges[0]), bound=float(bound[0]),
+                         curvature=float(curvature[0]))
+    return CrbResult(range=ranges, bound=bound, curvature=curvature)

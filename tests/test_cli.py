@@ -113,23 +113,35 @@ class TestParseConfig:
             main([experiment, "--set", f"scenario.{key}=0", "--out", str(out)])
         assert not out.exists()
 
-    @pytest.mark.parametrize("experiment",
-                             ["validate-spa", "ambiguity", "crb"])
-    @pytest.mark.parametrize("override", [
-        "noise.noise_power=-1", "noise.noise_power=inf",
-        "experiment.snr=0", "experiment.snr=-2", "experiment.snr=nan",
-        "experiment.quad_points_per_wavelength=3",
-        "experiment.quad_points_per_wavelength=nan",
-        "noise.seed=-1",
-        "grid.min=nan", "grid.max=inf", "grid.step=inf", "grid.step=nan",
-        "sweep.range=nan", "sweep.range=3,inf", "sweep.bandwidth=-inf",
-        "sweep.carrier_freq=1e10,nan",
-        "experiment.validation_carrier=nan",
-        "experiment.validation_carrier=0",
-        "experiment.validation_carrier=-1e10",
-        "experiment.exact_carrier_ceiling=nan",
-        "experiment.exact_carrier_ceiling=0",
-        "experiment.exact_carrier_ceiling=-1e10",
+    @pytest.mark.parametrize("override,experiment", [
+        (override, experiment) for override in (
+            "noise.noise_power=-1", "noise.noise_power=inf",
+            "experiment.snr=0", "experiment.snr=-2", "experiment.snr=nan",
+            "experiment.quad_points_per_wavelength=3",
+            "experiment.quad_points_per_wavelength=nan",
+            "noise.seed=-1",
+            "grid.min=nan", "grid.max=inf", "grid.step=inf",
+            "grid.step=nan",
+            "sweep.range=nan", "sweep.range=3,inf", "sweep.bandwidth=-inf",
+            "sweep.carrier_freq=1e10,nan",
+            "experiment.validation_carrier=nan",
+            "experiment.validation_carrier=0",
+            "experiment.validation_carrier=-1e10",
+            "experiment.exact_carrier_ceiling=nan",
+            "experiment.exact_carrier_ceiling=0",
+            "experiment.exact_carrier_ceiling=-1e10",
+        ) for experiment in ("validate-spa", "ambiguity", "crb")
+    ] + [
+        # a scene the runner would build is refused by Scenario, or a crb
+        # stencil falls below the validity floor
+        ("experiment.validation_carrier=1e9", "validate-spa"),
+        ("sweep.range=-1", "crb"), ("sweep.range=0.1", "crb"),
+        ("sweep.range=4,0.1", "crb"), ("grid.min=0.1", "crb"),
+        ("sweep.range=-1", "ambiguity"), ("sweep.range=0.1", "ambiguity"),
+        ("sweep.carrier_freq=5e8", "ambiguity"),
+        ("sweep.carrier_freq=5e8", "crb"),
+        ("sweep.bandwidth=1e10", "crb"),
+        ("sweep.bandwidth=1e10", "ambiguity"),
     ])
     def test_runner_failures_refused_at_parse(self, override, experiment,
                                               tmp_path):

@@ -15,9 +15,11 @@ from nfradar import (
     synthesize,
     reference_scenario,
 )
-from nfradar import estimator
-from nfradar.estimator import _objective_on_grid
+from nfradar import em_spa, estimator
+from nfradar.em_spa import gain_and_delay_arrays, pair_offsets
+from nfradar.estimator import _RANGE_CHUNK, _objective_on_grid
 from nfradar.signal import waveform_value
+from nfradar.special_fn import fresnel_conj
 
 from oracles import objective_loop
 
@@ -177,6 +179,26 @@ class TestObjective:
         grid = 3.9 + 0.0015 * np.arange(130)
         _objective_on_grid(received, ref_sc, grid, PARTIAL, "coherent")
         assert [s[:2] for s in shapes] == [(13, 64), (13, 64), (13, 2)]
+
+    @pytest.mark.parametrize("overrides", [
+        {}, {"plate_height": 0.5}, {"n_antennas": 4}, {"spacing": 0.1}])
+    def test_gain_geometries_exact(self, overrides):
+        # gains evaluated once per distinct (|z_s|, |d|) and indexed back
+        # to the pairs are bit for bit the per-pair gains, off-plate zeros
+        # included
+        sc = reference_scenario(**overrides)
+        _, _, geometry, of_pair = estimator._pair_groups(sc)
+        if not overrides:
+            assert geometry.shape == (2, 49)
+        z_s, d = pair_offsets(sc)
+        R = np.array([[2.0, 3.99, 4.0], [4.3, 6.1, 8.0]])
+        want, _ = gain_and_delay_arrays(sc, z_s[:, None, None],
+                                        d[:, None, None], R)
+        assert np.array_equal(
+            estimator._full_gains(sc, geometry, of_pair, R), want)
+        assert np.array_equal(
+            estimator._full_gains(sc, geometry, of_pair, R[0]),
+            want[:, 0])
 
 
 class TestAmbiguity:
@@ -358,3 +380,91 @@ class TestCrb:
         # reference geometry
         r = crb(ref_sc, 4.0, kind=PARTIAL)
         assert r.bound > 0
+
+    @pytest.mark.parametrize("overrides", [
+        {"n_antennas": 1}, {"n_antennas": 4}, {}, {"plate_height": 0.5}])
+    def test_stencil_objective_matches_loop(self, overrides):
+        # crb correlates the synthesis in closed form; every stencil J
+        # must equal the per-pair loop on the synthesized traces, and the
+        # signal powers the traces' sample powers
+        sc = reference_scenario(**overrides)
+        ranges = np.array([3.3, 4.0])
+        stencil, _ = estimator.crb_stencil(sc, ranges)
+        received = [synthesize(sc, true_range=R) for R in ranges]
+        for kind in (PARTIAL, FULL):
+            for coherence in ("coherent", "incoherent"):
+                j, total = estimator._stencil_objective(
+                    sc, stencil, kind, coherence, "total")
+                for i, rx in enumerate(received):
+                    for k in range(3):
+                        slow = objective_loop(rx, sc, float(stencil[i, k]),
+                                              kind is FULL,
+                                              coherence == "coherent")
+                        assert j[i, k] == pytest.approx(slow, rel=1e-12)
+        _, per_pair = estimator._stencil_objective(sc, stencil, FULL,
+                                                   "coherent", "per_pair")
+        for i, rx in enumerate(received):
+            power = np.abs(rx.traces) ** 2
+            assert total[i] == pytest.approx(power.mean(), rel=1e-12)
+            assert per_pair[i] == pytest.approx(power.mean(axis=1).max(),
+                                                rel=1e-12)
+
+    @pytest.mark.parametrize("kind,coherence", [(FULL, "coherent"),
+                                                (PARTIAL, "incoherent")])
+    def test_array_matches_scalar(self, ref_sc, kind, coherence):
+        # one call over a line crossing a _RANGE_CHUNK boundary gives each
+        # range the bound of a call at that range alone
+        ranges = 3.5 + 0.05 * np.arange(_RANGE_CHUNK + 3)
+        line = crb(ref_sc, ranges, kind, coherence=coherence,
+                   snr_normalization="per_pair")
+        assert np.array_equal(line.range, ranges)
+        for i, R in enumerate(ranges):
+            one = crb(ref_sc, float(R), kind, coherence=coherence,
+                      snr_normalization="per_pair")
+            assert isinstance(one.bound, float)
+            assert line.bound[i] == pytest.approx(one.bound, rel=1e-12)
+            assert line.curvature[i] == pytest.approx(one.curvature,
+                                                      rel=1e-12)
+
+    def test_non_concave_names_first_range(self, ref_sc):
+        # the partial coherent stencil is not concave at 3.0 m or 6.0 m;
+        # the line fails as a whole, naming the first of them
+        ranges = np.r_[np.full(_RANGE_CHUNK + 1, 4.0), 6.0, 4.5, 3.0]
+        with pytest.raises(ValueError,
+                           match=r"non-concave stencil at R = 6\.0 m"):
+            crb(ref_sc, ranges, PARTIAL)
+        crb(ref_sc, ranges[:-3], PARTIAL)
+
+    def test_array_validation(self, ref_sc):
+        with pytest.raises(ValueError, match="1-D array"):
+            crb(ref_sc, np.full((2, 2), 4.0))
+        with pytest.raises(ValueError, match="unknown coherence"):
+            crb(ref_sc, 4.0, coherence="semi")
+        with pytest.raises(ValueError, match="0.3 m below validity floor"):
+            crb(ref_sc, [4.0, 0.301, 0.2], step=0.001)
+
+    @pytest.mark.parametrize("kind,hypotheses", [(FULL, (3,)), (PARTIAL, ())])
+    def test_one_gain_block_per_range_chunk(self, ref_sc, monkeypatch, kind,
+                                            hypotheses):
+        # Fresnel work is 49 geometries (not 169 pairs) per hypothesis,
+        # in one block per _RANGE_CHUNK ranges: the full model's stencil,
+        # or the partial model's received gains at R alone; the envelope
+        # is one block per chunk too
+        fresnel_shapes, envelope_shapes = [], []
+
+        def fresnel_recording(x):
+            fresnel_shapes.append(np.shape(x))
+            return fresnel_conj(x)
+
+        def envelope_recording(w, t):
+            envelope_shapes.append(np.shape(t))
+            return waveform_value(w, t)
+
+        monkeypatch.setattr(em_spa, "fresnel_conj", fresnel_recording)
+        monkeypatch.setattr(estimator, "waveform_value", envelope_recording)
+        crb(ref_sc, 3.5 + 0.01 * np.arange(_RANGE_CHUNK + 4), kind,
+            coherence="incoherent")
+        assert fresnel_shapes == \
+            [(49, _RANGE_CHUNK) + hypotheses] * 3 + [(49, 4) + hypotheses] * 3
+        assert envelope_shapes == [(13, _RANGE_CHUNK, 3, 128),
+                                   (13, 4, 3, 128)]
