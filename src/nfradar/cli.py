@@ -24,7 +24,7 @@ from .em_exact import QuadratureSpec, exact_received_signal
 from .em_spa import spa_received_signal
 from .estimator import (ModelKind, ambiguity, crb, crb_stencil,
                         half_power_width)
-from .scenario import Scenario, all_pairs
+from .scenario import Scenario
 from .signal import (DEFAULT_EXACT_CARRIER_CEILING, WaveformRef, add_awgn,
                      synthesize)
 
@@ -187,6 +187,12 @@ def parse_config(path: str | None = None,
     model = ex.get("model")
     if model not in ("auto", "full", "partial"):
         raise ValueError(f"unknown model {model!r}")
+    if experiment == "crb" and model == "partial":
+        raise ValueError(
+            "experiment.model = partial: crb needs the full model. The "
+            "partial template lacks the received gains' Fresnel phase, so "
+            "its objective peaks off the true range and its curvature "
+            "there is no bound")
     coherence = ex.get("coherence")
     if coherence not in ("coherent", "incoherent"):
         raise ValueError(f"unknown coherence {coherence!r}")
@@ -353,13 +359,29 @@ def _crb_lines(cfg: ExperimentConfig):
 
 def _check_scenes(cfg: ExperimentConfig) -> None:
     """Builds every scene the experiment's runner builds, so that a value
-    the Scenario refuses fails at parse time with its key named. For crb
-    it also checks the stencil of the smallest range on every line, which
+    the Scenario refuses fails at parse time with its key named. For
+    ambiguity it also builds each scene's range grid and checks that it
+    lies above the validity floor and covers the scene's true range. For
+    crb it checks the stencil of the smallest range on every line, which
     bounds every other range's stencil from below."""
     if cfg.experiment == "validate-spa":
         _validation_scene(cfg)
     elif cfg.experiment == "ambiguity":
-        _ambiguity_scenes(cfg)
+        for param, value, scene in _ambiguity_scenes(cfg):
+            at = f" at sweep.{param} = {value!r}" if cfg.sweep else ""
+            grid = _range_grid(cfg, scene)
+            floor = scene.min_range_wavelengths * scene.wavelength
+            if not (grid[0] > 0 and grid[0] >= floor):
+                raise ValueError(
+                    f"grid.min = {cfg.grid_min!r} lies below the validity "
+                    f"floor {floor:g} m ({scene.min_range_wavelengths:g} "
+                    f"wavelengths){at}")
+            if not grid[0] <= scene.range <= grid[-1]:
+                key = f"sweep.{param}" if param == "range" and cfg.sweep \
+                    else "scenario.range"
+                raise ValueError(
+                    f"{key} = {scene.range!r} lies outside the range grid "
+                    f"[{grid[0]:g}, {grid[-1]:g}] m (grid.min, grid.max)")
     else:
         ranges = dict(cfg.sweep).get("range")
         key, lowest = (("sweep.range", min(ranges)) if ranges
@@ -402,16 +424,16 @@ def run_validate_spa(cfg: ExperimentConfig):
                "phase_err_deg"]
     rows = []
     exact = exact_received_signal(scenario, 0.0, waveform, quad)
-    for pair, u_exact in zip(all_pairs(scenario), exact):
-        u_spa = complex(spa_received_signal(pair, scenario, 0.0, waveform))
+    spa = spa_received_signal(scenario, 0.0, waveform).tolist()
+    for i, (u_exact, u_spa) in enumerate(zip(exact, spa)):
+        tx, rx = divmod(i, scenario.n_antennas)
         exact_db = 20.0 * np.log10(abs(u_exact))
         if u_spa == 0:
             # parse_config rejects the other zero-return scenes
-            rows.append((pair.tx_index, pair.rx_index, exact_db, "", "", ""))
+            rows.append((tx, rx, exact_db, "", "", ""))
             continue
         spa_db = 20.0 * np.log10(abs(u_spa))
-        rows.append((pair.tx_index, pair.rx_index, exact_db, spa_db,
-                     spa_db - exact_db,
+        rows.append((tx, rx, exact_db, spa_db, spa_db - exact_db,
                      np.angle(u_spa / u_exact, deg=True)))
     return columns, rows
 

@@ -16,16 +16,15 @@ conjugate Fresnel integrals measuring how much of the plate contributes:
 The two z arguments are the distances from the specular point to the plate
 edges in Fresnel units; both are nonnegative whenever the specular point is
 on the plate. gain_and_delay_arrays is the one implementation of this
-model: synthesis, the estimator and the single-pair view
-spa_received_signal all evaluate it, broadcast over pairs and hypothesized
-ranges.
+model: synthesis, the estimator and spa_received_signal all evaluate it,
+over pairs and hypothesized ranges.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .scenario import SPEED_OF_LIGHT, AntennaPair, Scenario
+from .scenario import SPEED_OF_LIGHT, Scenario
 from .signal import WaveformRef, waveform_value
 from .special_fn import fresnel_conj
 
@@ -67,36 +66,49 @@ def pair_offsets(scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
 def gain_and_delay_arrays(scenario: Scenario, z_s, d, R
                           ) -> tuple[np.ndarray, np.ndarray]:
     """Pair gains xi * alpha * exp(-j 2 k r_s) / r_s and delays 2 r_s / c
-    at hypothesized standoff R.
+    of every pair at every hypothesized standoff R.
 
-    z_s and d come from pair_offsets (or are one pair's scalars); R
-    broadcasts against them (e.g. shape (1, G) against (P, 1) for a grid of
-    hypotheses). The gain is exactly 0 where the specular point is off the
-    plate; a point exactly on the edge counts as on-plate.
+    z_s and d are arrays of equal shape over pairs (pair_offsets gives
+    them 1-D) or one pair's scalars; R has any shape. Both results have
+    shape z_s.shape + R.shape. The gain is exactly 0 where the specular
+    point is off the plate; a point exactly on the edge counts as on-plate.
     """
+    z_s = np.asarray(z_s, dtype=float)
+    d = np.asarray(d, dtype=float)
     R = np.asarray(R, dtype=float)
-    r_s = np.sqrt(R * R + d * d)
+    pairs = (...,) + (None,) * R.ndim  # pair axes lead, hypotheses trail
+    r_s = np.sqrt(R * R + (d * d)[pairs])
     wavelength = scenario.wavelength
     half = scenario.plate_height / 2.0
-    # argument forms: Dy/sqrt(lambda r) in y, edge distances scaled by
-    # 2R/sqrt(lambda r^3) in z
-    y_arg = np.sqrt(scenario.plate_width ** 2 / (wavelength * r_s))
-    z_scale = 2.0 * R / np.sqrt(wavelength * r_s ** 3)
-    alpha = (fresnel_conj(y_arg)
-             * (fresnel_conj((half - z_s) * z_scale)
-                + fresnel_conj((half + z_s) * z_scale))
-             * (np.abs(z_s) <= half))
+    # the y argument Dy/sqrt(lambda r_s) depends on |d| alone: it is
+    # evaluated once per distinct |d|, from the same r_s bit for bit
+    abs_d, of_d = np.unique(np.abs(d), return_inverse=True)
+    r_y = np.sqrt(R * R + (abs_d * abs_d)[pairs])
+    y_factor = fresnel_conj(np.sqrt(
+        scenario.plate_width ** 2 / (wavelength * r_y)))[
+            of_d.reshape(d.shape)]
+    # z: both edge distances scaled by 2R/sqrt(lambda r^3), in one call
+    edges = np.stack([half - z_s, half + z_s])[(slice(None),) + pairs]
+    z_terms = fresnel_conj(edges * (2.0 * R / np.sqrt(wavelength * r_s ** 3)))
+    alpha = (y_factor * (z_terms[0] + z_terms[1])
+             * (np.abs(z_s) <= half)[pairs])
     k = scenario.wavenumber
     gain = xi(scenario) * alpha * np.exp(-2j * k * r_s) / r_s
     return gain, 2.0 * r_s / SPEED_OF_LIGHT
 
 
-def spa_received_signal(pair: AntennaPair, scenario: Scenario, t,
-                        waveform: WaveformRef):
-    """One pair's closed-form signal at the scenario range: the pair gain
-    times the waveform at the delayed time t."""
-    z_s = (pair.tx_z + pair.rx_z) / 2.0
-    gain, delay = gain_and_delay_arrays(scenario, z_s, pair.tx_z - z_s,
-                                        scenario.range)
-    out = gain * waveform_value(waveform, np.asarray(t, dtype=float) - delay)
-    return complex(out) if np.ndim(out) == 0 else out
+def spa_received_signal(scenario: Scenario, t, waveform: WaveformRef
+                        ) -> np.ndarray:
+    """u(t) of all N^2 pairs from the closed form at the scenario range:
+    each pair's gain times the waveform at its delayed time.
+
+    t is a scalar or a 1-D array of sample times; the result has shape
+    (N^2,) + shape(t), rows in tx-major order, like exact_received_signal.
+    """
+    times = np.asarray(t, dtype=float)
+    if times.ndim > 1:
+        raise ValueError("t must be a scalar or a 1-D array of times")
+    z_s, d = pair_offsets(scenario)
+    gain, delay = gain_and_delay_arrays(scenario, z_s, d, scenario.range)
+    column = (slice(None),) + (None,) * times.ndim
+    return gain[column] * waveform_value(waveform, times - delay[column])

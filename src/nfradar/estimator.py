@@ -131,10 +131,7 @@ def _pair_groups(scenario: Scenario):
 def _full_gains(scenario: Scenario, geometry, of_pair, R) -> np.ndarray:
     """Full-model gains of every pair at hypotheses R of any shape, shape
     (pairs,) + R.shape, evaluated once per gain geometry."""
-    R = np.asarray(R, dtype=float)
-    column = (-1,) + (1,) * R.ndim
-    gain, _ = gain_and_delay_arrays(scenario, geometry[0].reshape(column),
-                                    geometry[1].reshape(column), R)
+    gain, _ = gain_and_delay_arrays(scenario, geometry[0], geometry[1], R)
     return gain[of_pair]
 
 

@@ -95,13 +95,13 @@ class TestParseConfig:
             parse_config(overrides=("grid.step=-0.1",))
 
     def test_grid_size_bounded(self):
-        # refused before any allocation: at parse time for an explicit
-        # step, when the grid is built for step = auto
+        # refused at parse time: for an explicit step before any
+        # allocation, for step = auto when ambiguity's scene grids are
+        # built and checked
         with pytest.raises(ValueError, match=f"exceeds {MAX_GRID_POINTS}"):
             parse_config(overrides=("grid.step=1e-12",))
-        cfg = parse_config(overrides=("scenario.carrier_freq=1e13",))
         with pytest.raises(ValueError, match=f"exceeds {MAX_GRID_POINTS}"):
-            run_ambiguity(cfg)
+            parse_config(overrides=("scenario.carrier_freq=1e13",))
 
     @pytest.mark.parametrize("experiment",
                              ["validate-spa", "ambiguity", "crb"])
@@ -142,6 +142,11 @@ class TestParseConfig:
         ("sweep.carrier_freq=5e8", "crb"),
         ("sweep.bandwidth=1e10", "crb"),
         ("sweep.bandwidth=1e10", "ambiguity"),
+        # an ambiguity grid below the validity floor, or one that misses
+        # the true range of a scene; and crb with the partial model
+        ("grid.min=0.1", "ambiguity"), ("scenario.range=9", "ambiguity"),
+        ("sweep.range=1,9", "ambiguity"),
+        ("experiment.model=partial", "crb"),
     ])
     def test_runner_failures_refused_at_parse(self, override, experiment,
                                               tmp_path):
@@ -151,6 +156,29 @@ class TestParseConfig:
         with pytest.raises(ValueError, match=re.escape(key)):
             main([experiment, "--set", override, "--out", str(out)])
         assert not out.exists()
+
+    def test_partial_crb_refused(self):
+        # the partial template's curvature is no bound; ambiguity still
+        # accepts the partial model
+        with pytest.raises(ValueError, match="lacks the received gains' "
+                                             "Fresnel phase"):
+            parse_config(experiment="crb",
+                         overrides=("experiment.model=partial",))
+        parse_config(experiment="ambiguity",
+                     overrides=("experiment.model=partial",))
+
+    def test_ambiguity_grid_checked_per_scene(self):
+        # the floor moves with a swept carrier: 1.2 m is above it at
+        # 77 GHz (0.39 m) and below it at 24 GHz (1.25 m)
+        base = ("grid.min=1.2", "grid.max=5")
+        parse_config(overrides=base + ("sweep.carrier_freq=77e9",))
+        with pytest.raises(ValueError, match=r"grid\.min = 1\.2 .* at "
+                                             r"sweep\.carrier_freq = 24"):
+            parse_config(overrides=base + ("sweep.carrier_freq=77e9,24e9",))
+        # the grid's last point, not grid.max, must reach the true range
+        with pytest.raises(ValueError, match="scenario.range = 4.0"):
+            parse_config(overrides=("grid.min=3", "grid.max=4",
+                                    "grid.step=0.3"))
 
     def test_infinite_exact_ceiling_means_none(self):
         cfg = parse_config(overrides=("experiment.exact_carrier_ceiling=inf",))

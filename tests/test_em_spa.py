@@ -17,10 +17,9 @@ from nfradar.em_spa import gain_and_delay_arrays, pair_offsets
 
 from oracles import fresnel_reference, pair_gain, quadratic_phase_integral
 
-CENTER = AntennaPair(6, 6, 0.0, 0.0)
 OUTER = AntennaPair(0, 12, -0.75, 0.75)
-EDGE_MONO = AntennaPair(0, 0, -0.75, -0.75)
-# row indices of those pairs in tx-major order
+# tx-major row indices of the centre pair (6, 6), OUTER, and the
+# monostatic edge pair (0, 0)
 I_CENTER, I_OUTER, I_EDGE_MONO = 6 * 13 + 6, 12, 0
 CENTER_DELAY = 2.6685127615852163e-08  # 2 * 4 m / c
 OUTER_DELAY = 2.7150150315155204e-08   # 2 * sqrt(16.5625) / c
@@ -32,10 +31,10 @@ def arrays(sc):
     return gain_and_delay_arrays(sc, z_s, d, sc.range)
 
 
-def scalar_gain(pair, sc):
-    """Gain of one pair through the scalar view: the constant waveform
-    makes spa_received_signal the bare pair gain."""
-    return spa_received_signal(pair, sc, 0.0, WaveformRef.constant())
+def spa_gains(sc):
+    """Gains of all pairs through spa_received_signal: the constant
+    waveform makes it the bare pair gain."""
+    return spa_received_signal(sc, 0.0, WaveformRef.constant())
 
 
 class TestSpecularGeometry:
@@ -58,11 +57,11 @@ class TestSpecularGeometry:
 
     def test_off_plate(self):
         sc = reference_scenario(plate_height=0.875)
-        assert scalar_gain(EDGE_MONO, sc) == 0.0  # 0.75 > 0.4375
+        assert spa_gains(sc)[I_EDGE_MONO] == 0.0  # 0.75 > 0.4375
 
     def test_edge_inclusive(self):
         sc = reference_scenario(plate_height=1.5)
-        assert scalar_gain(EDGE_MONO, sc) != 0.0  # exactly on the edge
+        assert spa_gains(sc)[I_EDGE_MONO] != 0.0  # exactly on the edge
 
 
 class TestPhaseExpansion:
@@ -112,8 +111,8 @@ class TestAlpha:
         gain, delay = arrays(ref_sc)
         assert gain[2 * 13 + 9] == gain[9 * 13 + 2]
         assert delay[2 * 13 + 9] == delay[9 * 13 + 2]
-        assert scalar_gain(AntennaPair(2, 9, -0.5, 0.375), ref_sc) == \
-            scalar_gain(AntennaPair(9, 2, 0.375, -0.5), ref_sc)
+        spa = spa_gains(ref_sc)
+        assert spa[2 * 13 + 9] == spa[9 * 13 + 2]
 
     def test_off_plate_is_zero(self):
         # every pair with its specular point beyond the edge, and only
@@ -187,8 +186,8 @@ class TestPairCoefficient:
     def test_equal_z_sum_pairs_identical(self, ref_sc):
         # (0,12) and (3,9) share z_s = 0 but differ in offset, so they
         # must differ; (0,12) and (12,0) share everything
-        assert scalar_gain(AntennaPair(0, 12, -0.75, 0.75), ref_sc) == \
-            scalar_gain(AntennaPair(12, 0, 0.75, -0.75), ref_sc)
+        spa = spa_gains(ref_sc)
+        assert spa[0 * 13 + 12] == spa[12 * 13 + 0]
         delay = arrays(ref_sc)[1]
         assert delay[3 * 13 + 9] < delay[0 * 13 + 12]
 
@@ -228,7 +227,7 @@ class TestLongFormEquivalence:
                 continue
             checked += 1
             r_s = math.hypot(R, z[l] - z_s)
-            gain = scalar_gain(AntennaPair(l, lp, z[l], z[lp]), sc)
+            gain = spa_gains(sc)[l * n + lp]
             k = sc.wavenumber
             pre = (-2 * k * k * sc.free_space_impedance
                    * sc.antenna_gain_factor / (4 * np.pi) ** 2)
@@ -242,29 +241,47 @@ class TestLongFormEquivalence:
 
 class TestSpaReceivedSignal:
     def test_peak_sample_is_full_gain(self, ref_sc):
-        gain, delay = gain_and_delay_arrays(ref_sc, 0.0, 0.0, ref_sc.range)
+        gain, delay = (v[I_CENTER] for v in arrays(ref_sc))
         w = WaveformRef.sinc(ref_sc.bandwidth)
-        assert spa_received_signal(CENTER, ref_sc, delay, w) == gain
+        assert spa_received_signal(ref_sc, delay, w)[I_CENTER] == gain
 
     def test_waveform_null(self, ref_sc):
-        gain, delay = gain_and_delay_arrays(ref_sc, 0.0, 0.0, ref_sc.range)
+        gain, delay = (v[I_CENTER] for v in arrays(ref_sc))
         w = WaveformRef.sinc(ref_sc.bandwidth)
         t_null = delay + 1.0 / ref_sc.bandwidth
-        assert abs(spa_received_signal(CENTER, ref_sc, t_null, w)) < \
+        assert abs(spa_received_signal(ref_sc, t_null, w)[I_CENTER]) < \
             1e-12 * abs(gain)
 
     def test_zero_drive_all_zero(self):
         sc = reference_scenario(antenna_gain_factor=0.0)
         w = WaveformRef.sinc(sc.bandwidth)
         t = np.linspace(26e-9, 28e-9, 16)
-        assert np.all(spa_received_signal(CENTER, sc, t, w) == 0.0)
+        assert np.all(spa_received_signal(sc, t, w) == 0.0)
 
     def test_array_matches_scalars(self, ref_sc):
         w = WaveformRef.sinc(ref_sc.bandwidth)
         t = np.array([26.5e-9, 26.7e-9, 27.0e-9])
-        vec = spa_received_signal(OUTER, ref_sc, t, w)
-        for ti, vi in zip(t, vec):
-            assert spa_received_signal(OUTER, ref_sc, float(ti), w) == vi
+        vec = spa_received_signal(ref_sc, t, w)
+        assert vec.shape == (169, 3)
+        for ti, vi in zip(t, vec.T):
+            assert np.array_equal(spa_received_signal(ref_sc, float(ti), w),
+                                  vi)
+
+    def test_rows_are_pair_traces(self, ref_sc):
+        # row i is pair (i // N, i % N): its gain times the waveform at
+        # its own delay
+        w = WaveformRef.sinc(ref_sc.bandwidth)
+        gain, delay = arrays(ref_sc)
+        t = np.array([26.5e-9, 27.0e-9])
+        vec = spa_received_signal(ref_sc, t, w)
+        for i in (I_CENTER, I_OUTER, I_EDGE_MONO):
+            assert np.array_equal(
+                vec[i], gain[i] * np.sinc(ref_sc.bandwidth * (t - delay[i])))
+
+    def test_rejects_2d_times(self, ref_sc):
+        with pytest.raises(ValueError, match="1-D"):
+            spa_received_signal(ref_sc, np.zeros((2, 2)),
+                                WaveformRef.constant())
 
 
 class TestVectorHelpers:
@@ -282,9 +299,9 @@ class TestVectorHelpers:
         for sc in (reference_scenario(), reference_scenario(
                 carrier_freq=10e9, plate_height=0.5)):
             gain, delay = arrays(sc)
+            spa = spa_gains(sc)
             for i, pair in enumerate(all_pairs(sc)):
                 g, tau, _ = pair_gain(sc, pair.tx_z, pair.rx_z, sc.range)
                 assert delay[i] == tau
                 assert gain[i] == pytest.approx(g, rel=1e-12, abs=0)
-                assert scalar_gain(pair, sc) == \
-                    pytest.approx(g, rel=1e-12, abs=0)
+                assert spa[i] == pytest.approx(g, rel=1e-12, abs=0)

@@ -192,8 +192,7 @@ class TestObjective:
             assert geometry.shape == (2, 49)
         z_s, d = pair_offsets(sc)
         R = np.array([[2.0, 3.99, 4.0], [4.3, 6.1, 8.0]])
-        want, _ = gain_and_delay_arrays(sc, z_s[:, None, None],
-                                        d[:, None, None], R)
+        want, _ = gain_and_delay_arrays(sc, z_s, d, R)
         assert np.array_equal(
             estimator._full_gains(sc, geometry, of_pair, R), want)
         assert np.array_equal(
@@ -446,10 +445,11 @@ class TestCrb:
     @pytest.mark.parametrize("kind,hypotheses", [(FULL, (3,)), (PARTIAL, ())])
     def test_one_gain_block_per_range_chunk(self, ref_sc, monkeypatch, kind,
                                             hypotheses):
-        # Fresnel work is 49 geometries (not 169 pairs) per hypothesis,
-        # in one block per _RANGE_CHUNK ranges: the full model's stencil,
-        # or the partial model's received gains at R alone; the envelope
-        # is one block per chunk too
+        # Fresnel work per hypothesis is the y factor of the 13 distinct
+        # |d| and the two z edges of the 49 geometries (not 169 pairs), in
+        # two blocks per _RANGE_CHUNK ranges: the full model's stencil, or
+        # the partial model's received gains at R alone; the envelope is
+        # one block per chunk too
         fresnel_shapes, envelope_shapes = [], []
 
         def fresnel_recording(x):
@@ -464,7 +464,9 @@ class TestCrb:
         monkeypatch.setattr(estimator, "waveform_value", envelope_recording)
         crb(ref_sc, 3.5 + 0.01 * np.arange(_RANGE_CHUNK + 4), kind,
             coherence="incoherent")
-        assert fresnel_shapes == \
-            [(49, _RANGE_CHUNK) + hypotheses] * 3 + [(49, 4) + hypotheses] * 3
+        assert fresnel_shapes == [
+            (13, _RANGE_CHUNK) + hypotheses,
+            (2, 49, _RANGE_CHUNK) + hypotheses,
+            (13, 4) + hypotheses, (2, 49, 4) + hypotheses]
         assert envelope_shapes == [(13, _RANGE_CHUNK, 3, 128),
                                    (13, 4, 3, 128)]

@@ -1,11 +1,27 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nfradar import fresnel, fresnel_conj
 
 from oracles import fresnel_reference
+
+ROOT = Path(__file__).resolve().parents[1]
+# where fresnel switches form: Taylor series, then auxiliary functions
+# in 1/x, then in (4/x)^4
+SPLITS = (1.6, 4.0)
+
+
+def scipy_fresnel(x):
+    s, c = scipy.special.fresnel(x)  # scipy returns (S, C)
+    return c + 1j * s
 
 # frozen from the composite Gauss-Legendre oracle (tests/oracles.py),
 # cross-checked against adaptive quadrature at 1e-15
@@ -67,3 +83,53 @@ def test_rejects_non_finite():
 @given(st.floats(min_value=-12.0, max_value=12.0, allow_nan=False))
 def test_oddness_property(x):
     assert fresnel(-x) == -fresnel(x)
+
+
+def test_against_scipy(rng):
+    # scipy's cephes evaluation is the oracle; the contract is 1e-10
+    x = rng.uniform(-40.0, 40.0, 1_000_000)
+    assert np.max(np.abs(fresnel(x) - scipy_fresnel(x))) <= 1e-13
+
+
+def test_continuous_across_splits():
+    # one ulp either side of each split, and the split itself
+    for split in SPLITS:
+        x = np.array([np.nextafter(split, 0.0), split,
+                      np.nextafter(split, np.inf)])
+        x = np.concatenate([x, -x])
+        got = fresnel(x)
+        assert np.max(np.abs(got - scipy_fresnel(x))) <= 1e-13
+        # F' = exp(j pi x^2/2) has modulus 1: one ulp moves F by 1e-15
+        assert np.max(np.abs(np.diff(got[:3]))) <= 1e-14
+
+
+def test_huge_arguments_finite():
+    # x^2 would overflow; the result rounds to the limit (1 + j)/2
+    x = np.array([1e20, 1e200, np.finfo(float).max])
+    assert np.array_equal(fresnel(x), np.full(3, 0.5 + 0.5j))
+    assert np.array_equal(fresnel(-x), np.full(3, -0.5 - 0.5j))
+
+
+def test_runtime_imports_no_scipy(tmp_path):
+    # scipy is a test oracle only: importing the CLI and running a tiny
+    # experiment must not load it
+    code = (
+        "import sys\n"
+        "import nfradar.cli\n"
+        "nfradar.cli.main(['validate-spa', '--set', 'scenario.n_antennas=1',"
+        f" '--out', {str(tmp_path / 'out.csv')!r}])\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.splitlines()[-1] == "[]"
+
+
+def test_coefficients_match_fresh_fit():
+    # the committed literals are what the generator writes today
+    pytest.importorskip("mpmath")
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "fresnel_coefficients.py"),
+         "--check"], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
