@@ -9,13 +9,11 @@ Cramer-Rao-bound analysis.
 
 __version__ = "0.1.0"
 
-from .scenario import (FREE_SPACE_IMPEDANCE, SPEED_OF_LIGHT, AntennaPair,
-                       Scenario, all_pairs, antenna_z_position,
+from .scenario import (FREE_SPACE_IMPEDANCE, SPEED_OF_LIGHT, Scenario,
                        reference_scenario)
 from .special_fn import fresnel, fresnel_conj
-from .em_exact import (QuadratureSpec, exact_received_signal, integrand,
-                       path_length_sum)
-from .em_spa import spa_phase_expansion, spa_received_signal, xi
+from .em_exact import QuadratureSpec, exact_received_signal
+from .em_spa import spa_received_signal, xi
 from .signal import (SignalSet, WaveformRef, add_awgn, default_window,
                      save_signal_set, synthesize, waveform_value)
 from .estimator import (AmbiguityCurve, CrbResult, ModelKind, ambiguity,
@@ -24,12 +22,10 @@ from .estimator import (AmbiguityCurve, CrbResult, ModelKind, ambiguity,
 
 __all__ = [
     "FREE_SPACE_IMPEDANCE", "SPEED_OF_LIGHT",
-    "AntennaPair", "Scenario", "all_pairs", "antenna_z_position",
-    "reference_scenario",
+    "Scenario", "reference_scenario",
     "fresnel", "fresnel_conj",
-    "QuadratureSpec", "exact_received_signal", "integrand",
-    "path_length_sum",
-    "spa_phase_expansion", "spa_received_signal", "xi",
+    "QuadratureSpec", "exact_received_signal",
+    "spa_received_signal", "xi",
     "SignalSet", "WaveformRef", "add_awgn", "default_window",
     "save_signal_set", "synthesize", "waveform_value",
     "AmbiguityCurve", "CrbResult", "ModelKind", "ambiguity", "crb",

@@ -14,6 +14,7 @@ import argparse
 import configparser
 import dataclasses
 import io
+import math
 import sys
 from dataclasses import dataclass
 
@@ -33,41 +34,99 @@ SWEEPABLE = ("bandwidth", "carrier_freq", "range")
 # largest range grid a run may allocate (the default grid has 12,329 points)
 MAX_GRID_POINTS = 1_000_000
 
-_SCENARIO_DEFAULTS = (
-    ("n_antennas", "13"),
-    ("spacing", "0.125"),
-    ("antenna_gain_factor", "1.0"),
-    ("bandwidth", "100000000.0"),
-    ("carrier_freq", "77000000000.0"),
-    ("plate_width", "0.8"),
-    ("plate_height", "1.75"),
-    ("range", "4.0"),
-    ("free_space_impedance", "376.730313668"),
-    ("min_range_wavelengths", "100.0"),
+
+def _require(test, requirement: str):
+    """A check that refuses a value failing test as not requirement."""
+    def check(value) -> None:
+        if not test(value):
+            raise ValueError(f"must be {requirement}")
+    return check
+
+
+def _one_of(*choices: str):
+    return _require(choices.__contains__, "one of " + ", ".join(choices))
+
+
+_FINITE = _require(math.isfinite, "finite")
+_FINITE_POSITIVE = _require(lambda v: math.isfinite(v) and v > 0,
+                            "finite and positive")
+
+
+def _quad_density(points: float) -> None:
+    _FINITE(points)
+    QuadratureSpec(points_per_wavelength=points)
+
+
+def _grid_step(text: str) -> float | None:
+    return None if text == "auto" else float(text)
+
+
+# One row per config key: (section, key, default text, type, check). The
+# type converts the key's text; the check, if any, raises a ValueError for
+# a value no run can use. Scenario checks the [scenario] values itself.
+_FIELDS = (
+    ("scenario", "n_antennas", "13", int, None),
+    ("scenario", "spacing", "0.125", float, None),
+    ("scenario", "antenna_gain_factor", "1.0", float, None),
+    ("scenario", "bandwidth", "100000000.0", float, None),
+    ("scenario", "carrier_freq", "77000000000.0", float, None),
+    ("scenario", "plate_width", "0.8", float, None),
+    ("scenario", "plate_height", "1.75", float, None),
+    ("scenario", "range", "4.0", float, None),
+    ("scenario", "free_space_impedance", "376.730313668", float, None),
+    ("scenario", "min_range_wavelengths", "100.0", float, None),
+    ("experiment", "model", "auto", str, _one_of("auto", "full", "partial")),
+    ("experiment", "coherence", "coherent", str,
+     _one_of("coherent", "incoherent")),
+    ("experiment", "snr", "1.0", float, _FINITE_POSITIVE),
+    ("experiment", "snr_normalization", "total", str,
+     _one_of("total", "per_pair")),
+    ("experiment", "validation_carrier", "10000000000.0", float,
+     _FINITE_POSITIVE),
+    # inf means no ceiling
+    ("experiment", "exact_carrier_ceiling",
+     repr(DEFAULT_EXACT_CARRIER_CEILING), float,
+     _require(lambda v: v > 0, "positive")),
+    ("experiment", "quad_points_per_wavelength", "10.0", float,
+     _quad_density),
+    ("grid", "min", "2.0", float, _FINITE),
+    ("grid", "max", "8.0", float, _FINITE),
+    # auto means lambda/8 at the operating carrier
+    ("grid", "step", "auto", _grid_step,
+     _require(lambda v: v is None or math.isfinite(v) and v > 0,
+              "auto or finite and positive")),
+    ("noise", "noise_power", "0.0", float,
+     _require(lambda v: math.isfinite(v) and v >= 0,
+              "finite and nonnegative")),
+    ("noise", "seed", "0", int, _require(lambda v: v >= 0, "nonnegative")),
+    ("output", "path", "", str, None),
 )
+_SECTIONS = ("scenario", "experiment", "sweep", "grid", "noise", "output")
 
-_EXPERIMENT_DEFAULTS = (
-    ("model", "auto"),
-    ("coherence", "coherent"),
-    ("snr", "1.0"),
-    ("snr_normalization", "total"),
-    ("validation_carrier", "10000000000.0"),
-    ("exact_carrier_ceiling", repr(DEFAULT_EXACT_CARRIER_CEILING)),
-    ("quad_points_per_wavelength", "10.0"),
-)
 
-_GRID_DEFAULTS = (("min", "2.0"), ("max", "8.0"), ("step", "auto"))
-_NOISE_DEFAULTS = (("noise_power", "0.0"), ("seed", "0"))
-_OUTPUT_DEFAULTS = (("path", ""),)
+def _attr(section: str, key: str) -> str:
+    """The ExperimentConfig field of a key outside [scenario]."""
+    return f"{section}_{key}" if section in ("grid", "output") else key
 
-_SECTIONS = {
-    "scenario": _SCENARIO_DEFAULTS,
-    "experiment": _EXPERIMENT_DEFAULTS,
-    "sweep": (),
-    "grid": _GRID_DEFAULTS,
-    "noise": _NOISE_DEFAULTS,
-    "output": _OUTPUT_DEFAULTS,
-}
+
+def _value(section: str, key: str, text: str, convert, check):
+    """section.key's text converted and checked; a ValueError names the
+    key."""
+    try:
+        value = convert(text)
+        if check is not None:
+            check(value)
+    except ValueError as err:
+        raise ValueError(f"{section}.{key} = {text!r}: {err}") from None
+    return value
+
+
+def _sweep_values(text: str) -> tuple[float, ...]:
+    return tuple(float(v) for v in text.split(","))
+
+
+_ALL_FINITE = _require(lambda values: all(map(math.isfinite, values)),
+                       "finite")
 
 
 @dataclass(frozen=True)
@@ -93,15 +152,6 @@ class ExperimentConfig:
     slow: bool = False
 
 
-def _parser_with_defaults() -> configparser.ConfigParser:
-    cp = configparser.ConfigParser(interpolation=None)
-    for section, defaults in _SECTIONS.items():
-        cp.add_section(section)
-        for key, value in defaults:
-            cp.set(section, key, value)
-    return cp
-
-
 def parse_config(path: str | None = None,
                  overrides: tuple[str, ...] = (),
                  experiment: str = "ambiguity",
@@ -111,7 +161,11 @@ def parse_config(path: str | None = None,
     section.key=value override strings (later wins)."""
     if experiment not in EXPERIMENTS:
         raise ValueError(f"unknown experiment {experiment!r}")
-    cp = _parser_with_defaults()
+    cp = configparser.ConfigParser(interpolation=None)
+    for section in _SECTIONS:
+        cp.add_section(section)
+    for section, key, default, _, _ in _FIELDS:
+        cp.set(section, key, default)
     if path is not None:
         with open(path, encoding="utf-8") as fh:
             cp.read_file(fh)
@@ -128,30 +182,20 @@ def parse_config(path: str | None = None,
             raise ValueError(f"unknown config section {section!r}")
         cp.set(section, key, value.strip())
 
+    known = {(section, key) for section, key, *_ in _FIELDS}
     for section in cp.sections():
         if section not in _SECTIONS:
             raise ValueError(f"unknown config section {section!r}")
-        known = {k for k, _ in _SECTIONS[section]}
-        if section == "sweep":
-            continue
         for key in cp.options(section):
-            if key not in known:
+            if section != "sweep" and (section, key) not in known:
                 raise ValueError(
                     f"unknown key {key!r} in section [{section}]")
 
-    sc = cp["scenario"]
-    scenario = Scenario(
-        n_antennas=sc.getint("n_antennas"),
-        spacing=sc.getfloat("spacing"),
-        antenna_gain_factor=sc.getfloat("antenna_gain_factor"),
-        bandwidth=sc.getfloat("bandwidth"),
-        carrier_freq=sc.getfloat("carrier_freq"),
-        plate_width=sc.getfloat("plate_width"),
-        plate_height=sc.getfloat("plate_height"),
-        range=sc.getfloat("range"),
-        free_space_impedance=sc.getfloat("free_space_impedance"),
-        min_range_wavelengths=sc.getfloat("min_range_wavelengths"),
-    )
+    values = {(section, key): _value(section, key, cp.get(section, key),
+                                     convert, check)
+              for section, key, _, convert, check in _FIELDS}
+    scenario = Scenario(**{key: value for (section, key), value
+                           in values.items() if section == "scenario"})
     # Scenario accepts these at 0 for library use; no experiment does
     for key in ("plate_width", "plate_height", "antenna_gain_factor"):
         if getattr(scenario, key) == 0:
@@ -164,133 +208,44 @@ def parse_config(path: str | None = None,
             raise ValueError(
                 f"sweep parameter {key!r} is not a sweepable Scenario field "
                 f"(choose from {', '.join(SWEEPABLE)})")
-        values = tuple(float(v) for v in cp.get("sweep", key).split(","))
-        if not all(np.isfinite(values)):
-            raise ValueError(f"sweep.{key} = {cp.get('sweep', key)!r} "
-                             "must be finite")
-        sweep.append((key, values))
+        sweep.append((key, _value("sweep", key, cp.get("sweep", key),
+                                  _sweep_values, _ALL_FINITE)))
     sweep.sort()  # deterministic order regardless of file order
 
-    grid_min = _finite(cp, "grid", "min")
-    grid_max = _finite(cp, "grid", "max")
-    if not grid_min < grid_max:
+    cfg = ExperimentConfig(
+        scenario=scenario, experiment=experiment, sweep=tuple(sweep),
+        slow=slow, **{_attr(section, key): value for (section, key), value
+                      in values.items() if section != "scenario"})
+    if not cfg.grid_min < cfg.grid_max:
         raise ValueError("grid min must be below grid max")
-    if cp.get("grid", "step") == "auto":
-        grid_step = None
-    else:
-        grid_step = _finite(cp, "grid", "step")
-        if grid_step <= 0:
-            raise ValueError("grid step must be positive")
-        _grid_size(grid_min, grid_max, grid_step)
-
-    ex = cp["experiment"]
-    model = ex.get("model")
-    if model not in ("auto", "full", "partial"):
-        raise ValueError(f"unknown model {model!r}")
-    if experiment == "crb" and model == "partial":
+    if cfg.grid_step is not None:
+        _grid_size(cfg.grid_min, cfg.grid_max, cfg.grid_step)
+    if experiment == "crb" and cfg.model == "partial":
         raise ValueError(
             "experiment.model = partial: crb needs the full model. The "
             "partial template lacks the received gains' Fresnel phase, so "
             "its objective peaks off the true range and its curvature "
             "there is no bound")
-    coherence = ex.get("coherence")
-    if coherence not in ("coherent", "incoherent"):
-        raise ValueError(f"unknown coherence {coherence!r}")
-    snr_norm = ex.get("snr_normalization")
-    if snr_norm not in ("total", "per_pair"):
-        raise ValueError(f"unknown snr_normalization {snr_norm!r}")
-    snr = ex.getfloat("snr")
-    if not snr > 0:
-        raise ValueError(f"experiment.snr = {snr!r} must be positive")
-    points = _finite(cp, "experiment", "quad_points_per_wavelength")
-    try:
-        QuadratureSpec(points_per_wavelength=points)
-    except ValueError as err:
-        raise ValueError(
-            f"experiment.quad_points_per_wavelength = {points!r}: {err}"
-        ) from None
-    validation_carrier = _finite(cp, "experiment", "validation_carrier")
-    ceiling = ex.getfloat("exact_carrier_ceiling")  # inf: no ceiling
-    for key, value in (("validation_carrier", validation_carrier),
-                       ("exact_carrier_ceiling", ceiling)):
-        if not value > 0:
-            raise ValueError(f"experiment.{key} = {value!r} must be positive")
-    noise_power = _finite(cp, "noise", "noise_power")
-    if noise_power < 0:
-        raise ValueError(
-            f"noise.noise_power = {noise_power!r} must be nonnegative")
-    seed = cp.getint("noise", "seed")
-    if seed < 0:
-        raise ValueError(f"noise.seed = {seed} must be nonnegative")
-
-    cfg = ExperimentConfig(
-        scenario=scenario,
-        experiment=experiment,
-        sweep=tuple(sweep),
-        grid_min=grid_min,
-        grid_max=grid_max,
-        grid_step=grid_step,
-        noise_power=noise_power,
-        seed=seed,
-        output_path=cp.get("output", "path"),
-        model=model,
-        coherence=coherence,
-        snr=snr,
-        snr_normalization=snr_norm,
-        validation_carrier=validation_carrier,
-        exact_carrier_ceiling=ceiling,
-        quad_points_per_wavelength=points,
-        slow=slow,
-    )
     _check_scenes(cfg)
     return cfg
-
-
-def _finite(cp: configparser.ConfigParser, section: str, key: str) -> float:
-    value = cp.getfloat(section, key)
-    if not np.isfinite(value):
-        raise ValueError(f"{section}.{key} = {value!r} must be finite")
-    return value
 
 
 def emit_config(cfg: ExperimentConfig) -> str:
     """Effective configuration as INI text; parse_config(text=...) of the
     result reproduces cfg exactly (round-trip idempotency)."""
-    sc = cfg.scenario
-    lines = ["[scenario]"]
-    lines.append(f"n_antennas = {sc.n_antennas}")
-    for name in ("spacing", "antenna_gain_factor", "bandwidth",
-                 "carrier_freq", "plate_width", "plate_height", "range",
-                 "free_space_impedance", "min_range_wavelengths"):
-        lines.append(f"{name} = {getattr(sc, name)!r}")
-    lines.append("")
-    lines.append("[experiment]")
-    lines.append(f"model = {cfg.model}")
-    lines.append(f"coherence = {cfg.coherence}")
-    lines.append(f"snr = {cfg.snr!r}")
-    lines.append(f"snr_normalization = {cfg.snr_normalization}")
-    lines.append(f"validation_carrier = {cfg.validation_carrier!r}")
-    lines.append(f"exact_carrier_ceiling = {cfg.exact_carrier_ceiling!r}")
-    lines.append(
-        f"quad_points_per_wavelength = {cfg.quad_points_per_wavelength!r}")
-    lines.append("")
-    lines.append("[sweep]")
-    for name, values in cfg.sweep:
-        lines.append(f"{name} = {','.join(repr(v) for v in values)}")
-    lines.append("")
-    lines.append("[grid]")
-    lines.append(f"min = {cfg.grid_min!r}")
-    lines.append(f"max = {cfg.grid_max!r}")
-    step = "auto" if cfg.grid_step is None else repr(cfg.grid_step)
-    lines.append(f"step = {step}")
-    lines.append("")
-    lines.append("[noise]")
-    lines.append(f"noise_power = {cfg.noise_power!r}")
-    lines.append(f"seed = {cfg.seed}")
-    lines.append("")
-    lines.append("[output]")
-    lines.append(f"path = {cfg.output_path}")
-    return "\n".join(lines) + "\n"
+    blocks = []
+    for section in _SECTIONS:
+        lines = [f"[{section}]"]
+        if section == "sweep":
+            lines += [f"{name} = {','.join(map(repr, values))}"
+                      for name, values in cfg.sweep]
+        for row_section, key, *_ in _FIELDS:
+            if row_section == section:
+                value = (getattr(cfg.scenario, key) if section == "scenario"
+                         else getattr(cfg, _attr(section, key)))
+                lines.append(f"{key} = {'auto' if value is None else value}")
+        blocks.append("\n".join(lines))
+    return "\n\n".join(blocks) + "\n"
 
 
 def _grid_size(grid_min: float, grid_max: float, step: float) -> int:
@@ -298,7 +253,9 @@ def _grid_size(grid_min: float, grid_max: float, step: float) -> int:
     n = np.floor((grid_max - grid_min) / step + 1e-9) + 1
     if not n <= MAX_GRID_POINTS:
         raise ValueError(
-            f"range grid of {n:g} points exceeds {MAX_GRID_POINTS}")
+            f"range grid of {n:g} points exceeds {MAX_GRID_POINTS}: narrow "
+            "grid.min..grid.max or raise grid.step (auto is lambda/8 at "
+            "scenario.carrier_freq)")
     return int(n)
 
 
@@ -362,8 +319,9 @@ def _check_scenes(cfg: ExperimentConfig) -> None:
     the Scenario refuses fails at parse time with its key named. For
     ambiguity it also builds each scene's range grid and checks that it
     lies above the validity floor and covers the scene's true range. For
-    crb it checks the stencil of the smallest range on every line, which
-    bounds every other range's stencil from below."""
+    crb it builds the range grid when range is not swept, and checks the
+    stencil of the smallest range on every line, which bounds every other
+    range's stencil from below."""
     if cfg.experiment == "validate-spa":
         _validation_scene(cfg)
     elif cfg.experiment == "ambiguity":
@@ -384,6 +342,8 @@ def _check_scenes(cfg: ExperimentConfig) -> None:
                     f"[{grid[0]:g}, {grid[-1]:g}] m (grid.min, grid.max)")
     else:
         ranges = dict(cfg.sweep).get("range")
+        if ranges is None:
+            _range_grid(cfg, cfg.scenario)
         key, lowest = (("sweep.range", min(ranges)) if ranges
                        else ("grid.min", cfg.grid_min))
         for fc, bw, scene in _crb_lines(cfg):

@@ -46,8 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scenario import (SPEED_OF_LIGHT, AntennaPair, Scenario,
-                       antenna_z_position)
+from .scenario import SPEED_OF_LIGHT, Scenario, antenna_positions
 from .signal import WaveformRef, waveform_value
 
 _RULES = ("midpoint", "gauss_legendre_composite")
@@ -80,17 +79,6 @@ class QuadratureSpec:
             raise ValueError(f"unknown quadrature rule {self.rule!r}")
 
 
-def path_length_sum(pair: AntennaPair, R: float, y, z):
-    """r_l + r_l' from plate point (y, z), >= 2R with equality only when
-    y = 0 and z = z_l = z_l'."""
-    y = np.asarray(y, dtype=float)
-    z = np.asarray(z, dtype=float)
-    r_tx = np.sqrt(R * R + y * y + (z - pair.tx_z) ** 2)
-    r_rx = np.sqrt(R * R + y * y + (z - pair.rx_z) ** 2)
-    out = r_tx + r_rx
-    return float(out) if out.ndim == 0 else out
-
-
 def _antenna_factors(scenario: Scenario, z_ant: np.ndarray, y_sq, z):
     """(r, A, B) of each antenna at z_ant (leading axis) on the plate
     points (y^2, z), broadcast: A = e^{-jkr}/r^2, B = R rho^2 e^{-jkr}/r^3."""
@@ -100,17 +88,6 @@ def _antenna_factors(scenario: Scenario, z_ant: np.ndarray, y_sq, z):
     r = np.sqrt(rho_sq + y_sq)
     a = np.exp(-1j * scenario.wavenumber * r) / (r * r)
     return r, a, a * (R * rho_sq / r)
-
-
-def integrand(pair: AntennaPair, scenario: Scenario, y: float, z: float,
-              t: float, waveform: WaveformRef) -> complex:
-    """g * exp(j psi) at a single plate point."""
-    if abs(y) > scenario.plate_width / 2 or abs(z) > scenario.plate_height / 2:
-        raise ValueError("integration point outside the plate rectangle")
-    r, a, b = _antenna_factors(scenario, np.array([pair.tx_z, pair.rx_z]),
-                               y * y, z)
-    s = waveform_value(waveform, t - (r[0] + r[1]) / SPEED_OF_LIGHT)
-    return complex(s * a[0] * b[1])
 
 
 def _axis_nodes(half_extent: float, wavelength: float,
@@ -168,7 +145,7 @@ def exact_received_signal(scenario: Scenario, t, waveform: WaveformRef,
         raise ValueError("t must be a scalar or a 1-D array of times")
     times = np.atleast_1d(times)
     n = scenario.n_antennas
-    z_ant = np.array([antenna_z_position(scenario, l) for l in range(n)])
+    z_ant = antenna_positions(scenario)
     lam = scenario.wavelength
     y_nodes, y_w = _fold(*_axis_nodes(scenario.plate_width / 2, lam, quad))
     z_nodes, z_w = _axis_nodes(scenario.plate_height / 2, lam, quad)

@@ -24,25 +24,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .scenario import SPEED_OF_LIGHT, Scenario
+from .scenario import SPEED_OF_LIGHT, Scenario, antenna_positions
 from .signal import WaveformRef, waveform_value
 from .special_fn import fresnel_conj
-
-
-def spa_phase_expansion(z_s: float, r_s: float, scenario: Scenario, y, z):
-    """Quadratic expansion of the phase about the specular point (0, z_s)
-    at specular distance r_s:
-
-    psi ~ -2 k r_s - (k / r_s) y^2 - (k R^2 / r_s^3) (z - z_s)^2
-    """
-    k = scenario.wavenumber
-    R = scenario.range
-    y = np.asarray(y, dtype=float)
-    z = np.asarray(z, dtype=float)
-    out = (-2.0 * k * r_s
-           - (k / r_s) * y * y
-           - (k * R * R / r_s ** 3) * (z - z_s) ** 2)
-    return float(out) if out.ndim == 0 else out
 
 
 def xi(scenario: Scenario) -> complex:
@@ -56,7 +40,7 @@ def pair_offsets(scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
     pairs in tx-major order. r_s(R) = sqrt(R^2 + d^2) for any hypothesized
     standoff R, so these two arrays are the whole pair geometry."""
     n = scenario.n_antennas
-    z = (np.arange(n) - (n - 1) / 2.0) * scenario.spacing
+    z = antenna_positions(scenario)
     tx = np.repeat(z, n)
     rx = np.tile(z, n)
     z_s = (tx + rx) / 2.0

@@ -9,8 +9,10 @@ defined here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import math
+
+import numpy as np
 
 SPEED_OF_LIGHT = 299792458.0
 """Exact SI value, m/s."""
@@ -97,36 +99,11 @@ class Scenario:
         return 2.0 * math.pi / self.wavelength
 
 
-@dataclass(frozen=True)
-class AntennaPair:
-    """One ordered (transmit, receive) pair with its element z positions."""
-
-    tx_index: int
-    rx_index: int
-    tx_z: float
-    rx_z: float
-
-
-def antenna_z_position(scenario: Scenario, l: int) -> float:
-    """z coordinate of element l: (-(N-1)/2 + l) * spacing.
-
-    Positions are symmetric about z = 0.
-    """
-    if not 0 <= l < scenario.n_antennas:
-        raise IndexError(
-            f"antenna index {l} out of range [0, {scenario.n_antennas})")
-    return (-(scenario.n_antennas - 1) / 2.0 + l) * scenario.spacing
-
-
-def all_pairs(scenario: Scenario) -> list[AntennaPair]:
-    """All N^2 ordered (tx, rx) pairs in tx-major order."""
+def antenna_positions(scenario: Scenario) -> np.ndarray:
+    """z coordinates of the N elements, (l - (N-1)/2) * spacing for
+    l = 0 .. N-1: symmetric about z = 0."""
     n = scenario.n_antennas
-    zs = [antenna_z_position(scenario, l) for l in range(n)]
-    return [
-        AntennaPair(tx_index=l, rx_index=lp, tx_z=zs[l], rx_z=zs[lp])
-        for l in range(n)
-        for lp in range(n)
-    ]
+    return (np.arange(n) - (n - 1) / 2.0) * scenario.spacing
 
 
 def reference_scenario(**overrides) -> Scenario:

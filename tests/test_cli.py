@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nfradar import reference_scenario
+from nfradar import cli, reference_scenario
 from nfradar.cli import (
     ExperimentConfig,
     MAX_GRID_POINTS,
@@ -22,6 +22,33 @@ from nfradar.cli import (
 )
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+
+# a valid value other than the default for every config key
+NON_DEFAULT = {
+    ("scenario", "n_antennas"): "7",
+    ("scenario", "spacing"): "0.25",
+    ("scenario", "antenna_gain_factor"): "2.5",
+    ("scenario", "bandwidth"): "2e8",
+    ("scenario", "carrier_freq"): "24e9",
+    ("scenario", "plate_width"): "0.5",
+    ("scenario", "plate_height"): "2.0",
+    ("scenario", "range"): "5.5",
+    ("scenario", "free_space_impedance"): "1",
+    ("scenario", "min_range_wavelengths"): "50",
+    ("experiment", "model"): "full",
+    ("experiment", "coherence"): "incoherent",
+    ("experiment", "snr"): "0.1",
+    ("experiment", "snr_normalization"): "per_pair",
+    ("experiment", "validation_carrier"): "5e9",
+    ("experiment", "exact_carrier_ceiling"): "inf",
+    ("experiment", "quad_points_per_wavelength"): "12.5",
+    ("grid", "min"): "3",
+    ("grid", "max"): "7.25",
+    ("grid", "step"): "0.001",
+    ("noise", "noise_power"): "1e-6",
+    ("noise", "seed"): "123456789012",
+    ("output", "path"): "out/run 1.csv",
+}
 
 
 def read_csv(path):
@@ -62,6 +89,18 @@ class TestParseConfig:
         assert again == cfg
         assert emit_config(again) == text
 
+    @pytest.mark.parametrize("section,key", [row[:2] for row in cli._FIELDS],
+                             ids=[f"{s}.{k}" for s, k, *_ in cli._FIELDS])
+    def test_roundtrip_every_key(self, section, key):
+        value = NON_DEFAULT[section, key]
+        cfg = parse_config(overrides=(f"{section}.{key}={value}",))
+        assert cfg != parse_config()
+        text = emit_config(cfg)
+        assert text != emit_config(parse_config())
+        again = parse_config(text=text)
+        assert again == cfg
+        assert emit_config(again) == text
+
     def test_override_changes_value(self):
         cfg = parse_config(overrides=("scenario.range=6.5",))
         assert cfg.scenario.range == 6.5
@@ -91,7 +130,8 @@ class TestParseConfig:
     def test_grid_validation(self):
         with pytest.raises(ValueError, match="below grid max"):
             parse_config(overrides=("grid.min=5", "grid.max=3"))
-        with pytest.raises(ValueError, match="step must be positive"):
+        with pytest.raises(ValueError, match=re.escape(
+                "grid.step = '-0.1': must be auto or finite and positive")):
             parse_config(overrides=("grid.step=-0.1",))
 
     def test_grid_size_bounded(self):
@@ -117,6 +157,7 @@ class TestParseConfig:
         (override, experiment) for override in (
             "noise.noise_power=-1", "noise.noise_power=inf",
             "experiment.snr=0", "experiment.snr=-2", "experiment.snr=nan",
+            "experiment.snr=inf",
             "experiment.quad_points_per_wavelength=3",
             "experiment.quad_points_per_wavelength=nan",
             "noise.seed=-1",
@@ -130,6 +171,9 @@ class TestParseConfig:
             "experiment.exact_carrier_ceiling=nan",
             "experiment.exact_carrier_ceiling=0",
             "experiment.exact_carrier_ceiling=-1e10",
+            # values that do not convert to the key's type
+            "scenario.n_antennas=1.5", "noise.seed=1e3", "scenario.range=abc",
+            "grid.step=abc", "sweep.range=",
         ) for experiment in ("validate-spa", "ambiguity", "crb")
     ] + [
         # a scene the runner would build is refused by Scenario, or a crb
@@ -147,6 +191,9 @@ class TestParseConfig:
         ("grid.min=0.1", "ambiguity"), ("scenario.range=9", "ambiguity"),
         ("sweep.range=1,9", "ambiguity"),
         ("experiment.model=partial", "crb"),
+        # a lambda/8 range grid of more than MAX_GRID_POINTS points
+        ("scenario.carrier_freq=1e13", "crb"),
+        ("scenario.carrier_freq=1e13", "ambiguity"),
     ])
     def test_runner_failures_refused_at_parse(self, override, experiment,
                                               tmp_path):
@@ -207,11 +254,17 @@ class TestParseConfig:
         assert keys(documented) == keys(emitted)
 
     def test_model_and_coherence_validation(self):
-        with pytest.raises(ValueError, match="unknown model"):
+        with pytest.raises(ValueError, match=re.escape(
+                "experiment.model = 'oracle': must be one of auto, full, "
+                "partial")):
             parse_config(overrides=("experiment.model=oracle",))
-        with pytest.raises(ValueError, match="unknown coherence"):
+        with pytest.raises(ValueError, match=re.escape(
+                "experiment.coherence = 'mixed': must be one of coherent, "
+                "incoherent")):
             parse_config(overrides=("experiment.coherence=mixed",))
-        with pytest.raises(ValueError, match="snr_normalization"):
+        with pytest.raises(ValueError, match=re.escape(
+                "experiment.snr_normalization = 'max': must be one of "
+                "total, per_pair")):
             parse_config(overrides=("experiment.snr_normalization=max",))
 
     def test_unknown_experiment(self):

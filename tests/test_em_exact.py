@@ -3,17 +3,13 @@ import pytest
 
 from nfradar import em_exact
 from nfradar import (
-    AntennaPair,
     QuadratureSpec,
     WaveformRef,
-    all_pairs,
-    antenna_z_position,
     exact_received_signal,
-    integrand,
-    path_length_sum,
     reference_scenario,
     waveform_value,
 )
+from nfradar.scenario import antenna_positions
 
 from oracles import exact_pair
 
@@ -31,106 +27,64 @@ def phase_deg(a, b):
     return abs(np.degrees((d + np.pi) % (2 * np.pi) - np.pi))
 
 
-def center_pair(scenario):
-    m = (scenario.n_antennas - 1) // 2
-    z = antenna_z_position(scenario, m)
-    return AntennaPair(m, m, z, z)
-
-
-class TestPathLengthSum:
-    def test_center_specular(self, ref_sc):
-        pair = center_pair(ref_sc)
-        assert path_length_sum(pair, 4.0, 0.0, 0.0) == 8.0
-
-    def test_outer_pair_specular(self, ref_sc):
-        # tx at -0.75, rx at +0.75: both legs sqrt(16 + 0.5625)
-        pair = AntennaPair(0, 12, -0.75, 0.75)
-        assert path_length_sum(pair, 4.0, 0.0, 0.0) == \
-            pytest.approx(8.139410298049853, rel=1e-15)
-
-    def test_off_axis_point(self, ref_sc):
-        pair = center_pair(ref_sc)
-        # legs sqrt(16 + 0.16 + 0.765625) each
-        assert path_length_sum(pair, 4.0, 0.4, 0.875) == \
-            pytest.approx(8.228152891141486, rel=1e-15)
-
-    def test_lower_bound(self, rng, ref_sc):
-        # strictly above 2R everywhere except the degenerate monostatic
-        # broadside point
-        pair = AntennaPair(0, 12, -0.75, 0.75)
-        y = rng.uniform(-0.4, 0.4, 100)
-        z = rng.uniform(-0.875, 0.875, 100)
-        assert np.all(path_length_sum(pair, 4.0, y, z) > 8.0)
-
-    def test_vectorized_matches_scalar(self, ref_sc):
-        pair = AntennaPair(2, 9, -0.5, 0.375)
-        y = np.array([0.0, 0.1, -0.3])
-        z = np.array([0.2, -0.8, 0.0])
-        vec = path_length_sum(pair, 4.0, y, z)
-        for yi, zi, vi in zip(y, z, vec):
-            assert path_length_sum(pair, 4.0, float(yi), float(zi)) == vi
+def plate_term(scenario, tx_z, rx_z, y, z):
+    """(path r_tx + r_rx, g e^{j psi} under the constant waveform) of the
+    pair (tx_z, rx_z) at the plate point (y, z), from the per-antenna
+    factors the quadrature sums."""
+    r, a, b = em_exact._antenna_factors(scenario, np.array([tx_z, rx_z]),
+                                        y * y, z)
+    return r[0] + r[1], a[0] * b[1]
 
 
 class TestIntegrand:
-    # the integrand is g * exp(j psi) with psi = -k * path_length_sum, so
+    # the integrand is g * exp(j psi) with psi = -k (r_tx + r_rx), so
     # dividing out that phase leaves the amplitude g
 
     def test_specular_amplitude_is_R_over_r_cubed(self, ref_sc):
         # pins the direction-cosine convention: at the specular point of
         # any pair the product of cosines collapses to R^2/r^2 and the
         # amplitude to R/r^3
-        pair = center_pair(ref_sc)
-        psi = -ref_sc.wavenumber * path_length_sum(pair, 4.0, 0.0, 0.0)
+        path, u = plate_term(ref_sc, 0.0, 0.0, 0.0, 0.0)
+        psi = -ref_sc.wavenumber * path
         assert psi == -2.0 * ref_sc.wavenumber * 4.0
-        u = integrand(pair, ref_sc, 0.0, 0.0, 0.0, CONST)
         assert u * np.exp(-1j * psi) == pytest.approx(0.0625, rel=1e-15)
 
     def test_specular_amplitude_bistatic(self, ref_sc):
-        pair = AntennaPair(0, 12, -0.75, 0.75)
         r = np.sqrt(16.5625)
-        psi = -ref_sc.wavenumber * path_length_sum(pair, 4.0, 0.0, 0.0)
+        path, u = plate_term(ref_sc, -0.75, 0.75, 0.0, 0.0)
+        psi = -ref_sc.wavenumber * path
         assert psi == pytest.approx(-ref_sc.wavenumber * 2 * r, rel=1e-15)
-        u = integrand(pair, ref_sc, 0.0, 0.0, 0.0, CONST)
         assert u * np.exp(-1j * psi) == pytest.approx(4.0 / r**3, rel=1e-14)
 
     def test_phase_peaks_at_specular(self, ref_sc):
         # psi = -k (r + r') is maximal where the path is shortest
-        pair = center_pair(ref_sc)
         k = ref_sc.wavenumber
-        psi0 = -k * path_length_sum(pair, 4.0, 0.0, 0.0)
+        psi0 = -k * plate_term(ref_sc, 0.0, 0.0, 0.0, 0.0)[0]
         for y, z in [(0.1, 0.0), (0.0, 0.2), (-0.3, -0.5)]:
-            assert -k * path_length_sum(pair, 4.0, y, z) < psi0
+            assert -k * plate_term(ref_sc, 0.0, 0.0, y, z)[0] < psi0
 
     def test_parts_reassemble(self, ref_sc):
         # amplitude rebuilt from the direction cosines written out:
-        # s(t - path/c) (R / r_tx) (rho_rx^2 / r_rx^2) / (r_tx r_rx)
-        pair = AntennaPair(1, 4, -0.625, -0.25)
-        w = WaveformRef.sinc(ref_sc.bandwidth)
-        t, y, z = 27e-9, 0.1, -0.3
-        r_tx = np.sqrt(16.0 + y * y + (z - pair.tx_z) ** 2)
-        rho_rx_sq = 16.0 + (z - pair.rx_z) ** 2
+        # (R / r_tx) (rho_rx^2 / r_rx^2) / (r_tx r_rx)
+        tx_z, rx_z = -0.625, -0.25
+        y, z = 0.1, -0.3
+        r_tx = np.sqrt(16.0 + y * y + (z - tx_z) ** 2)
+        rho_rx_sq = 16.0 + (z - rx_z) ** 2
         r_rx = np.sqrt(rho_rx_sq + y * y)
-        path = path_length_sum(pair, 4.0, y, z)
-        g = (np.sinc(ref_sc.bandwidth * (t - path / 299792458.0))
-             * (4.0 / r_tx) * (rho_rx_sq / r_rx**2) / (r_tx * r_rx))
-        assert integrand(pair, ref_sc, y, z, t, w) == pytest.approx(
-            g * np.exp(1j * (-ref_sc.wavenumber * path)), rel=1e-12)
-
-    def test_rejects_points_off_plate(self, ref_sc):
-        pair = center_pair(ref_sc)
-        with pytest.raises(ValueError, match="outside the plate"):
-            integrand(pair, ref_sc, 0.5, 0.0, 0.0, CONST)
-        with pytest.raises(ValueError, match="outside the plate"):
-            integrand(pair, ref_sc, 0.0, 1.0, 0.0, CONST)
+        g = (4.0 / r_tx) * (rho_rx_sq / r_rx**2) / (r_tx * r_rx)
+        path, u = plate_term(ref_sc, tx_z, rx_z, y, z)
+        assert path == pytest.approx(r_tx + r_rx, rel=1e-15)
+        assert u == pytest.approx(
+            g * np.exp(-1j * ref_sc.wavenumber * (r_tx + r_rx)), rel=1e-12)
 
     def test_stationary_point_on_grid(self, ref_sc_10ghz):
         # the sampled phase attains its maximum at the grid cell holding
         # the specular point
-        pair = center_pair(ref_sc_10ghz)
         gy = np.linspace(-0.4, 0.4, 41)
         gz = np.linspace(-0.875, 0.875, 71)
-        psi = -ref_sc_10ghz.wavenumber * path_length_sum(
-            pair, ref_sc_10ghz.range, gy[None, :], gz[:, None])
+        path, _ = plate_term(ref_sc_10ghz, 0.0, 0.0, gy[None, :],
+                             gz[:, None])
+        psi = -ref_sc_10ghz.wavenumber * path
         iz, iy = np.unravel_index(np.argmax(psi), psi.shape)
         assert abs(gy[iy] - 0.0) <= gy[1] - gy[0]
         assert abs(gz[iz] - 0.0) <= gz[1] - gz[0]
@@ -182,7 +136,7 @@ class TestExactReceivedSignal:
         got = exact_received_signal(sc, t, w, quad)
         n = sc.n_antennas
         assert got.shape == (n * n,) + np.shape(t)
-        z = [antenna_z_position(sc, l) for l in range(n)]
+        z = [(l - (n - 1) / 2.0) * sc.spacing for l in range(n)]
         for p in range(n * n):
             want = exact_pair(sc, z[p // n], z[p % n], t, w.bandwidth,
                               10.0, rule)
@@ -289,7 +243,7 @@ class TestExactReceivedSignal:
         # only edge diffraction remains
         sc_on = reference_scenario(carrier_freq=24e9)
         sc_off = reference_scenario(carrier_freq=24e9, plate_height=0.875)
-        assert all_pairs(sc_on)[0] == AntennaPair(0, 0, -0.75, -0.75)
+        assert antenna_positions(sc_on)[0] == -0.75  # row 0: pair (0, 0)
         u_on = exact_received_signal(sc_on, 0.0, CONST)[0]
         u_off = exact_received_signal(sc_off, 0.0, CONST)[0]
         assert 20 * np.log10(abs(u_on) / abs(u_off)) >= 20.0

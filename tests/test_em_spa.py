@@ -4,11 +4,7 @@ import numpy as np
 import pytest
 
 from nfradar import (
-    AntennaPair,
     WaveformRef,
-    all_pairs,
-    path_length_sum,
-    spa_phase_expansion,
     spa_received_signal,
     reference_scenario,
     xi,
@@ -17,9 +13,8 @@ from nfradar.em_spa import gain_and_delay_arrays, pair_offsets
 
 from oracles import fresnel_reference, pair_gain, quadratic_phase_integral
 
-OUTER = AntennaPair(0, 12, -0.75, 0.75)
-# tx-major row indices of the centre pair (6, 6), OUTER, and the
-# monostatic edge pair (0, 0)
+# tx-major row indices of the centre pair (6, 6), the outer pair (0, 12)
+# with its elements at -0.75 and +0.75, and the monostatic edge pair (0, 0)
 I_CENTER, I_OUTER, I_EDGE_MONO = 6 * 13 + 6, 12, 0
 CENTER_DELAY = 2.6685127615852163e-08  # 2 * 4 m / c
 OUTER_DELAY = 2.7150150315155204e-08   # 2 * sqrt(16.5625) / c
@@ -29,6 +24,14 @@ def arrays(sc):
     """Gains and delays of all pairs at the scenario range."""
     z_s, d = pair_offsets(sc)
     return gain_and_delay_arrays(sc, z_s, d, sc.range)
+
+
+def pair_positions(sc):
+    """(tx_z, rx_z) of every pair in tx-major order, written out as
+    (l - (N-1)/2) * spacing."""
+    n = sc.n_antennas
+    z = [(l - (n - 1) / 2.0) * sc.spacing for l in range(n)]
+    return [(z[l], z[lp]) for l in range(n) for lp in range(n)]
 
 
 def spa_gains(sc):
@@ -65,18 +68,27 @@ class TestSpecularGeometry:
 
 
 class TestPhaseExpansion:
-    R_S = math.sqrt(16.5625)  # specular distance of OUTER, z_s = 0
+    # the closed form's quadratic phase about the specular point (0, z_s)
+    # of the outer pair, z_s = 0
+    R_S = math.sqrt(16.5625)
+
+    @staticmethod
+    def quadratic_phase(sc, r_s, y, z):
+        # psi ~ -2 k r_s - (k / r_s) y^2 - (k R^2 / r_s^3) z^2
+        k, R = sc.wavenumber, sc.range
+        return (-2.0 * k * r_s - (k / r_s) * y * y
+                - (k * R * R / r_s**3) * z * z)
 
     def test_value_at_specular_point(self, ref_sc):
-        assert spa_phase_expansion(0.0, self.R_S, ref_sc, 0.0, 0.0) == \
+        assert self.quadratic_phase(ref_sc, self.R_S, 0.0, 0.0) == \
             -2.0 * ref_sc.wavenumber * self.R_S
 
     def test_curvatures(self, ref_sc):
         k = ref_sc.wavenumber
         h = 1e-3
-        p0 = spa_phase_expansion(0.0, self.R_S, ref_sc, 0.0, 0.0)
-        py = spa_phase_expansion(0.0, self.R_S, ref_sc, h, 0.0)
-        pz = spa_phase_expansion(0.0, self.R_S, ref_sc, 0.0, h)
+        p0 = self.quadratic_phase(ref_sc, self.R_S, 0.0, 0.0)
+        py = self.quadratic_phase(ref_sc, self.R_S, h, 0.0)
+        pz = self.quadratic_phase(ref_sc, self.R_S, 0.0, h)
         # second differences of a phase near 1.3e4 rad: cancellation leaves
         # roughly 7 significant digits
         assert (py - p0) / h**2 == pytest.approx(-k / self.R_S, rel=1e-6)
@@ -84,17 +96,18 @@ class TestPhaseExpansion:
             -k * ref_sc.range**2 / self.R_S**3, rel=1e-6)
 
     def test_agreement_inside_fresnel_window(self, ref_sc):
-        # the quadratic expansion must track the true phase to a fraction
-        # of a radian across the first Fresnel zone in each axis
+        # the quadratic expansion must track the true phase -k (r + r') to
+        # a fraction of a radian across the first Fresnel zone in each axis
         lam = ref_sc.wavelength
         y_half = math.sqrt(lam * self.R_S) / 2
         z_half = math.sqrt(lam * self.R_S**3) / (2 * ref_sc.range)
-        y = np.linspace(-y_half, y_half, 101)
-        z = np.linspace(-z_half, z_half, 101)
-        exact = -ref_sc.wavenumber * path_length_sum(
-            OUTER, ref_sc.range, y[None, :], z[:, None])
-        approx = spa_phase_expansion(0.0, self.R_S, ref_sc, y[None, :],
-                                     z[:, None])
+        y = np.linspace(-y_half, y_half, 101)[None, :]
+        z = np.linspace(-z_half, z_half, 101)[:, None]
+        R = ref_sc.range
+        path = (np.sqrt(R * R + y * y + (z + 0.75) ** 2)
+                + np.sqrt(R * R + y * y + (z - 0.75) ** 2))
+        exact = -ref_sc.wavenumber * path
+        approx = self.quadratic_phase(ref_sc, self.R_S, y, z)
         assert np.max(np.abs(exact - approx)) <= 0.2
 
 
@@ -285,12 +298,15 @@ class TestSpaReceivedSignal:
 
 
 class TestVectorHelpers:
-    def test_pair_offsets_match_all_pairs(self, ref_sc):
+    def test_pair_offsets_match_loops(self, ref_sc):
         z_s, d = pair_offsets(ref_sc)
         assert z_s.shape == d.shape == (169,)
-        for i, pair in enumerate(all_pairs(ref_sc)):
-            assert z_s[i] == (pair.tx_z + pair.rx_z) / 2
-            assert d[i] == pair.tx_z - z_s[i]
+        pairs = pair_positions(ref_sc)
+        # tx-major: row 1 is pair (0, 1), row 13 is pair (1, 0)
+        assert pairs[1] == (-0.75, -0.625) and pairs[13] == (-0.625, -0.75)
+        for i, (tx_z, rx_z) in enumerate(pairs):
+            assert z_s[i] == (tx_z + rx_z) / 2
+            assert d[i] == tx_z - z_s[i]
 
     def test_gain_and_delay_match_oracle(self):
         # every pair, on and off the plate, against the closed form written
@@ -300,8 +316,8 @@ class TestVectorHelpers:
                 carrier_freq=10e9, plate_height=0.5)):
             gain, delay = arrays(sc)
             spa = spa_gains(sc)
-            for i, pair in enumerate(all_pairs(sc)):
-                g, tau, _ = pair_gain(sc, pair.tx_z, pair.rx_z, sc.range)
+            for i, (tx_z, rx_z) in enumerate(pair_positions(sc)):
+                g, tau, _ = pair_gain(sc, tx_z, rx_z, sc.range)
                 assert delay[i] == tau
                 assert gain[i] == pytest.approx(g, rel=1e-12, abs=0)
                 assert spa[i] == pytest.approx(g, rel=1e-12, abs=0)

@@ -2,14 +2,8 @@ import math
 
 import pytest
 
-from nfradar import (
-    SPEED_OF_LIGHT,
-    AntennaPair,
-    Scenario,
-    all_pairs,
-    antenna_z_position,
-    reference_scenario,
-)
+from nfradar import SPEED_OF_LIGHT, Scenario, reference_scenario
+from nfradar.scenario import antenna_positions
 
 
 def test_reference_values(ref_sc):
@@ -36,41 +30,23 @@ def test_reference_overrides():
 
 
 def test_antenna_positions_reference(ref_sc):
-    assert antenna_z_position(ref_sc, 0) == -0.75
-    assert antenna_z_position(ref_sc, 6) == 0.0
-    assert antenna_z_position(ref_sc, 12) == 0.75
+    z = antenna_positions(ref_sc)
+    assert z.shape == (13,)
+    assert (z[0], z[6], z[12]) == (-0.75, 0.0, 0.75)
+    for l in range(13):
+        assert z[l] == (l - 6) * 0.125
 
 
 def test_antenna_positions_symmetric(ref_sc):
+    z = antenna_positions(ref_sc)
     n = ref_sc.n_antennas
     for l in range(n):
-        assert antenna_z_position(ref_sc, l) + antenna_z_position(ref_sc, n - 1 - l) == 0.0
+        assert z[l] + z[n - 1 - l] == 0.0
 
 
-def test_antenna_position_out_of_range(ref_sc):
-    with pytest.raises(IndexError):
-        antenna_z_position(ref_sc, 13)
-    with pytest.raises(IndexError):
-        antenna_z_position(ref_sc, -1)
-
-
-def test_all_pairs_count_and_order(ref_sc):
-    pairs = all_pairs(ref_sc)
-    assert len(pairs) == 169
-    # transmitter-major ordering
-    assert (pairs[0].tx_index, pairs[0].rx_index) == (0, 0)
-    assert (pairs[1].tx_index, pairs[1].rx_index) == (0, 1)
-    assert (pairs[13].tx_index, pairs[13].rx_index) == (1, 0)
-    for p in pairs:
-        assert p.tx_z == antenna_z_position(ref_sc, p.tx_index)
-        assert p.rx_z == antenna_z_position(ref_sc, p.rx_index)
-
-
-def test_all_pairs_single_antenna():
+def test_antenna_positions_single_antenna():
     sc = reference_scenario(n_antennas=1)
-    pairs = all_pairs(sc)
-    assert len(pairs) == 1
-    assert pairs[0] == AntennaPair(0, 0, 0.0, 0.0)
+    assert antenna_positions(sc).tolist() == [0.0]
 
 
 def test_narrowband_gate():
