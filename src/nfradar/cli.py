@@ -278,12 +278,20 @@ def _scene(base: Scenario, label: str, **changes) -> Scenario:
 
 def _validation_scene(cfg: ExperimentConfig) -> Scenario:
     """validate-spa's scene: the configured one, its carrier lowered to the
-    validation carrier unless slow mode is on."""
-    carrier = cfg.validation_carrier
-    if cfg.slow or cfg.scenario.carrier_freq <= carrier:
+    validation carrier unless slow mode is on. Without slow mode a carrier
+    above the exact backend's ceiling is refused, naming the key that set
+    it."""
+    if cfg.slow:
         return cfg.scenario
-    return _scene(cfg.scenario, f"experiment.validation_carrier = {carrier!r}",
-                  carrier_freq=carrier)
+    key, carrier = "scenario.carrier_freq", cfg.scenario.carrier_freq
+    if carrier > cfg.validation_carrier:
+        key, carrier = "experiment.validation_carrier", cfg.validation_carrier
+    if carrier > cfg.exact_carrier_ceiling:
+        raise ValueError(
+            f"{key} = {carrier!r} exceeds experiment.exact_carrier_ceiling "
+            f"= {cfg.exact_carrier_ceiling!r}: the exact backend refuses it "
+            "without --slow")
+    return _scene(cfg.scenario, f"{key} = {carrier!r}", carrier_freq=carrier)
 
 
 def _ambiguity_scenes(cfg: ExperimentConfig):
@@ -372,11 +380,6 @@ def run_validate_spa(cfg: ExperimentConfig):
     spa_db, amp_err_db and phase_err_deg cells stay empty.
     """
     scenario = _validation_scene(cfg)
-    ceiling = np.inf if cfg.slow else cfg.exact_carrier_ceiling
-    if scenario.carrier_freq > ceiling:
-        raise ValueError(
-            f"exact backend refused at carrier {scenario.carrier_freq:g} Hz "
-            "without --slow")
     quad = QuadratureSpec(
         points_per_wavelength=cfg.quad_points_per_wavelength)
     waveform = WaveformRef.constant()
@@ -435,7 +438,6 @@ def run_ambiguity(cfg: ExperimentConfig):
 def run_crb(cfg: ExperimentConfig):
     """Bound vs range per (carrier, bandwidth) line, one crb call per line;
     rows sorted."""
-    kind = ModelKind.parse(cfg.model if cfg.model != "auto" else "full")
     ranges = dict(cfg.sweep).get("range")
     if ranges is None:
         ranges = _range_grid(cfg, cfg.scenario)
@@ -443,7 +445,7 @@ def run_crb(cfg: ExperimentConfig):
     columns = ["carrier_freq", "bandwidth", "range", "crb", "curvature"]
     rows = []
     for fc, bw, scenario in _crb_lines(cfg):
-        result = crb(scenario, ranges, kind, snr=cfg.snr,
+        result = crb(scenario, ranges, snr=cfg.snr,
                      snr_normalization=cfg.snr_normalization,
                      coherence=cfg.coherence)
         rows.extend((fc, bw, *row) for row in zip(

@@ -16,8 +16,8 @@ conjugate Fresnel integrals measuring how much of the plate contributes:
 The two z arguments are the distances from the specular point to the plate
 edges in Fresnel units; both are nonnegative whenever the specular point is
 on the plate. gain_and_delay_arrays is the one implementation of this
-model: synthesis, the estimator and spa_received_signal all evaluate it,
-over pairs and hypothesized ranges.
+model: the estimator and spa_received_signal (which synthesis calls) both
+evaluate it, over pairs and hypothesized ranges.
 """
 
 from __future__ import annotations
@@ -84,7 +84,8 @@ def gain_and_delay_arrays(scenario: Scenario, z_s, d, R
 def spa_received_signal(scenario: Scenario, t, waveform: WaveformRef
                         ) -> np.ndarray:
     """u(t) of all N^2 pairs from the closed form at the scenario range:
-    each pair's gain times the waveform at its delayed time.
+    each pair's gain times the waveform at its delayed time. The one
+    closed-form synthesis; signal.synthesize calls it.
 
     t is a scalar or a 1-D array of sample times; the result has shape
     (N^2,) + shape(t), rows in tx-major order, like exact_received_signal.
@@ -94,5 +95,7 @@ def spa_received_signal(scenario: Scenario, t, waveform: WaveformRef
         raise ValueError("t must be a scalar or a 1-D array of times")
     z_s, d = pair_offsets(scenario)
     gain, delay = gain_and_delay_arrays(scenario, z_s, d, scenario.range)
+    # pairs with equal |d| share a delay bit for bit: one waveform each
+    shared, row = np.unique(delay, return_inverse=True)
     column = (slice(None),) + (None,) * times.ndim
-    return gain[column] * waveform_value(waveform, times - delay[column])
+    return gain[column] * waveform_value(waveform, times - shared[column])[row]

@@ -30,8 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .scenario import SPEED_OF_LIGHT, Scenario
-from .signal import (DEFAULT_OVERSAMPLING, DEFAULT_WINDOW_HALFSPAN,
-                     SignalSet, WaveformRef, default_window, synthesize,
+from .signal import (SignalSet, WaveformRef, sample_times, synthesize,
                      waveform_value)
 from .em_spa import gain_and_delay_arrays, pair_offsets
 
@@ -128,11 +127,27 @@ def _pair_groups(scenario: Scenario):
     return abs_d, group, geometry, of_pair
 
 
-def _full_gains(scenario: Scenario, geometry, of_pair, R) -> np.ndarray:
-    """Full-model gains of every pair at hypotheses R of any shape, shape
-    (pairs,) + R.shape, evaluated once per gain geometry."""
-    gain, _ = gain_and_delay_arrays(scenario, geometry[0], geometry[1], R)
-    return gain[of_pair]
+def _templates(scenario: Scenario, groups, rh: np.ndarray, t: np.ndarray,
+               kind: ModelKind):
+    """(env, energy, gain) of the model at hypotheses rh of any shape, on
+    sample times t of shape rh.shape[:-1] + (n,): each delay group's
+    envelope, shape (groups,) + rh.shape + (n,), and each pair's model
+    energy |m_p|^2 sum_n e^2 and model gain, shape (pairs,) + rh.shape.
+    The partial model's gain is the carrier phase exp(-j 2 k r_s) alone."""
+    abs_d, group, geometry, of_pair = groups
+    r_s = np.sqrt(rh ** 2 + abs_d.reshape((-1,) + (1,) * rh.ndim) ** 2)
+    env = waveform_value(WaveformRef.sinc(scenario.bandwidth),
+                         np.expand_dims(t, -2)
+                         - (2.0 * r_s / SPEED_OF_LIGHT)[..., None])
+    # energies before gains: the reverse gave 40% more page faults per call
+    env_sq = np.einsum("u...n,u...n->u...", env, env)[group]
+    if kind is ModelKind.FULL_INFORMATION:
+        # evaluated once per gain geometry, then indexed back to the pairs
+        gain, _ = gain_and_delay_arrays(scenario, *geometry, rh)
+        gain = gain[of_pair]
+    else:
+        gain = np.exp(-2j * scenario.wavenumber * r_s)[group]
+    return env, np.abs(gain) ** 2 * env_sq, gain
 
 
 def _reduce(ip: np.ndarray, energy: np.ndarray, coherence: str
@@ -166,34 +181,26 @@ def _objective_on_grid(received: SignalSet, scenario: Scenario,
     if coherence not in _COHERENCE:
         raise ValueError(f"unknown coherence {coherence!r}")
     _validate_hypothesis(scenario, grid)
-    abs_d, group, geometry, of_pair = _pair_groups(scenario)
-    members = [np.flatnonzero(group == u) for u in range(abs_d.size)]
+    groups = _pair_groups(scenario)
+    group = groups[1]
+    members = [np.flatnonzero(group == u) for u in range(groups[0].size)]
     # per group (n, 2m): the member traces' real parts, then imaginary
     y = received.traces
     stacked = [np.concatenate([y[idx].real, y[idx].imag]).T
                for idx in members]
     t = received.times
-    k = scenario.wavenumber
-    w = WaveformRef.sinc(scenario.bandwidth)
 
     out = np.empty(grid.size, dtype=float)
     for start in range(0, grid.size, _GRID_CHUNK):
         rh = grid[start:start + _GRID_CHUNK]
-        r_s = np.sqrt(rh[None, :] ** 2 + abs_d[:, None] ** 2)
         # envelope block (groups, g, n); the chunk's only n-sized array
-        env = waveform_value(
-            w, t[None, None, :] - (2.0 * r_s / SPEED_OF_LIGHT)[:, :, None])
-        env_sq = np.einsum("ugn,ugn->ug", env, env)[group]
+        env, energy, gain = _templates(scenario, groups, rh, t, kind)
         corr = np.empty((group.size, rh.size), dtype=complex)
         for u, idx in enumerate(members):
             prod = env[u] @ stacked[u]
             corr[idx] = (prod[:, :idx.size] + 1j * prod[:, idx.size:]).T
-        if kind is ModelKind.FULL_INFORMATION:
-            gain = _full_gains(scenario, geometry, of_pair, rh)
-        else:
-            gain = np.exp(-2j * k * r_s)[group]
-        out[start:start + _GRID_CHUNK] = _reduce(
-            np.conj(gain) * corr, np.abs(gain) ** 2 * env_sq, coherence)
+        out[start:start + _GRID_CHUNK] = _reduce(np.conj(gain) * corr,
+                                                 energy, coherence)
     return out
 
 
@@ -304,65 +311,43 @@ def crb_stencil(scenario: Scenario, R, step: float | None = None
 
 
 def _stencil_objective(scenario: Scenario, stencil: np.ndarray,
-                       kind: ModelKind, coherence: str,
-                       snr_normalization: str
+                       coherence: str, snr_normalization: str
                        ) -> tuple[np.ndarray, np.ndarray]:
-    """(J, signal_power) of crb: J at every stencil point (shape of
-    stencil, one row per range R = stencil[:, 1]) against the noise-free
-    synthesis at R, and that synthesis' signal power per range.
+    """(J, signal_power) of crb: full-model J at every stencil point (shape
+    of stencil, one row per range R = stencil[:, 1]) against the
+    noise-free synthesis at R, and that synthesis' signal power per range.
 
-    Pair p's received trace is g_p(R) e_u(R, t): its full-model gain times
-    its delay group's envelope on synthesize's default time base at R. So
-    its correlation with the model m_p at R_hat is
+    Pair p's received trace is g_p(R) e_u(R, t): its model gain and its
+    delay group's envelope at R, on synthesize's time base at R. So its
+    correlation with the model m_p at R_hat is
     conj(m_p(R_hat)) g_p(R) sum_n e_u(R_hat, t_n) e_u(R, t_n), and no
     trace is formed. Ranges are taken _RANGE_CHUNK at a time."""
-    abs_d, group, geometry, of_pair = _pair_groups(scenario)
-    w = WaveformRef.sinc(scenario.bandwidth)
-    k = scenario.wavenumber
-    # synthesize's default time base at R: 2 x 16/B sampled at 4B, i.e.
-    # 128 samples from 2R/c - 16/B
-    rate = DEFAULT_OVERSAMPLING * scenario.bandwidth
-    n = int(round(2.0 * DEFAULT_WINDOW_HALFSPAN * DEFAULT_OVERSAMPLING))
-    offsets = np.arange(n) / rate
-
+    groups = _pair_groups(scenario)
+    reduce = np.mean if snr_normalization == "total" else np.max
     j = np.empty(stencil.shape)
     signal_power = np.empty(stencil.shape[0])
     for start in range(0, stencil.shape[0], _RANGE_CHUNK):
         block = slice(start, start + _RANGE_CHUNK)
         rh = stencil[block]
-        t = default_window(scenario, rh[:, 1])[0][:, None] + offsets
-        r_s = np.sqrt(rh ** 2 + abs_d[:, None, None] ** 2)
-        # envelope block (groups, ranges, 3, n); the received envelope at
-        # R is its stencil centre
-        env = waveform_value(
-            w, t[None, :, None, :] - (2.0 * r_s / SPEED_OF_LIGHT)[..., None])
-        corr = np.einsum("ucjn,ucn->ucj", env, env[:, :, 1])[group]
-        env_sq = np.einsum("ucjn,ucjn->ucj", env, env)[group]
-        if kind is ModelKind.FULL_INFORMATION:
-            model = _full_gains(scenario, geometry, of_pair, rh)
-            gain = model[:, :, 1]
-        else:
-            model = np.exp(-2j * k * r_s)[group]
-            gain = _full_gains(scenario, geometry, of_pair, rh[:, 1])
-        j[block] = _reduce(np.conj(model) * gain[:, :, None] * corr,
-                           np.abs(model) ** 2 * env_sq, coherence)
-        # sum_n |y_p(t_n)|^2 per pair
-        energy = np.abs(gain) ** 2 * env_sq[:, :, 1]
-        if snr_normalization == "total":
-            signal_power[block] = energy.mean(axis=0) / n
-        else:
-            signal_power[block] = energy.max(axis=0) / n
+        # envelope block (groups, ranges, 3, n); the received traces at R
+        # are the templates' stencil centre
+        env, energy, model = _templates(
+            scenario, groups, rh, sample_times(scenario, rh[:, 1]),
+            ModelKind.FULL_INFORMATION)
+        corr = np.einsum("ucjn,ucn->ucj", env, env[:, :, 1])[groups[1]]
+        j[block] = _reduce(np.conj(model) * model[:, :, 1:2] * corr, energy,
+                           coherence)
+        # sum_n |y_p(t_n)|^2 per pair, reduced over the pairs
+        signal_power[block] = reduce(energy[:, :, 1], axis=0) / env.shape[-1]
     return j, signal_power
 
 
-def crb(scenario: Scenario, R,
-        kind: ModelKind = ModelKind.FULL_INFORMATION,
-        step: float | None = None, snr: float = 1.0,
+def crb(scenario: Scenario, R, step: float | None = None, snr: float = 1.0,
         snr_normalization: str = "total",
         coherence: str = "coherent") -> CrbResult:
-    """Numerical variance bound from the objective curvature, at one range
-    R or at each of a 1-D array of ranges; for an array the result's fields
-    are arrays of its length.
+    """Numerical variance bound from the full-model objective curvature, at
+    one range R or at each of a 1-D array of ranges; for an array the
+    result's fields are arrays of its length.
 
     The noise-free objective is evaluated at R - step, R, R + step; the
     central second difference gives the curvature, and the bound is
@@ -389,7 +374,7 @@ def crb(scenario: Scenario, R,
         raise ValueError("R must be a scalar or a 1-D array of ranges")
     ranges = np.atleast_1d(np.asarray(R, dtype=float))
     stencil, h = crb_stencil(scenario, ranges, step)
-    j, signal_power = _stencil_objective(scenario, stencil, kind, coherence,
+    j, signal_power = _stencil_objective(scenario, stencil, coherence,
                                          snr_normalization)
     j0, j1, j2 = j.T
     second = j0 - 2.0 * j1 + j2

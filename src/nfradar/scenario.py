@@ -49,7 +49,8 @@ class Scenario:
         Validity guard: construction rejects range < this many wavelengths.
         The field formulas assume r much larger than the wavelength; the
         default demands a 100 wavelength margin. Sweeps that probe short
-        ranges at low carriers must lower it explicitly.
+        ranges at low carriers must lower it explicitly. Finite and
+        nonnegative.
     """
 
     n_antennas: int
@@ -68,13 +69,15 @@ class Scenario:
             raise ValueError("n_antennas must be at least 1")
         for name in ("spacing", "antenna_gain_factor", "bandwidth",
                      "carrier_freq", "plate_width", "plate_height",
-                     "range", "free_space_impedance"):
+                     "range", "free_space_impedance",
+                     "min_range_wavelengths"):
             value = getattr(self, name)
             if not (isinstance(value, (int, float)) and math.isfinite(value)):
                 raise ValueError(f"{name} must be a finite number")
-            # plate dimensions and drive may be zero (degenerate target or
-            # switched-off transmitter, both give an identically zero return)
-            if name in ("plate_width", "plate_height", "antenna_gain_factor"):
+            # plate, drive and validity margin may be zero (a zero plate or
+            # drive returns nothing, a zero margin drops the range floor)
+            if name in ("plate_width", "plate_height", "antenna_gain_factor",
+                        "min_range_wavelengths"):
                 if value < 0:
                     raise ValueError(f"{name} must be nonnegative")
             elif value <= 0:

@@ -92,61 +92,42 @@ class SignalSet:
         return self.t_start + np.arange(self.n_samples) / self.sample_rate
 
 
-def default_window(scenario: Scenario, true_range: float | None = None
-                   ) -> tuple[float, float]:
-    """(t0, t1) covering +-16/B around the nominal round trip 2R/c."""
-    R = scenario.range if true_range is None else true_range
-    center = 2.0 * R / SPEED_OF_LIGHT
-    half = DEFAULT_WINDOW_HALFSPAN / scenario.bandwidth
-    return center - half, center + half
+def sample_times(scenario: Scenario, R) -> np.ndarray:
+    """The sample times of synthesis at standoff R (a scalar or an array):
+    +-16/B around the round trip 2R/c, sampled at 4B (128 samples), on a
+    new last axis."""
+    rate = DEFAULT_OVERSAMPLING * scenario.bandwidth
+    n = int(round(2.0 * DEFAULT_WINDOW_HALFSPAN * DEFAULT_OVERSAMPLING))
+    center = 2.0 * np.asarray(R, dtype=float) / SPEED_OF_LIGHT
+    start = center - DEFAULT_WINDOW_HALFSPAN / scenario.bandwidth
+    return start[..., None] + np.arange(n) / rate
 
 
 def synthesize(scenario: Scenario, true_range: float | None = None,
                backend: str = "spa",
-               window: tuple[float, float] | None = None,
-               sample_rate: float | None = None,
                waveform: WaveformRef | None = None,
                quad=None,
                exact_carrier_ceiling: float = DEFAULT_EXACT_CARRIER_CEILING
                ) -> SignalSet:
-    """Noise-free SignalSet at plate standoff true_range.
+    """Noise-free SignalSet at plate standoff true_range, on the time base
+    sample_times(scenario, true_range).
 
     backend "spa" uses the closed-form pair model; "exact" integrates the
     physical-optics field (refused above exact_carrier_ceiling; slow).
-    window defaults to +-16/B around 2R/c and must cover at least +-8/B
-    around it. sample_rate defaults to 4B.
-    waveform defaults to the unit sinc of the scenario bandwidth.
+    waveform defaults to the unit sinc of the scenario bandwidth. A
+    true_range the Scenario refuses as its range is refused.
     """
     if backend not in ("spa", "exact"):
         raise ValueError(f"unknown backend {backend!r}")
     R = scenario.range if true_range is None else float(true_range)
+    work = dataclasses.replace(scenario, range=R)
     if waveform is None:
         waveform = WaveformRef.sinc(scenario.bandwidth)
-    if window is None:
-        window = default_window(scenario, R)
-    t0, t1 = window
-    center = 2.0 * R / SPEED_OF_LIGHT
-    need = 8.0 / scenario.bandwidth
-    if t0 > center - need or t1 < center + need:
-        raise ValueError(
-            "window too short: must cover 2R/c +- 8/B "
-            f"([{center - need:g}, {center + need:g}] s)")
-    if sample_rate is None:
-        sample_rate = DEFAULT_OVERSAMPLING * scenario.bandwidth
-    if sample_rate < 2.0 * scenario.bandwidth:
-        raise ValueError("sample_rate must be at least 2B")
-
-    n_samples = max(int(round((t1 - t0) * sample_rate)), 1)
-    t = t0 + np.arange(n_samples) / sample_rate
+    t = sample_times(scenario, R)
 
     if backend == "spa":
-        from .em_spa import gain_and_delay_arrays, pair_offsets
-        z_s, d = pair_offsets(scenario)
-        gain, delay = gain_and_delay_arrays(scenario, z_s, d, R)
-        # pairs with equal |d| share a delay bit for bit: one envelope each
-        shared, row = np.unique(delay, return_inverse=True)
-        traces = gain[:, None] * waveform_value(
-            waveform, t[None, :] - shared[:, None])[row]
+        from .em_spa import spa_received_signal
+        traces = spa_received_signal(work, t, waveform)
     else:
         if scenario.carrier_freq > exact_carrier_ceiling:
             raise ValueError(
@@ -154,12 +135,10 @@ def synthesize(scenario: Scenario, true_range: float | None = None,
                 f"(ceiling {exact_carrier_ceiling:g} Hz); raise the ceiling "
                 "explicitly to accept the cost")
         from .em_exact import exact_received_signal
-        work = scenario if R == scenario.range else \
-            dataclasses.replace(scenario, range=R)
         traces = exact_received_signal(work, t, waveform, quad)
 
-    return SignalSet(sample_rate=float(sample_rate), t_start=float(t0),
-                     n_samples=n_samples,
+    return SignalSet(sample_rate=DEFAULT_OVERSAMPLING * scenario.bandwidth,
+                     t_start=float(t[0]), n_samples=t.size,
                      traces=np.ascontiguousarray(traces, dtype=complex))
 
 

@@ -179,6 +179,9 @@ class TestParseConfig:
         # a scene the runner would build is refused by Scenario, or a crb
         # stencil falls below the validity floor
         ("experiment.validation_carrier=1e9", "validate-spa"),
+        # a validation carrier above the exact backend's ceiling
+        ("experiment.validation_carrier=2e10", "validate-spa"),
+        ("experiment.exact_carrier_ceiling=5e9", "validate-spa"),
         ("sweep.range=-1", "crb"), ("sweep.range=0.1", "crb"),
         ("sweep.range=4,0.1", "crb"), ("grid.min=0.1", "crb"),
         ("sweep.range=-1", "ambiguity"), ("sweep.range=0.1", "ambiguity"),
@@ -202,6 +205,29 @@ class TestParseConfig:
         key = override.split("=")[0]
         with pytest.raises(ValueError, match=re.escape(key)):
             main([experiment, "--set", override, "--out", str(out)])
+        assert not out.exists()
+
+    def test_validation_ceiling_names_scene_carrier(self):
+        # at 15 GHz the configured carrier is below the validation carrier
+        # and is the one validated, so it is the key named; slow mode
+        # validates at the configured carrier whatever the ceiling
+        with pytest.raises(ValueError, match=r"scenario\.carrier_freq = "
+                           r"15000000000\.0 exceeds experiment\."
+                           r"exact_carrier_ceiling"):
+            parse_config(experiment="validate-spa", overrides=(
+                "scenario.carrier_freq=15e9",
+                "experiment.validation_carrier=20e9"))
+        cfg = parse_config(experiment="validate-spa", slow=True)
+        assert cfg.scenario.carrier_freq == 77e9
+        assert cli._validation_scene(cfg) is cfg.scenario
+
+    def test_invalid_min_range_wavelengths_refused(self, tmp_path):
+        # NaN used to switch the validity floor off, and crb wrote bounds
+        # at 1 and 2 cm
+        out = tmp_path / "out.csv"
+        with pytest.raises(ValueError, match="min_range_wavelengths"):
+            main(["crb", "--set", "scenario.min_range_wavelengths=nan",
+                  "--set", "sweep.range=0.01,0.02", "--out", str(out)])
         assert not out.exists()
 
     def test_partial_crb_refused(self):

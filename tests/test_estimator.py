@@ -14,6 +14,7 @@ from nfradar import (
     half_power_width,
     synthesize,
     reference_scenario,
+    sample_times,
 )
 from nfradar import em_spa, estimator
 from nfradar.em_spa import gain_and_delay_arrays, pair_offsets
@@ -187,17 +188,18 @@ class TestObjective:
         # to the pairs are bit for bit the per-pair gains, off-plate zeros
         # included
         sc = reference_scenario(**overrides)
-        _, _, geometry, of_pair = estimator._pair_groups(sc)
+        groups = estimator._pair_groups(sc)
         if not overrides:
-            assert geometry.shape == (2, 49)
+            assert groups[2].shape == (2, 49)
         z_s, d = pair_offsets(sc)
         R = np.array([[2.0, 3.99, 4.0], [4.3, 6.1, 8.0]])
         want, _ = gain_and_delay_arrays(sc, z_s, d, R)
-        assert np.array_equal(
-            estimator._full_gains(sc, geometry, of_pair, R), want)
-        assert np.array_equal(
-            estimator._full_gains(sc, geometry, of_pair, R[0]),
-            want[:, 0])
+        _, _, gain = estimator._templates(sc, groups, R,
+                                          sample_times(sc, R[:, 0]), FULL)
+        assert np.array_equal(gain, want)
+        _, _, gain = estimator._templates(sc, groups, R[0],
+                                          sample_times(sc, 2.0), FULL)
+        assert np.array_equal(gain, want[:, 0])
 
 
 class TestAmbiguity:
@@ -374,12 +376,6 @@ class TestCrb:
         assert default_crb_step(ref_sc) == \
             min(lam / 4.0, 299792458.0 / (80.0 * ref_sc.bandwidth))
 
-    def test_partial_model_bound(self, ref_sc):
-        # both knowledge models give finite positive bounds at the
-        # reference geometry
-        r = crb(ref_sc, 4.0, kind=PARTIAL)
-        assert r.bound > 0
-
     @pytest.mark.parametrize("overrides", [
         {"n_antennas": 1}, {"n_antennas": 4}, {}, {"plate_height": 0.5}])
     def test_stencil_objective_matches_loop(self, overrides):
@@ -390,35 +386,32 @@ class TestCrb:
         ranges = np.array([3.3, 4.0])
         stencil, _ = estimator.crb_stencil(sc, ranges)
         received = [synthesize(sc, true_range=R) for R in ranges]
-        for kind in (PARTIAL, FULL):
-            for coherence in ("coherent", "incoherent"):
-                j, total = estimator._stencil_objective(
-                    sc, stencil, kind, coherence, "total")
-                for i, rx in enumerate(received):
-                    for k in range(3):
-                        slow = objective_loop(rx, sc, float(stencil[i, k]),
-                                              kind is FULL,
-                                              coherence == "coherent")
-                        assert j[i, k] == pytest.approx(slow, rel=1e-12)
-        _, per_pair = estimator._stencil_objective(sc, stencil, FULL,
-                                                   "coherent", "per_pair")
+        for coherence in ("coherent", "incoherent"):
+            j, total = estimator._stencil_objective(sc, stencil, coherence,
+                                                    "total")
+            for i, rx in enumerate(received):
+                for k in range(3):
+                    slow = objective_loop(rx, sc, float(stencil[i, k]), True,
+                                          coherence == "coherent")
+                    assert j[i, k] == pytest.approx(slow, rel=1e-12)
+        _, per_pair = estimator._stencil_objective(sc, stencil, "coherent",
+                                                   "per_pair")
         for i, rx in enumerate(received):
             power = np.abs(rx.traces) ** 2
             assert total[i] == pytest.approx(power.mean(), rel=1e-12)
             assert per_pair[i] == pytest.approx(power.mean(axis=1).max(),
                                                 rel=1e-12)
 
-    @pytest.mark.parametrize("kind,coherence", [(FULL, "coherent"),
-                                                (PARTIAL, "incoherent")])
-    def test_array_matches_scalar(self, ref_sc, kind, coherence):
+    @pytest.mark.parametrize("coherence", ["coherent", "incoherent"])
+    def test_array_matches_scalar(self, ref_sc, coherence):
         # one call over a line crossing a _RANGE_CHUNK boundary gives each
         # range the bound of a call at that range alone
         ranges = 3.5 + 0.05 * np.arange(_RANGE_CHUNK + 3)
-        line = crb(ref_sc, ranges, kind, coherence=coherence,
+        line = crb(ref_sc, ranges, coherence=coherence,
                    snr_normalization="per_pair")
         assert np.array_equal(line.range, ranges)
         for i, R in enumerate(ranges):
-            one = crb(ref_sc, float(R), kind, coherence=coherence,
+            one = crb(ref_sc, float(R), coherence=coherence,
                       snr_normalization="per_pair")
             assert isinstance(one.bound, float)
             assert line.bound[i] == pytest.approx(one.bound, rel=1e-12)
@@ -426,13 +419,14 @@ class TestCrb:
                                                       rel=1e-12)
 
     def test_non_concave_names_first_range(self, ref_sc):
-        # the partial coherent stencil is not concave at 3.0 m or 6.0 m;
-        # the line fails as a whole, naming the first of them
-        ranges = np.r_[np.full(_RANGE_CHUNK + 1, 4.0), 6.0, 4.5, 3.0]
+        # at a 30 nm step the second difference is 10x the curvature floor
+        # at 3 m but below it at 6 m and beyond; the line fails as a
+        # whole, naming the first such range, in the chunk after the first
+        ranges = np.r_[np.full(_RANGE_CHUNK + 1, 3.0), 6.0, 8.0]
         with pytest.raises(ValueError,
                            match=r"non-concave stencil at R = 6\.0 m"):
-            crb(ref_sc, ranges, PARTIAL)
-        crb(ref_sc, ranges[:-3], PARTIAL)
+            crb(ref_sc, ranges, step=3e-8)
+        crb(ref_sc, ranges[:-2], step=3e-8)
 
     def test_array_validation(self, ref_sc):
         with pytest.raises(ValueError, match="1-D array"):
@@ -442,14 +436,11 @@ class TestCrb:
         with pytest.raises(ValueError, match="0.3 m below validity floor"):
             crb(ref_sc, [4.0, 0.301, 0.2], step=0.001)
 
-    @pytest.mark.parametrize("kind,hypotheses", [(FULL, (3,)), (PARTIAL, ())])
-    def test_one_gain_block_per_range_chunk(self, ref_sc, monkeypatch, kind,
-                                            hypotheses):
+    def test_one_gain_block_per_range_chunk(self, ref_sc, monkeypatch):
         # Fresnel work per hypothesis is the y factor of the 13 distinct
         # |d| and the two z edges of the 49 geometries (not 169 pairs), in
-        # two blocks per _RANGE_CHUNK ranges: the full model's stencil, or
-        # the partial model's received gains at R alone; the envelope is
-        # one block per chunk too
+        # two blocks per _RANGE_CHUNK ranges of the stencil; the envelope
+        # is one block per chunk too
         fresnel_shapes, envelope_shapes = [], []
 
         def fresnel_recording(x):
@@ -462,11 +453,10 @@ class TestCrb:
 
         monkeypatch.setattr(em_spa, "fresnel_conj", fresnel_recording)
         monkeypatch.setattr(estimator, "waveform_value", envelope_recording)
-        crb(ref_sc, 3.5 + 0.01 * np.arange(_RANGE_CHUNK + 4), kind,
+        crb(ref_sc, 3.5 + 0.01 * np.arange(_RANGE_CHUNK + 4),
             coherence="incoherent")
-        assert fresnel_shapes == [
-            (13, _RANGE_CHUNK) + hypotheses,
-            (2, 49, _RANGE_CHUNK) + hypotheses,
-            (13, 4) + hypotheses, (2, 49, 4) + hypotheses]
+        assert fresnel_shapes == [(13, _RANGE_CHUNK, 3),
+                                  (2, 49, _RANGE_CHUNK, 3),
+                                  (13, 4, 3), (2, 49, 4, 3)]
         assert envelope_shapes == [(13, _RANGE_CHUNK, 3, 128),
                                    (13, 4, 3, 128)]

@@ -91,6 +91,15 @@ def test_rejects_non_finite():
         reference_scenario(bandwidth=float("nan"))
 
 
+@pytest.mark.parametrize("value,match", [
+    (float("nan"), "finite"), (-5.0, "nonnegative"), (float("inf"), "finite")])
+def test_rejects_invalid_min_range_wavelengths(value, match):
+    # NaN or a negative margin would switch the validity floor off
+    with pytest.raises(ValueError, match=f"min_range_wavelengths .*{match}"):
+        reference_scenario(min_range_wavelengths=value)
+    assert reference_scenario(min_range_wavelengths=0.0).range == 4.0
+
+
 def test_degenerate_plate_and_zero_gain_allowed():
     # zero-area plates and a switched-off transmitter are meaningful
     # limiting cases, not configuration errors

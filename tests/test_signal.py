@@ -8,10 +8,10 @@ from nfradar import (
     SignalSet,
     WaveformRef,
     add_awgn,
-    default_window,
     save_signal_set,
     synthesize,
     reference_scenario,
+    sample_times,
     waveform_value,
 )
 from nfradar.em_spa import gain_and_delay_arrays, pair_offsets
@@ -66,24 +66,25 @@ class TestSignalSet:
                       traces=np.zeros((1, 3), dtype=complex))
         assert np.array_equal(s.times, [1.0, 1.5, 2.0])
 
-    def test_window_reproduces_time_base(self, ref_sc):
-        # (t_start, t_start + n_samples / sample_rate) passed back with the
-        # same sample rate reproduces the time base and the traces
-        s = synthesize(ref_sc)
-        t1 = s.t_start + s.n_samples / s.sample_rate
-        again = synthesize(ref_sc, window=(s.t_start, t1),
-                           sample_rate=s.sample_rate)
-        assert (again.t_start, again.n_samples, again.sample_rate) == \
-            (s.t_start, s.n_samples, s.sample_rate)
-        assert np.array_equal(s.traces, again.traces)
-
-
 class TestSynthesize:
-    def test_default_window_brackets_round_trip(self, ref_sc):
-        t0, t1 = default_window(ref_sc)
+    def test_sample_times_bracket_round_trip(self, ref_sc):
+        B = ref_sc.bandwidth
+        t = sample_times(ref_sc, 4.0)
         rt = 2.0 * 4.0 / SPEED_OF_LIGHT
-        assert t0 == pytest.approx(rt - 16.0 / ref_sc.bandwidth)
-        assert t1 == pytest.approx(rt + 16.0 / ref_sc.bandwidth)
+        assert t.shape == (128,)
+        assert t[0] == pytest.approx(rt - 16.0 / B, rel=1e-15)
+        assert t[-1] + 1.0 / (4.0 * B) == pytest.approx(rt + 16.0 / B,
+                                                         rel=1e-15)
+        assert np.allclose(np.diff(t), 1.0 / (4.0 * B), rtol=1e-6, atol=0)
+        # synthesis samples on exactly this time base
+        for R in (4.0, 5.3):
+            times = synthesize(ref_sc, true_range=R).times
+            assert np.array_equal(times, sample_times(ref_sc, R))
+        # an array of ranges gives one row per range, each the scalar call
+        both = sample_times(ref_sc, np.array([4.0, 5.3]))
+        assert both.shape == (2, 128)
+        assert np.array_equal(both[0], sample_times(ref_sc, 4.0))
+        assert np.array_equal(both[1], sample_times(ref_sc, 5.3))
 
     def test_shapes_and_defaults(self, ref_sc):
         s = synthesize(ref_sc)
@@ -99,14 +100,13 @@ class TestSynthesize:
         assert abs(peak_t - CENTER_DELAY) <= 1.0 / s.sample_rate
 
     def test_peak_value_is_pair_gain(self, ref_sc):
-        # sample the model exactly at the pair delay by starting the
-        # window on it
+        # the time base starts 16/B before 2R/c, so at 4B sampling sample
+        # 64 sits on the monostatic centre pair's delay 2R/c
         i = 6 * 13 + 6
         gain, delay, _ = pair_gain(ref_sc, 0.0, 0.0, 4.0)
-        t0 = delay - 16.0 / ref_sc.bandwidth
-        n_shift = 64  # 16/B at 4B sampling
-        s = synthesize(ref_sc, window=(t0, delay + 16.0 / ref_sc.bandwidth))
-        assert s.traces[i, n_shift] == pytest.approx(gain, rel=1e-12)
+        s = synthesize(ref_sc)
+        assert s.times[64] == pytest.approx(delay, rel=1e-15)
+        assert s.traces[i, 64] == pytest.approx(gain, rel=1e-12)
 
     def test_outer_pair_arrives_later(self, ref_sc):
         s = synthesize(ref_sc)
@@ -152,14 +152,13 @@ class TestSynthesize:
         peak_t = s.times[np.argmax(np.abs(s.traces[i]))]
         assert abs(peak_t - 2.0 * 5.0 / SPEED_OF_LIGHT) <= 1.0 / s.sample_rate
 
-    def test_window_too_short(self, ref_sc):
-        rt = 2.0 * 4.0 / SPEED_OF_LIGHT
-        with pytest.raises(ValueError, match="window too short"):
-            synthesize(ref_sc, window=(rt - 4e-8, rt + 4e-8))
-
-    def test_sample_rate_floor(self, ref_sc):
-        with pytest.raises(ValueError, match="at least 2B"):
-            synthesize(ref_sc, sample_rate=1.5 * ref_sc.bandwidth)
+    @pytest.mark.parametrize("backend", ["spa", "exact"])
+    @pytest.mark.parametrize("true_range", [0.1, -1.0, float("nan")])
+    def test_invalid_true_range_refused(self, ref_sc, backend, true_range):
+        # the standoff is checked as the scene's range, whatever the
+        # backend: 0.1 m lies below the 0.39 m validity floor at 77 GHz
+        with pytest.raises(ValueError, match="^range (must|below)"):
+            synthesize(ref_sc, true_range=true_range, backend=backend)
 
     def test_unknown_backend(self, ref_sc):
         with pytest.raises(ValueError, match="unknown backend"):
@@ -187,17 +186,13 @@ class TestSynthesize:
                 1e-12 * np.max(np.abs(want))
 
     def test_backend_consistency(self, ref_sc_10ghz):
-        # constant waveform makes the exact integral time-independent so a
-        # short window suffices; per-pair gains from both backends must
-        # agree to the stationary-phase accuracy
+        # constant waveform makes the exact integral time-independent;
+        # per-pair gains from both backends must agree to the
+        # stationary-phase accuracy
         sc = ref_sc_10ghz
-        rt = 2.0 * sc.range / SPEED_OF_LIGHT
-        window = (rt - 16.0 / sc.bandwidth, rt + 16.0 / sc.bandwidth)
         w = WaveformRef.constant()
-        s_exact = synthesize(sc, backend="exact", waveform=w, window=window,
-                             sample_rate=2.5 * sc.bandwidth)
-        s_spa = synthesize(sc, backend="spa", waveform=w, window=window,
-                           sample_rate=2.5 * sc.bandwidth)
+        s_exact = synthesize(sc, backend="exact", waveform=w)
+        s_spa = synthesize(sc, backend="spa", waveform=w)
         a = s_exact.traces[:, 0]
         b = s_spa.traces[:, 0]
         amp_db = 20 * np.abs(np.log10(np.abs(a) / np.abs(b)))
