@@ -15,6 +15,7 @@ import configparser
 import dataclasses
 import io
 import math
+import re
 import sys
 from dataclasses import dataclass
 
@@ -33,6 +34,10 @@ EXPERIMENTS = ("validate-spa", "ambiguity", "crb")
 SWEEPABLE = ("bandwidth", "carrier_freq", "range")
 # largest range grid a run may allocate (the default grid has 12,329 points)
 MAX_GRID_POINTS = 1_000_000
+# largest array a run may model: memory grows as N^2 pairs (an ambiguity
+# run over 3.9-4.1 m peaked at 35 / 98 / 192 / 287 MB for N = 13 / 80 /
+# 128 / 160)
+MAX_ANTENNAS = 128
 
 
 def _require(test, requirement: str):
@@ -65,7 +70,8 @@ def _grid_step(text: str) -> float | None:
 # type converts the key's text; the check, if any, raises a ValueError for
 # a value no run can use. Scenario checks the [scenario] values itself.
 _FIELDS = (
-    ("scenario", "n_antennas", "13", int, None),
+    ("scenario", "n_antennas", "13", int,
+     _require(lambda v: v <= MAX_ANTENNAS, f"at most {MAX_ANTENNAS}")),
     ("scenario", "spacing", "0.125", float, None),
     ("scenario", "antenna_gain_factor", "1.0", float, None),
     ("scenario", "bandwidth", "100000000.0", float, None),
@@ -194,8 +200,18 @@ def parse_config(path: str | None = None,
     values = {(section, key): _value(section, key, cp.get(section, key),
                                      convert, check)
               for section, key, _, convert, check in _FIELDS}
-    scenario = Scenario(**{key: value for (section, key), value
-                           in values.items() if section == "scenario"})
+    fields = {key: value for (section, key), value in values.items()
+              if section == "scenario"}
+    try:
+        scenario = Scenario(**fields)
+    except ValueError as err:
+        # the key is the first field the refusal names: a range check
+        # names its field, the narrowband check bandwidth, the validity
+        # floor range
+        key = next(word for word in re.findall(r"\w+", str(err))
+                   if word in fields)
+        raise ValueError(f"scenario.{key} = {cp.get('scenario', key)!r}: "
+                         f"{err}") from None
     # Scenario accepts these at 0 for library use; no experiment does
     for key in ("plate_width", "plate_height", "antenna_gain_factor"):
         if getattr(scenario, key) == 0:
@@ -363,14 +379,6 @@ def _check_scenes(cfg: ExperimentConfig) -> None:
                     f"bandwidth {bw:g} Hz: {err}") from None
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    if isinstance(value, np.integer):
-        return str(int(value))
-    return str(value)
-
-
 def run_validate_spa(cfg: ExperimentConfig):
     """Exact-vs-closed-form comparison, one row per pair.
 
@@ -385,19 +393,23 @@ def run_validate_spa(cfg: ExperimentConfig):
     waveform = WaveformRef.constant()
     columns = ["tx", "rx", "exact_db", "spa_db", "amp_err_db",
                "phase_err_deg"]
-    rows = []
     exact = exact_received_signal(scenario, 0.0, waveform, quad)
-    spa = spa_received_signal(scenario, 0.0, waveform).tolist()
-    for i, (u_exact, u_spa) in enumerate(zip(exact, spa)):
-        tx, rx = divmod(i, scenario.n_antennas)
-        exact_db = 20.0 * np.log10(abs(u_exact))
-        if u_spa == 0:
-            # parse_config rejects the other zero-return scenes
-            rows.append((tx, rx, exact_db, "", "", ""))
-            continue
-        spa_db = 20.0 * np.log10(abs(u_spa))
-        rows.append((tx, rx, exact_db, spa_db, spa_db - exact_db,
-                     np.angle(u_spa / u_exact, deg=True)))
+    spa = spa_received_signal(scenario, 0.0, waveform)
+    # hypot, not np.abs: numpy's vectorized complex abs can differ in the
+    # last bit from its scalar abs, whose bits these CSV cells keep
+    exact_db = 20.0 * np.log10(np.hypot(exact.real, exact.imag))
+    with np.errstate(divide="ignore"):
+        spa_db = 20.0 * np.log10(np.hypot(spa.real, spa.imag))
+    cells = zip(exact_db.tolist(), spa_db.tolist(),
+                (spa_db - exact_db).tolist(),
+                np.angle(spa / exact, deg=True).tolist())
+    rows = []
+    for i, (db, *spa_cells) in enumerate(cells):
+        # spa_db is -inf off the plate; parse_config rejects the other
+        # zero-return scenes
+        if spa_cells[0] == -math.inf:
+            spa_cells = ("", "", "")
+        rows.append((*divmod(i, scenario.n_antennas), db, *spa_cells))
     return columns, rows
 
 
@@ -421,8 +433,8 @@ def run_ambiguity(cfg: ExperimentConfig):
             received = add_awgn(received, cfg.noise_power, cfg.seed)
         curve = ambiguity(scenario, scenario.range, grid, kind,
                           cfg.coherence, received=received)
-        for r_hat, v in zip(curve.grid, curve.values):
-            rows.append(("curve", param, value, r_hat, v, "", ""))
+        rows.extend(("curve", param, value, r_hat, v, "", "") for r_hat, v
+                    in zip(curve.grid.tolist(), curve.values.tolist()))
         try:
             width = half_power_width(curve)
         except ValueError:
@@ -449,7 +461,8 @@ def run_crb(cfg: ExperimentConfig):
                      snr_normalization=cfg.snr_normalization,
                      coherence=cfg.coherence)
         rows.extend((fc, bw, *row) for row in zip(
-            result.range, result.bound, result.curvature))
+            result.range.tolist(), result.bound.tolist(),
+            result.curvature.tolist()))
     return columns, rows
 
 
@@ -462,7 +475,10 @@ _RUNNERS = {
 
 def write_table(path: str, columns, rows, cfg: ExperimentConfig) -> None:
     """CSV with a comment block recording tool version and effective
-    config. No timestamps or environment state: reruns are byte-identical."""
+    config. No timestamps or environment state: reruns are byte-identical.
+
+    Row cells are Python ints, floats and strings, written with str, which
+    for a float is its shortest round-trip repr."""
     buf = io.StringIO()
     buf.write(f"# nfradar {__version__}\n")
     buf.write(f"# experiment: {cfg.experiment}\n")
@@ -470,7 +486,7 @@ def write_table(path: str, columns, rows, cfg: ExperimentConfig) -> None:
         buf.write(f"# {line}\n" if line else "#\n")
     buf.write(",".join(columns) + "\n")
     for row in rows:
-        buf.write(",".join(_fmt(v) for v in row) + "\n")
+        buf.write(",".join(map(str, row)) + "\n")
     with open(path, "w", encoding="ascii") as fh:
         fh.write(buf.getvalue())
 

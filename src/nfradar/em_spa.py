@@ -97,5 +97,5 @@ def spa_received_signal(scenario: Scenario, t, waveform: WaveformRef
     gain, delay = gain_and_delay_arrays(scenario, z_s, d, scenario.range)
     # pairs with equal |d| share a delay bit for bit: one waveform each
     shared, row = np.unique(delay, return_inverse=True)
-    column = (slice(None),) + (None,) * times.ndim
-    return gain[column] * waveform_value(waveform, times - shared[column])[row]
+    env = waveform_value(waveform, np.atleast_1d(times), shared)[row]
+    return (gain[:, None] * env).reshape(gain.shape + times.shape)

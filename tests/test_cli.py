@@ -11,6 +11,7 @@ import pytest
 from nfradar import cli, reference_scenario
 from nfradar.cli import (
     ExperimentConfig,
+    MAX_ANTENNAS,
     MAX_GRID_POINTS,
     emit_config,
     main,
@@ -143,6 +144,26 @@ class TestParseConfig:
         with pytest.raises(ValueError, match=f"exceeds {MAX_GRID_POINTS}"):
             parse_config(overrides=("scenario.carrier_freq=1e13",))
 
+    def test_antenna_count_bounded(self):
+        # parse only: the bound is checked before any scene is built
+        with pytest.raises(ValueError, match=re.escape(
+                f"scenario.n_antennas = '{MAX_ANTENNAS + 1}': must be at "
+                f"most {MAX_ANTENNAS}")):
+            parse_config(
+                overrides=(f"scenario.n_antennas={MAX_ANTENNAS + 1}",))
+        cfg = parse_config(
+            overrides=(f"scenario.n_antennas={MAX_ANTENNAS}",))
+        assert cfg.scenario.n_antennas == MAX_ANTENNAS
+
+    def test_scenario_refusal_names_key(self):
+        with pytest.raises(ValueError, match=re.escape(
+                "scenario.spacing = '-1': spacing must be strictly "
+                "positive")):
+            parse_config(overrides=("scenario.spacing=-1",))
+        with pytest.raises(ValueError, match=re.escape(
+                "scenario.bandwidth = '1e10': narrowband assumption")):
+            parse_config(overrides=("scenario.bandwidth=1e10",))
+
     @pytest.mark.parametrize("experiment",
                              ["validate-spa", "ambiguity", "crb"])
     @pytest.mark.parametrize("key", ["plate_width", "plate_height",
@@ -174,6 +195,11 @@ class TestParseConfig:
             # values that do not convert to the key's type
             "scenario.n_antennas=1.5", "noise.seed=1e3", "scenario.range=abc",
             "grid.step=abc", "sweep.range=",
+            # values Scenario refuses, named by their key; an array past
+            # MAX_ANTENNAS is refused before anything is allocated
+            "scenario.spacing=-1", "scenario.min_range_wavelengths=nan",
+            "scenario.bandwidth=1e10", "scenario.n_antennas=0",
+            "scenario.n_antennas=129", "scenario.n_antennas=100000",
         ) for experiment in ("validate-spa", "ambiguity", "crb")
     ] + [
         # a scene the runner would build is refused by Scenario, or a crb

@@ -150,7 +150,9 @@ class TestExactReceivedSignal:
         # the plate is visited in blocks of whole z rows whose per-node
         # arrays hold at most _BLOCK_NODES values (antennas x nodes for the
         # constant waveform, pairs x nodes for a sampled one), never the
-        # whole plate at once
+        # whole plate at once; a sampled waveform's envelope takes each
+        # block's nodes span at a time, all samples in one call of at most
+        # _BLOCK_SAMPLES values
         shapes, envelopes = [], []
         factors = em_exact._antenna_factors
 
@@ -159,9 +161,10 @@ class TestExactReceivedSignal:
             shapes.append(out[0].shape)
             return out
 
-        def envelope(w, t):
-            envelopes.append(np.shape(t))
-            return waveform_value(w, t)
+        def envelope(w, t, delay):
+            out = waveform_value(w, t, delay)
+            envelopes.append(out.shape)
+            return out
 
         def blocks(n_rows, rows):
             full, tail = divmod(n_rows, rows)
@@ -180,21 +183,40 @@ class TestExactReceivedSignal:
         exact_received_signal(sc, np.zeros(3), WaveformRef.sinc(1e8))
         rows = bound // (169 * 27)
         assert shapes == [(13, b, 27) for b in blocks(117, rows)]
-        assert envelopes == [(169, b * 27) for b in blocks(117, rows)
-                             for _ in range(3)]
+        # 3 samples: a block's 81 nodes are within one span of 258
+        assert em_exact._BLOCK_SAMPLES // (169 * 3) >= rows * 27
+        assert envelopes == [(169, b * 27, 3) for b in blocks(117, rows)]
+
+        envelopes.clear()
+        sc = reference_scenario(n_antennas=3, **SMALL)
+        exact_received_signal(sc, np.zeros(128), WaveformRef.sinc(1e8))
+        rows = bound // (9 * 27)
+        span = em_exact._BLOCK_SAMPLES // (9 * 128)
+        assert envelopes == [(9, s, 128) for b in blocks(117, rows)
+                             for s in blocks(b * 27, span)]
+        assert max(np.prod(e) for e in envelopes) <= em_exact._BLOCK_SAMPLES
 
     def test_sample_times_bitwise(self):
-        # one call over many sample times gives each sample the bits of a
-        # call at that time alone
+        # one call over many sample times matches a call at each time
+        # alone within 1e-14 of the trace peak (the envelope's bits depend
+        # on the call's shapes), and repeats its own bits
         sc = reference_scenario(n_antennas=3, **SMALL)
         w = WaveformRef.sinc(sc.bandwidth)
         t = 2.0 * sc.range / 299792458.0 + np.array([-3e-9, 0.0, 4e-9])
         u = exact_received_signal(sc, t, w)
+        assert np.array_equal(u, exact_received_signal(sc, t, w))
+        peak = np.max(np.abs(u))
         for j, tj in enumerate(t):
-            assert np.array_equal(u[:, j], exact_received_signal(sc, tj, w))
+            alone = exact_received_signal(sc, tj, w)
+            assert np.max(np.abs(u[:, j] - alone)) <= 1e-14 * peak
         const = exact_received_signal(sc, t, CONST)
         assert np.array_equal(const, np.repeat(
             exact_received_signal(sc, 0.0, CONST)[:, None], 3, axis=1))
+
+    def test_empty_times(self):
+        sc = reference_scenario(n_antennas=3, **SMALL)
+        for w in (CONST, WaveformRef.sinc(sc.bandwidth)):
+            assert exact_received_signal(sc, np.empty(0), w).shape == (9, 0)
 
     def test_rejects_2d_times(self):
         sc = reference_scenario(n_antennas=1, **SMALL)

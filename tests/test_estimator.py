@@ -172,9 +172,10 @@ class TestObjective:
         # 13 antennas), never once per pair
         shapes = []
 
-        def recording(w, t):
-            shapes.append(np.shape(t))
-            return waveform_value(w, t)
+        def recording(w, t, delay):
+            out = waveform_value(w, t, delay)
+            shapes.append(out.shape)
+            return out
 
         monkeypatch.setattr(estimator, "waveform_value", recording)
         grid = 3.9 + 0.0015 * np.arange(130)
@@ -447,9 +448,10 @@ class TestCrb:
             fresnel_shapes.append(np.shape(x))
             return fresnel_conj(x)
 
-        def envelope_recording(w, t):
-            envelope_shapes.append(np.shape(t))
-            return waveform_value(w, t)
+        def envelope_recording(w, t, delay):
+            out = waveform_value(w, t, delay)
+            envelope_shapes.append(out.shape)
+            return out
 
         monkeypatch.setattr(em_spa, "fresnel_conj", fresnel_recording)
         monkeypatch.setattr(estimator, "waveform_value", envelope_recording)

@@ -17,3 +17,27 @@ def test_traced_names_resolve(monkeypatch):
     # uniform spacing: pair delays depend on |tx - rx| only, N values
     assert worker._distinct_delays() == \
         worker.workloads.SCENARIO["n_antennas"]
+
+
+def test_envelope_counter_counts_samples(monkeypatch, tmp_path):
+    # the traced run counts the objective's envelope samples from the
+    # shape of what waveform_value returns: 13 delay groups x grid points
+    # x 128 samples for the reference scene
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+
+    out = tmp_path / "ambiguity.csv"
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert tracer.main(["ambiguity", "--set", "grid.min=3.99",
+                            "--set", "grid.max=4.01", "--out",
+                            str(out)]) == 0
+    finally:
+        tracer.uninstall()
+    points = sum(line.startswith("curve,")
+                 for line in out.read_text().splitlines())
+    assert points == 42
+    run = tracer.per_run()[0]
+    assert run["estimator.envelope.calls"] == 1
+    assert run["estimator.envelope.samples"] == 13 * points * 128

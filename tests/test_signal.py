@@ -25,20 +25,73 @@ OUTER_DELAY = 2.7150150315155204e-08   # 2 * sqrt(16.5625) / c
 class TestWaveform:
     def test_sinc_values(self):
         w = WaveformRef.sinc(100e6)
-        assert waveform_value(w, 0.0) == 1.0
-        assert waveform_value(w, 1.0 / 100e6) == pytest.approx(0.0, abs=1e-16)
+        t = np.array([-1e-8, 0.0, 5e-9, 1e-8])
+        got = waveform_value(w, t, np.zeros(1))
+        assert got.shape == (1, 4)
+        assert got[0, 1] == 1.0
+        assert got[0, 0] == pytest.approx(0.0, abs=1e-16)
+        assert got[0, 3] == pytest.approx(0.0, abs=1e-16)
         # half the first null: sin(pi/2)/(pi/2) = 2/pi
-        assert waveform_value(w, 5e-9) == pytest.approx(2.0 / np.pi, rel=1e-12)
+        assert got[0, 2] == pytest.approx(2.0 / np.pi, rel=1e-15)
 
     def test_sinc_even(self):
         w = WaveformRef.sinc(100e6)
-        t = np.array([1e-9, 3e-9, 7.5e-9])
-        assert np.array_equal(waveform_value(w, t), waveform_value(w, -t))
+        t = np.array([-7.5e-9, -3e-9, -1e-9, 0.0, 1e-9, 3e-9, 7.5e-9])
+        got = waveform_value(w, t, np.zeros(1))[0]
+        assert np.array_equal(got, got[::-1])
+
+    def test_shapes_broadcast(self):
+        # t (..., n) and delay (..., m) give (..., m, n), leading axes
+        # broadcast, for both kinds
+        t = np.zeros((4, 1, 5))
+        delay = np.zeros((3, 2))
+        for w in (WaveformRef.sinc(1e8), WaveformRef.constant()):
+            assert waveform_value(w, t, delay).shape == (4, 3, 2, 5)
+            assert waveform_value(w, t[0, 0], delay).shape == (3, 2, 5)
+            assert waveform_value(w, np.empty(0), delay).shape == (3, 2, 0)
 
     def test_constant(self):
         w = WaveformRef.constant()
-        assert waveform_value(w, 123.0) == 1.0
-        assert np.all(waveform_value(w, np.linspace(-1, 1, 5)) == 1.0)
+        got = waveform_value(w, np.linspace(-1, 1, 5), np.array([123.0]))
+        assert got.shape == (1, 5) and np.all(got == 1.0)
+
+    @pytest.mark.parametrize("true_range", [2.0, 4.0, 8.0])
+    def test_sinc_matches_np_sinc_on_objective_blocks(self, ref_sc,
+                                                      true_range):
+        # the objective's blocks: the time base at the true range against
+        # each delay group's delays on lambda/8 grid chunks at either end
+        # of the default 2-8 m grid and around the truth
+        w = WaveformRef.sinc(ref_sc.bandwidth)
+        t = sample_times(ref_sc, true_range)
+        abs_d = np.unique(np.abs(pair_offsets(ref_sc)[1]))
+        step = ref_sc.wavelength / 8.0
+        for start in (2.0, true_range - 32 * step, 8.0 - 63 * step):
+            rh = start + step * np.arange(64)
+            delay = 2.0 * np.sqrt(rh ** 2 + abs_d[:, None] ** 2) \
+                / SPEED_OF_LIGHT
+            want = np.sinc(ref_sc.bandwidth * (t - delay[..., None]))
+            got = waveform_value(w, t, delay)
+            assert np.max(np.abs(got - want)) <= 1e-14
+
+    def test_delay_on_a_sample(self, ref_sc):
+        w = WaveformRef.sinc(ref_sc.bandwidth)
+        t = sample_times(ref_sc, 4.0)
+        got = waveform_value(w, t, t[[0, 17, 64, 127]])
+        assert np.array_equal(got[[0, 1, 2, 3], [0, 17, 64, 127]],
+                              np.ones(4))
+
+    def test_delay_near_a_sample(self, ref_sc):
+        # within 1e-6/B of a sample the numerator cancels; those samples
+        # come from np.sinc
+        w = WaveformRef.sinc(ref_sc.bandwidth)
+        t = sample_times(ref_sc, 4.0)
+        offsets = np.array([-1e-6, -3e-8, 1e-9, 4e-7]) / ref_sc.bandwidth
+        delay = t[[3, 40, 64, 120]] + offsets
+        got = waveform_value(w, t, delay)[[0, 1, 2, 3], [3, 40, 64, 120]]
+        want = np.sinc(ref_sc.bandwidth * (t[[3, 40, 64, 120]] - delay))
+        assert np.all(np.abs(got - want) <= 1e-15 * want)
+        assert got[0] == pytest.approx(1.0 - (np.pi * 1e-6) ** 2 / 6,
+                                       abs=1e-15)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="unknown waveform kind"):
@@ -135,16 +188,23 @@ class TestSynthesize:
     @pytest.mark.parametrize("overrides", [
         {}, {"plate_height": 0.5}, {"n_antennas": 4, "range": 3.3}])
     def test_rows_exact_per_pair(self, overrides):
-        # synthesis evaluates one envelope per distinct delay; every row
-        # must still equal the row computed for its pair alone, bit for bit
+        # synthesis evaluates one envelope per distinct delay: every row is
+        # its pair's gain times the sinc at its delay, within 1e-14 of the
+        # trace peak, and the reciprocal pair (rx, tx), with the same gain
+        # and delay bit for bit, has the same row bit for bit
         sc = reference_scenario(**overrides)
         s = synthesize(sc)
         t = s.times
         z_s, d = pair_offsets(sc)
         gain, delay = gain_and_delay_arrays(sc, z_s, d, sc.range)
+        peak = np.max(np.abs(s.traces))
+        n = sc.n_antennas
         for p in range(s.traces.shape[0]):
             row = gain[p] * np.sinc(sc.bandwidth * (t - delay[p]))
-            assert np.array_equal(s.traces[p], row)
+            assert np.max(np.abs(s.traces[p] - row)) <= 1e-14 * peak
+            q = (p % n) * n + p // n
+            assert gain[q] == gain[p] and delay[q] == delay[p]
+            assert np.array_equal(s.traces[q], s.traces[p])
 
     def test_true_range_override(self, ref_sc):
         s = synthesize(ref_sc, true_range=5.0)
