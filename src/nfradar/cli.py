@@ -57,11 +57,6 @@ _FINITE_POSITIVE = _require(lambda v: math.isfinite(v) and v > 0,
                             "finite and positive")
 
 
-def _quad_density(points: float) -> None:
-    _FINITE(points)
-    QuadratureSpec(points_per_wavelength=points)
-
-
 def _grid_step(text: str) -> float | None:
     return None if text == "auto" else float(text)
 
@@ -93,8 +88,9 @@ _FIELDS = (
     ("experiment", "exact_carrier_ceiling",
      repr(DEFAULT_EXACT_CARRIER_CEILING), float,
      _require(lambda v: v > 0, "positive")),
+    # QuadratureSpec(points_per_wavelength) refuses a density no run can use
     ("experiment", "quad_points_per_wavelength", "10.0", float,
-     _quad_density),
+     QuadratureSpec),
     ("grid", "min", "2.0", float, _FINITE),
     ("grid", "max", "8.0", float, _FINITE),
     # auto means lambda/8 at the operating carrier

@@ -36,8 +36,15 @@ into one factor per antenna,
 
 so r, A and B are computed once per antenna, and the plate sum of all N^2
 pairs under the constant waveform is the matrix product A W B^T with the
-quadrature weights W. The integrand depends on y only through y^2, so
-only the y >= 0 half of the symmetric y nodes is evaluated.
+quadrature weights W.
+
+Quarter plate. The integrand depends on y only through y^2, so only the
+y >= 0 half of the symmetric y nodes is evaluated. The elements and the
+z nodes are symmetric about z = 0, so r_l(y, -z) = r_{N-1-l}(y, z): pair
+(l, l') on the z < 0 half is pair (N-1-l, N-1-l') on the z > 0 half.
+Only the z >= 0 half is summed, as M with folded weights, and the whole
+plate is (M + M flipped in both antenna axes) / 2, which is bitwise
+symmetric under that flip.
 """
 
 from __future__ import annotations
@@ -73,15 +80,18 @@ class QuadratureSpec:
 
     points_per_wavelength is per axis; the integrand oscillates with
     spatial frequency at most 2k, so 10 points per wavelength resolves it
-    with margin. Below 4 the quadrature is refused.
+    with margin. Below 4, and any value that is not finite, the quadrature
+    is refused.
     """
 
     points_per_wavelength: float = 10.0
     rule: str = "midpoint"
 
     def __post_init__(self) -> None:
-        if self.points_per_wavelength < 4:
-            raise ValueError("points_per_wavelength must be at least 4")
+        if not (np.isfinite(self.points_per_wavelength)
+                and self.points_per_wavelength >= 4):
+            raise ValueError(
+                "points_per_wavelength must be finite and at least 4")
         if self.rule not in _RULES:
             raise ValueError(f"unknown quadrature rule {self.rule!r}")
 
@@ -122,8 +132,9 @@ def _axis_nodes(half_extent: float, wavelength: float,
 
 def _fold(nodes: np.ndarray, weights: np.ndarray
           ) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of an even integrand over nodes symmetric about 0:
-    the upper half with doubled weights, the middle node (odd count) once."""
+    """The upper half of nodes symmetric about 0, with doubled weights and
+    the middle node (odd count) once: the whole rule for an integrand even
+    in the node, or the half that the mirror identity completes."""
     mid = nodes.size // 2
     folded = 2.0 * weights[mid:]
     if nodes.size % 2:
@@ -138,7 +149,8 @@ def exact_received_signal(scenario: Scenario, t, waveform: WaveformRef,
     t is a scalar or a 1-D array of sample times; the result has shape
     (N^2,) + shape(t), rows in tx-major order (row i is tx i // N,
     rx i % N) like SignalSet rows. The plate geometry of each block of z
-    rows is computed once for every pair and sample.
+    rows is computed once for every pair and sample; only the quarter plate
+    y, z >= 0 is visited (module docstring).
 
     Convergence contract: doubling points_per_wavelength moves the result
     by less than 0.1 dB in magnitude for densities of 10 per wavelength and
@@ -155,7 +167,7 @@ def exact_received_signal(scenario: Scenario, t, waveform: WaveformRef,
     z_ant = antenna_positions(scenario)
     lam = scenario.wavelength
     y_nodes, y_w = _fold(*_axis_nodes(scenario.plate_width / 2, lam, quad))
-    z_nodes, z_w = _axis_nodes(scenario.plate_height / 2, lam, quad)
+    z_nodes, z_w = _fold(*_axis_nodes(scenario.plate_height / 2, lam, quad))
     y_sq = y_nodes * y_nodes
 
     constant = waveform.kind == "constant"
@@ -182,6 +194,9 @@ def exact_received_signal(scenario: Scenario, t, waveform: WaveformRef,
             summed = np.matmul(env.swapaxes(1, 2), parts[:, lo:lo + span])
             total += summed.view(complex)[..., 0]
 
+    # the z < 0 half by the mirror identity
+    half = total.reshape(n, n, -1)
+    total = ((half + half[::-1, ::-1]) / 2).reshape(n * n, -1)
     k = scenario.wavenumber
     prefactor = (-2 * k * k * scenario.free_space_impedance
                  * scenario.antenna_gain_factor / (4 * np.pi) ** 2)

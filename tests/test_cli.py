@@ -155,6 +155,16 @@ class TestParseConfig:
             overrides=(f"scenario.n_antennas={MAX_ANTENNAS}",))
         assert cfg.scenario.n_antennas == MAX_ANTENNAS
 
+    @pytest.mark.parametrize("text", ["nan", "inf", "3"])
+    def test_quadrature_density_refusal_names_key(self, text):
+        # QuadratureSpec is the one check: NaN and inf used to pass it and
+        # fail inside the quadrature
+        with pytest.raises(ValueError, match=re.escape(
+                f"experiment.quad_points_per_wavelength = '{text}': "
+                "points_per_wavelength must be finite and at least 4")):
+            parse_config(experiment="validate-spa", overrides=(
+                f"experiment.quad_points_per_wavelength={text}",))
+
     def test_scenario_refusal_names_key(self):
         with pytest.raises(ValueError, match=re.escape(
                 "scenario.spacing = '-1': spacing must be strictly "

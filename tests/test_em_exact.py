@@ -95,6 +95,12 @@ class TestQuadratureSpec:
         with pytest.raises(ValueError, match="at least 4"):
             QuadratureSpec(points_per_wavelength=3.9)
 
+    @pytest.mark.parametrize("points", [np.nan, np.inf, -np.inf])
+    def test_density_not_finite(self, points):
+        # NaN and inf used to pass and fail later inside _axis_nodes
+        with pytest.raises(ValueError, match="must be finite"):
+            QuadratureSpec(points_per_wavelength=points)
+
     def test_unknown_rule(self):
         with pytest.raises(ValueError, match="unknown quadrature rule"):
             QuadratureSpec(rule="simpson")
@@ -111,9 +117,19 @@ class TestExactReceivedSignal:
         # 54 and 51 y nodes: the fold with and without a middle node
         ({"n_antennas": 4}, "midpoint", False),
         ({"n_antennas": 4, "plate_width": 0.76}, "midpoint", False),
+        # 15 Gauss-Legendre panels in z: the middle one straddles z = 0
         ({"n_antennas": 4}, "gauss_legendre_composite", False),
         ({"n_antennas": 4, "plate_width": 0.76}, "midpoint", True),
         ({"n_antennas": 4}, "gauss_legendre_composite", True),
+        # the z fold: an odd array, whose middle element is its own mirror;
+        # 114 z rows, with no middle row; 16 z panels, with z = 0 on a
+        # panel edge
+        ({"n_antennas": 3}, "midpoint", False),
+        ({"n_antennas": 3}, "midpoint", True),
+        ({"n_antennas": 4, "plate_height": 1.7}, "midpoint", False),
+        ({"n_antennas": 4, "plate_height": 1.7}, "midpoint", True),
+        ({"n_antennas": 4, "plate_height": 1.85},
+         "gauss_legendre_composite", False),
         # specular points of the outer pairs off the plate
         ({"n_antennas": 4, "spacing": 0.25, "plate_height": 0.5},
          "midpoint", False),
@@ -122,6 +138,7 @@ class TestExactReceivedSignal:
         ({"n_antennas": 4, "plate_width": 0.0}, "midpoint", False),
         ({"n_antennas": 4, "plate_width": 0.0}, "midpoint", True),
     ], ids=["n1", "even-y", "odd-y", "gl", "odd-y-sinc", "gl-sinc",
+            "odd-n", "odd-n-sinc", "even-z", "even-z-sinc", "gl-even-z-panels",
             "off-plate", "off-plate-gl-sinc", "no-width", "no-width-sinc"])
     def test_matches_oracle(self, overrides, rule, sampled):
         # every pair, in tx-major rows, against the brute-force per-pair
@@ -173,28 +190,43 @@ class TestExactReceivedSignal:
         bound = em_exact._BLOCK_NODES
         monkeypatch.setattr(em_exact, "_antenna_factors", recording)
         exact_received_signal(ref_sc_10ghz, 0.0, CONST)
-        # 134 folded y nodes and 584 z rows at 10 GHz
+        # 134 folded y nodes and 292 folded z rows (of 584) at 10 GHz
         rows = bound // (13 * 134)
-        assert shapes == [(13, b, 134) for b in blocks(584, rows)]
+        assert shapes == [(13, b, 134) for b in blocks(292, rows)]
 
         shapes.clear()
-        sc = reference_scenario(**SMALL)  # 27 folded y nodes, 117 z rows
+        # 27 folded y nodes, 59 folded z rows (of 117)
+        sc = reference_scenario(**SMALL)
         monkeypatch.setattr(em_exact, "waveform_value", envelope)
         exact_received_signal(sc, np.zeros(3), WaveformRef.sinc(1e8))
         rows = bound // (169 * 27)
-        assert shapes == [(13, b, 27) for b in blocks(117, rows)]
+        assert shapes == [(13, b, 27) for b in blocks(59, rows)]
         # 3 samples: a block's 81 nodes are within one span of 258
         assert em_exact._BLOCK_SAMPLES // (169 * 3) >= rows * 27
-        assert envelopes == [(169, b * 27, 3) for b in blocks(117, rows)]
+        assert envelopes == [(169, b * 27, 3) for b in blocks(59, rows)]
 
         envelopes.clear()
         sc = reference_scenario(n_antennas=3, **SMALL)
         exact_received_signal(sc, np.zeros(128), WaveformRef.sinc(1e8))
         rows = bound // (9 * 27)
         span = em_exact._BLOCK_SAMPLES // (9 * 128)
-        assert envelopes == [(9, s, 128) for b in blocks(117, rows)
+        assert envelopes == [(9, s, 128) for b in blocks(59, rows)
                              for s in blocks(b * 27, span)]
         assert max(np.prod(e) for e in envelopes) <= em_exact._BLOCK_SAMPLES
+
+    @pytest.mark.parametrize("n", [4, 13])
+    @pytest.mark.parametrize("sampled", [False, True])
+    def test_mirror_pairs_bitwise(self, n, sampled):
+        # pair (l, l') and pair (N-1-l, N-1-l') see the plate mirrored in
+        # z, so their signals agree to the bit
+        sc = reference_scenario(n_antennas=n, **SMALL)
+        if sampled:
+            w = WaveformRef.sinc(sc.bandwidth)
+            t = 2.0 * sc.range / 299792458.0 + np.array([-3e-9, 0.0, 4e-9])
+        else:
+            w, t = CONST, 0.0
+        u = exact_received_signal(sc, t, w).reshape((n, n) + np.shape(t))
+        assert np.array_equal(u, u[::-1, ::-1])
 
     def test_sample_times_bitwise(self):
         # one call over many sample times matches a call at each time
