@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from nfradar import (
     AmbiguityCurve,
     ModelKind,
     SignalSet,
+    add_awgn,
     ambiguity,
     crb,
     default_crb_step,
@@ -18,7 +20,8 @@ from nfradar import (
 )
 from nfradar import em_spa, estimator
 from nfradar.em_spa import gain_and_delay_arrays, pair_offsets
-from nfradar.estimator import _RANGE_CHUNK, _objective_on_grid
+from nfradar.estimator import (_GRID_CHUNK, _RANGE_CHUNK, _node_count,
+                               _objective_on_grid)
 from nfradar.signal import waveform_value
 from nfradar.special_fn import fresnel_conj
 
@@ -151,25 +154,96 @@ class TestObjective:
     @pytest.mark.parametrize("overrides", [
         {"n_antennas": 1}, {"n_antennas": 4}, {}, {"plate_height": 0.5}])
     def test_chunk_boundaries_match_loop(self, overrides):
-        # 130 points: chunks of 64, 64 and 2; check the first and last
-        # point of each against the per-pair loop
+        # a 0.1 mm grid of 2 _GRID_CHUNK + 76 points is cut by the point
+        # cap alone: chunks of _GRID_CHUNK, _GRID_CHUNK and 76 points;
+        # check the first and last point of each against the per-pair loop
         sc = reference_scenario(**overrides)
         received = synthesize(sc)
-        grid = 3.9 + 0.0015 * np.arange(130)
+        grid = 3.9 + 1e-4 * np.arange(2 * _GRID_CHUNK + 76)
+        edges = (0, _GRID_CHUNK - 1, _GRID_CHUNK, 2 * _GRID_CHUNK - 1,
+                 2 * _GRID_CHUNK, grid.size - 1)
         for kind in (PARTIAL, FULL):
             for coherence in ("coherent", "incoherent"):
                 fast = _objective_on_grid(received, sc, grid, kind,
                                           coherence)
-                for i in (0, 63, 64, 128, 129):
+                for i in edges:
                     slow = objective_loop(received, sc, float(grid[i]),
                                           kind is FULL,
                                           coherence == "coherent")
                     assert fast[i] == pytest.approx(slow, rel=1e-12)
 
+    @pytest.mark.parametrize("overrides,grid,noisy", [
+        # 2-8 m in 0.25 m steps: 9 chunks of at most 3 points, each
+        # moving by up to 1/(2B) in delay
+        ({}, np.arange(2.0, 8.0 + 1e-9, 0.25), False),
+        ({}, np.array([4.0]), False),
+        # 1 GHz: the delay groups' own spread (0.9/B at 2 m) is
+        # comparable to 1/B, so each chunk has two bands of groups
+        ({"bandwidth": 1e9}, np.arange(2.0, 2.3 + 1e-9, 0.025), False),
+        ({"n_antennas": 1}, np.arange(3.5, 4.5 + 1e-9, 0.05), False),
+        ({}, np.arange(3.95, 4.05 + 1e-9, 0.01), True),
+    ], ids=["coarse", "one-point", "1ghz", "one-antenna", "noisy"])
+    def test_regimes_match_loop(self, overrides, grid, noisy):
+        # every point of the grid against the per-pair loop, the error
+        # taken over the curve's peak so that far side lobes, whose own
+        # value is small, are held to the same absolute level
+        sc = reference_scenario(**overrides)
+        received = synthesize(sc)
+        if noisy:
+            power = np.mean(np.abs(received.traces) ** 2)
+            received = add_awgn(received, power, seed=11)
+        for kind in (PARTIAL, FULL):
+            for coherence in ("coherent", "incoherent"):
+                fast = _objective_on_grid(received, sc, grid, kind,
+                                          coherence)
+                slow = np.array([objective_loop(received, sc, float(g),
+                                                kind is FULL,
+                                                coherence == "coherent")
+                                 for g in grid])
+                assert np.max(np.abs(fast - slow)) <= 1e-12 * slow.max()
+
+    @pytest.mark.parametrize("grid,match", [
+        (np.array([[3.9, 4.0], [4.05, 4.1]]), "must be 1-D"),
+        # unsorted, the parabola through the argmax and its array
+        # neighbours is fitted through points that are not grid neighbours
+        ([4.1, 3.9, 4.0005, 4.2], "strictly increasing"),
+        ([3.9, 4.0, 4.0, 4.1], "strictly increasing")])
+    def test_grid_refused(self, ref_sc, received, grid, match):
+        calls = (
+            lambda g: estimate_range(received, ref_sc, g),
+            lambda g: ambiguity(ref_sc, 4.0, g, received=received),
+            lambda g: _objective_on_grid(received, ref_sc, g, PARTIAL,
+                                         "coherent"))
+        for call in calls:
+            with pytest.raises(ValueError, match=match):
+                call(grid)
+        est = estimate_range(received, ref_sc, [3.9, 4.0005, 4.1, 4.2])
+        assert abs(est - 4.0) < 1e-3
+
+    def test_swapped_pairs_exchanged(self, ref_sc, received):
+        # tx/rx-swapped pairs share their template, so exchanging their
+        # (noisy, hence different) traces leaves J unchanged; the pairs
+        # are summed per template class, in another order
+        noisy = add_awgn(received, np.mean(np.abs(received.traces) ** 2),
+                         seed=3)
+        swap = np.arange(169).reshape(13, 13).T.ravel()
+        swapped = dataclasses.replace(noisy, traces=noisy.traces[swap])
+        assert not np.array_equal(swapped.traces, noisy.traces)
+        grid = np.arange(3.9, 4.1 + 1e-9, 0.01)
+        for kind in (PARTIAL, FULL):
+            for coherence in ("coherent", "incoherent"):
+                a = _objective_on_grid(noisy, ref_sc, grid, kind, coherence)
+                b = _objective_on_grid(swapped, ref_sc, grid, kind,
+                                       coherence)
+                assert np.max(np.abs(a - b)) <= 1e-14 * np.max(a)
+
     def test_one_envelope_block_per_chunk(self, ref_sc, received,
                                           monkeypatch):
-        # the envelope is evaluated once per distinct pair delay (13 for
-        # 13 antennas), never once per pair
+        # the envelope is evaluated once per grid chunk, at K Chebyshev
+        # nodes in delay: a (K, n) block whose K follows the chunk's delay
+        # span. 13 antennas at 0.125 m and 25 at 0.0625 m have the same
+        # largest |d|, so the same span, and get the same block for 169
+        # or 625 pairs and 13 or 25 delay groups
         shapes = []
 
         def recording(w, t, delay):
@@ -180,7 +254,38 @@ class TestObjective:
         monkeypatch.setattr(estimator, "waveform_value", recording)
         grid = 3.9 + 0.0015 * np.arange(130)
         _objective_on_grid(received, ref_sc, grid, PARTIAL, "coherent")
-        assert [s[:2] for s in shapes] == [(13, 64), (13, 64), (13, 2)]
+        _objective_on_grid(received, ref_sc, grid, FULL, "incoherent")
+        wide = reference_scenario(n_antennas=25, spacing=0.0625)
+        _objective_on_grid(synthesize(wide), wide, grid, PARTIAL,
+                           "incoherent")
+        assert shapes == [(11, 128)] * 3
+        # a 1,100-point grid: chunks of 500, 500 and 100 points, the
+        # first two moving by 1/(2B) in delay
+        shapes.clear()
+        grid = 3.9 + 0.0015 * np.arange(1100)
+        _objective_on_grid(received, ref_sc, grid, PARTIAL, "coherent")
+        assert shapes == [(14, 128), (14, 128), (10, 128)]
+
+    def test_node_count_bound(self):
+        # the written-down bound 2 (s/2)^K / (K+1)! holds for the
+        # Chebyshev interpolant of sinc(B (t - tau)) in tau over
+        # [mid - h, mid + h], s = pi B h, built here by numpy's own
+        # first-kind interpolation
+        bandwidth, mid = 100e6, 26.7e-9
+        times = mid + np.linspace(-16.0, 16.0, 9) / bandwidth
+        x = np.linspace(-1.0, 1.0, 2001)
+        for s in (0.2, 1.0, np.pi / 2):
+            h = s / (np.pi * bandwidth)
+            for k in range(2, 9):
+                bound = 2.0 * (s / 2.0) ** k / math.factorial(k + 1)
+                for t in times:
+                    f = lambda v: np.sinc(bandwidth * (t - mid - h * v))
+                    coef = np.polynomial.chebyshev.chebinterpolate(f, k - 1)
+                    err = np.abs(np.polynomial.chebyshev.chebval(x, coef)
+                                 - f(x))
+                    assert err.max() <= bound + 1e-15
+        assert _node_count(0.0) == 1
+        assert _node_count(np.pi / 2) == 17
 
     @pytest.mark.parametrize("overrides", [
         {}, {"plate_height": 0.5}, {"n_antennas": 4}, {"spacing": 0.1}])

@@ -21,8 +21,9 @@ def test_traced_names_resolve(monkeypatch):
 
 def test_envelope_counter_counts_samples(monkeypatch, tmp_path):
     # the traced run counts the objective's envelope samples from the
-    # shape of what waveform_value returns: 13 delay groups x grid points
-    # x 128 samples for the reference scene
+    # shape of what waveform_value returns: the 42-point grid is one chunk
+    # whose delays span 0.060/B, so one block of 9 Chebyshev nodes x 128
+    # samples, for any number of grid points, pairs or delay groups
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import tracing
 
@@ -40,4 +41,4 @@ def test_envelope_counter_counts_samples(monkeypatch, tmp_path):
     assert points == 42
     run = tracer.per_run()[0]
     assert run["estimator.envelope.calls"] == 1
-    assert run["estimator.envelope.samples"] == 13 * points * 128
+    assert run["estimator.envelope.samples"] == 9 * 128
