@@ -49,8 +49,9 @@ _CHUNK_SPAN = 1.0
 # bound on the envelope's Chebyshev interpolation error per sample (the
 # samples are at most 1)
 _NODE_TOL = 1e-17
-# crb ranges per block: bounds the stencil envelope block's memory
-_RANGE_CHUNK = 16
+# crb ranges per chunk, one gain call each (and at most _CHUNK_CELLS
+# geometry-points): bounds the per-class arrays
+_RANGE_CHUNK = 64
 # smallest crb stencil second difference, relative to J(R), taken as
 # curvature: each J carries rounding error of up to about 1e-15 of J, so
 # the floor keeps that error below a few percent of the curvature
@@ -94,7 +95,8 @@ class AmbiguityCurve:
 @dataclass(frozen=True)
 class CrbResult:
     """Variance lower bound at one range, bound = noise / (2 |J''|); from
-    an array of ranges every field is an array of that length."""
+    an array of ranges every field is an array of that length. Known
+    defect: half the textbook Cramer-Rao bound in variance (see crb)."""
 
     range: float
     bound: float
@@ -135,39 +137,16 @@ def _pair_groups(scenario: Scenario):
     return abs_d, group, geometry, of_pair
 
 
-def _gain_rows(groups, kind: ModelKind) -> np.ndarray:
-    """row[p]: the row of pair p's model gain in _gains' result, its
-    (|z_s|, |d|) geometry for the full model, its delay group for the
-    partial one. Pairs with equal rows have equal templates."""
-    return groups[3] if kind is ModelKind.FULL_INFORMATION else groups[1]
-
-
 def _gains(scenario: Scenario, groups, rh: np.ndarray, r_s: np.ndarray,
            kind: ModelKind) -> np.ndarray:
-    """The model gains at hypotheses rh, one row per distinct gain (see
-    _gain_rows), shape (rows,) + rh.shape; r_s holds the delay groups'
-    r_s at rh. The full model's gains are evaluated once per geometry; the
-    partial model's gain is the carrier phase exp(-j 2 k r_s) alone."""
+    """The model gains at hypotheses rh, shape (rows,) + rh.shape: one row
+    per (|z_s|, |d|) geometry for the full model (pair p's row is
+    groups[3][p]), one per delay group for the partial one, whose gain is
+    the carrier phase exp(-j 2 k r_s) alone; r_s holds the delay groups'
+    r_s at rh."""
     if kind is ModelKind.FULL_INFORMATION:
         return gain_and_delay_arrays(scenario, *groups[2], rh)[0]
     return np.exp(-2j * scenario.wavenumber * r_s)
-
-
-def _templates(scenario: Scenario, groups, rh: np.ndarray, t: np.ndarray,
-               kind: ModelKind):
-    """(env, energy, gain) of the model at hypotheses rh of any shape, on
-    sample times t of shape rh.shape[:-1] + (n,): each delay group's
-    envelope, shape (groups,) + rh.shape + (n,), and each pair's model
-    energy |m_p|^2 sum_n e^2 and model gain, shape (pairs,) + rh.shape.
-    crb's stencil takes its templates from here."""
-    abs_d, group = groups[:2]
-    r_s = np.sqrt(rh ** 2 + abs_d.reshape((-1,) + (1,) * rh.ndim) ** 2)
-    env = waveform_value(WaveformRef.sinc(scenario.bandwidth), t,
-                         2.0 * r_s / SPEED_OF_LIGHT)
-    # energies before gains: the reverse gave 40% more page faults per call
-    env_sq = np.einsum("u...n,u...n->u...", env, env)[group]
-    gain = _gains(scenario, groups, rh, r_s, kind)[_gain_rows(groups, kind)]
-    return env, np.abs(gain) ** 2 * env_sq, gain
 
 
 def _reduce(ip: np.ndarray, energy: np.ndarray, coherence: str
@@ -213,6 +192,42 @@ def _node_count(s: float) -> int:
     return k
 
 
+def _envelope_coefficients(scenario: Scenario, t: np.ndarray,
+                           mid: np.ndarray, h: np.ndarray):
+    """(coef, gram) of the sinc envelope e(tau) = sinc(B (t - tau)) on
+    each band [mid - h, mid + h] of delays, from one waveform_value call
+    at K first-kind Chebyshev points per band, K from _node_count at the
+    widest band. The envelope is an entire function of tau, and
+    e(mid + h x) = T(x) coef, shape (bands, K, n), with the basis row T(x)
+    of _chebyshev_basis; gram = coef coef^T, shape (bands, K, K), gives
+    the correlation of two envelopes of one band as T(x) gram T(x')^T."""
+    k = _node_count(np.pi * scenario.bandwidth * h.max())
+    theta = np.pi * (np.arange(k) + 0.5) / k
+    # coefficients from the node values: C_j = (2/K) sum_i T_j(x_i)
+    # e(x_i), C_0 halved
+    to_coef = np.cos(np.outer(np.arange(k), theta)) * (2.0 / k)
+    to_coef[0] /= 2.0
+    nodes = mid[:, None] + h[:, None] * np.cos(theta)
+    coef = to_coef @ waveform_value(WaveformRef.sinc(scenario.bandwidth), t,
+                                    nodes.ravel()).reshape(
+                                        nodes.shape + t.shape)
+    return coef, coef @ coef.transpose(0, 2, 1)
+
+
+def _chebyshev_basis(x: np.ndarray, k: int) -> np.ndarray:
+    """T_j(x) for j < k by the three-term recurrence, on a new axis
+    before the last: x of shape (..., m) gives (..., k, m)."""
+    basis = np.empty(x.shape[:-1] + (k, x.shape[-1]))
+    basis[..., 0, :] = 1.0
+    if k > 1:
+        basis[..., 1, :] = x
+    x = 2.0 * x
+    for j in range(2, k):
+        np.multiply(x, basis[..., j - 1, :], out=basis[..., j, :])
+        basis[..., j, :] -= basis[..., j - 2, :]
+    return basis
+
+
 def _runs(lo: np.ndarray, hi: np.ndarray, width: float, longest: int
           ) -> list[int]:
     """Bounds of consecutive runs [start, stop) covering items
@@ -243,19 +258,12 @@ def _objective_on_grid(received: SignalSet, scenario: Scenario,
     sum_c count_c |g_c|^2 ||e_c||^2; the incoherent one keeps one class
     per pair.
 
-    The envelope enters in delay space: a class's correlation
-    sum_n sinc(B (t_n - tau)) y_n and the energy sum_n sinc^2 are entire
-    functions of the delay tau. Each band of delay groups in a grid chunk
-    (see _CHUNK_SPAN; one band per chunk unless the groups' own delay
-    spread is comparable to 1/B) puts K Chebyshev points of the first kind
-    on its delay interval [mid - h, mid + h], and the exact envelope there
-    gives Chebyshev coefficients C, shape (K, n); a chunk's bands share one
-    envelope call. C's correlations with the class traces (C y) and its
-    Gram matrix G = C C^T are then evaluated at each hypothesis' delay
-    from the basis row T(x) of the three-term recurrence, x = (tau - mid)
-    / h: corr = T C y and ||e||^2 = T G T^T. K is the smallest count whose
-    interpolation bound 2 (s/2)^K / (K+1)!, s = pi B h, is at most 1e-17
-    per sample (see _node_count): 12 on a 512-point lambda/8 chunk of the
+    The envelope enters in delay space (_envelope_coefficients): each
+    band of delay groups in a grid chunk (see _CHUNK_SPAN; one band per
+    chunk unless the groups' own delay spread is comparable to 1/B) takes
+    Chebyshev coefficients C on its delay interval, a chunk's bands in one
+    envelope call, and each hypothesis' basis row T gives corr = T C y and
+    ||e||^2 = T G T^T: 12 nodes on a 512-point lambda/8 chunk of the
     reference scene, 17 at a span of 1/B. Against the per-hypothesis
     envelope block it replaces, J moved by at most 2.8e-15 of its peak on
     the default 2-8 m lambda/8 grid, for either model and coherence, and by
@@ -268,7 +276,9 @@ def _objective_on_grid(received: SignalSet, scenario: Scenario,
     _validate_hypothesis(scenario, grid)
     groups = _pair_groups(scenario)
     abs_d, group = groups[:2]
-    rows = _gain_rows(groups, kind)
+    # pair p's row in _gains' result; pairs with equal rows have equal
+    # templates
+    rows = groups[3] if kind is ModelKind.FULL_INFORMATION else group
     # template classes: a class's pairs lie in one delay group, so the
     # pairs sorted by (group, class) give each class one contiguous run,
     # and each group's classes are one contiguous run of classes
@@ -283,9 +293,13 @@ def _objective_on_grid(received: SignalSet, scenario: Scenario,
     first = np.searchsorted(group[rep], np.arange(abs_d.size + 1))
     stacked = np.concatenate([np.concatenate([y[a:b].real, y[a:b].imag])
                               for a, b in zip(first[:-1], first[1:])])
-    sinc = WaveformRef.sinc(scenario.bandwidth)
+    # the nodes and times relative to the middle time t_ref: a node
+    # written as t_ref + (mid - t_ref) + h x keeps the rounding of
+    # mid - t_ref, as a delay does in waveform_value; formed as mid + h x
+    # it would carry the rounding of mid, eps 2R/c
     t = received.times
     t_ref = t[t.size // 2]
+    t_rel = t - t_ref
     width = _CHUNK_SPAN / scenario.bandwidth
     tau_0 = 2.0 * np.sqrt(grid ** 2 + abs_d[0] ** 2) / SPEED_OF_LIGHT
     chunks = _runs(tau_0, tau_0, width / 2.0,
@@ -300,33 +314,12 @@ def _objective_on_grid(received: SignalSet, scenario: Scenario,
         lo = tau[bands[:-1], 0]
         hi = tau[np.subtract(bands[1:], 1), -1]
         mid, h = (hi + lo) / 2.0, (hi - lo) / 2.0
-        k = _node_count(np.pi * scenario.bandwidth * h.max())
-        theta = np.pi * (np.arange(k) + 0.5) / k
-        # coefficients from the node values: C_j = (2/K) sum_i T_j(x_i)
-        # e(x_i), C_0 halved
-        to_coef = np.cos(np.outer(np.arange(k), theta)) * (2.0 / k)
-        to_coef[0] /= 2.0
-        # the nodes and times relative to the middle time t_ref: a node
-        # written as t_ref + (mid - t_ref) + h x keeps the rounding of
-        # mid - t_ref, as a delay does in waveform_value; formed as
-        # mid + h x it would carry the rounding of mid, eps 2R/c
-        nodes = (mid - t_ref)[:, None] + h[:, None] * np.cos(theta)
-        coef = to_coef @ waveform_value(sinc, t - t_ref,
-                                        nodes.ravel()).reshape(
-                                            nodes.shape + t.shape)
-        gram = coef @ coef.transpose(0, 2, 1)
+        coef, gram = _envelope_coefficients(scenario, t_rel, mid - t_ref, h)
         # basis T_j(x) at every (group, hypothesis), shape (groups, K, g)
         band = np.repeat(np.arange(mid.size), np.diff(bands))
         x = np.divide(tau - mid[band, None], h[band, None],
                       out=np.zeros_like(tau), where=h[band, None] > 0)
-        basis = np.empty((abs_d.size, k, rh.size))
-        basis[:, 0] = 1.0
-        if k > 1:
-            basis[:, 1] = x
-        x *= 2.0
-        for j in range(2, k):
-            np.multiply(x, basis[:, j - 1], out=basis[:, j])
-            basis[:, j] -= basis[:, j - 2]
+        basis = _chebyshev_basis(x, coef.shape[1])
         env_sq = np.einsum("ujg,ujg->ug", gram[band] @ basis, basis)
         corr = np.empty((rep.size, rh.size), dtype=complex)
         for i, (u0, u1) in enumerate(zip(bands[:-1], bands[1:])):
@@ -447,34 +440,81 @@ def crb_stencil(scenario: Scenario, R, step: float | None = None
 
 
 def _stencil_objective(scenario: Scenario, stencil: np.ndarray,
-                       coherence: str, snr_normalization: str
+                       step: float, coherence: str, snr_normalization: str
                        ) -> tuple[np.ndarray, np.ndarray]:
     """(J, signal_power) of crb: full-model J at every stencil point (shape
-    of stencil, one row per range R = stencil[:, 1]) against the
-    noise-free synthesis at R, and that synthesis' signal power per range.
-
-    Pair p's received trace is g_p(R) e_u(R, t): its model gain and its
-    delay group's envelope at R, on synthesize's time base at R. So its
-    correlation with the model m_p at R_hat is
-    conj(m_p(R_hat)) g_p(R) sum_n e_u(R_hat, t_n) e_u(R, t_n), and no
-    trace is formed. Ranges are taken _RANGE_CHUNK at a time."""
+    of stencil, rows R = stencil[:, 1], spaced by step) against the
+    noise-free synthesis at R, and its signal power per range. Pair p's
+    received trace is g_p(R) e(tau_u(R)), so its correlation with the
+    model at R_hat is conj(g_p(R_hat)) g_p(R) <e(tau_u(R_hat)),
+    e(tau_u(R))>: no trace is formed, and the pairs of one (|z_s|, |d|)
+    geometry are one class. The envelope enters in delay space
+    (_envelope_coefficients). Relative to the middle time 2R/c of the
+    synthesis time base, a stencil delay 2 (r_s(R_hat) - R)/c lies between
+    -2 step/c and its value at the lowest range the validity floor allows.
+    That interval carries the Chebyshev nodes (13 on the reference scene),
+    or where wider than 1/B each band of a lattice on it, 1/B wide and
+    overlapping by the stencil's delay spread 4 step/c, so that a range's
+    three points share a band (4 bands of 17 at 1 GHz bandwidth). The nodes
+    depend on the scene and step only, never on the other ranges of a
+    call. The correlation is T(x_R_hat) G T(x_R)^T, the energy
+    T(x_R_hat) G T(x_R_hat)^T. Against long-double sinc sums
+    (tests/oracles.py) the curvature is within 4.7e-10 relative over 2-8 m
+    at 13 and 4 antennas and at 1 GHz bandwidth (5.4e-10 for the
+    per-sample stencil it replaced)."""
     groups = _pair_groups(scenario)
-    reduce = np.mean if snr_normalization == "total" else np.max
+    abs_d, group, geometry, of_pair = groups
+    count = np.bincount(of_pair)[:, None, None]
+    of_class = np.searchsorted(abs_d, geometry[1])  # each one's delay group
+    d_sq = abs_d[:, None, None] ** 2
+    # the band lattice, bands at least twice the delay spread wide so that
+    # they advance
+    floor = scenario.min_range_wavelengths * scenario.wavelength
+    lo = -2.0 * step / SPEED_OF_LIGHT
+    hi = 2.0 * (np.hypot(floor + 2.0 * step, abs_d[-1]) - floor - step) \
+        / SPEED_OF_LIGHT
+    spread = 4.0 * step / SPEED_OF_LIGHT
+    width = max(_CHUNK_SPAN / scenario.bandwidth, 2.0 * spread)
+    n_bands = 1 + max(int(np.ceil((hi - lo - width) / (width - spread))), 0)
+    width = min(width, hi - lo)
+    start = lo + (width - spread) * np.arange(n_bands)
+    t = sample_times(scenario, 0.0)
+    coef, gram = _envelope_coefficients(scenario, t, start + width / 2.0,
+                                        np.full(n_bands, width / 2.0))
+    k = coef.shape[1]
+
     j = np.empty(stencil.shape)
     signal_power = np.empty(stencil.shape[0])
-    for start in range(0, stencil.shape[0], _RANGE_CHUNK):
-        block = slice(start, start + _RANGE_CHUNK)
-        rh = stencil[block]
-        # envelope block (groups, ranges, 3, n); the received traces at R
-        # are the templates' stencil centre
-        env, energy, model = _templates(
-            scenario, groups, rh, sample_times(scenario, rh[:, 1]),
-            ModelKind.FULL_INFORMATION)
-        corr = np.einsum("ucjn,ucn->ucj", env, env[:, :, 1])[groups[1]]
-        j[block] = _reduce(np.conj(model) * model[:, :, 1:2] * corr, energy,
-                           coherence)
-        # sum_n |y_p(t_n)|^2 per pair, reduced over the pairs
-        signal_power[block] = reduce(energy[:, :, 1], axis=0) / env.shape[-1]
+    chunk = max(min(_RANGE_CHUNK, _CHUNK_CELLS // (3 * count.size)), 1)
+    for first in range(0, stencil.shape[0], chunk):
+        rh = stencil[first:first + chunk]
+        R = rh[:, 1:2]
+        r_s = np.sqrt(rh ** 2 + d_sq)
+        # 2 (r_s - R)/c without cancellation (rh - R is exact), shape
+        # (groups, ranges, 3)
+        delay = 2.0 * ((rh - R) * (rh + R) + d_sq) \
+            / ((r_s + R) * SPEED_OF_LIGHT)
+        band = np.repeat(np.maximum(np.searchsorted(
+            start, delay[..., 0], side="right") - 1, 0), 3)
+        basis = _chebyshev_basis(
+            (delay.ravel() - start[band]) / (width / 2.0) - 1.0, k)
+        weighted = np.empty_like(basis)
+        for i in range(n_bands):
+            weighted[:, band == i] = gram[i] @ basis[:, band == i]
+        weighted = weighted.reshape((k,) + delay.shape)
+        basis = basis.reshape((k,) + delay.shape)
+        env_sq = np.einsum("kurj,kurj->urj", weighted, basis)[of_class]
+        corr = np.einsum("kurj,kur->urj", weighted, basis[..., 1])[of_class]
+        gain = _gains(scenario, groups, rh, r_s, ModelKind.FULL_INFORMATION)
+        power = np.abs(gain) ** 2
+        j[first:first + chunk] = _reduce(
+            count * np.conj(gain) * gain[..., 1:2] * corr,
+            count * power * env_sq, coherence)
+        # sum_n |y_p(t_n)|^2 / n per geometry: the pairs' mean or the largest
+        centre = power[..., 1] * env_sq[..., 1] / t.size
+        signal_power[first:first + chunk] = (
+            np.sum(count[..., 0] * centre, axis=0) / group.size
+            if snr_normalization == "total" else centre.max(axis=0))
     return j, signal_power
 
 
@@ -498,6 +538,11 @@ def crb(scenario: Scenario, R, step: float | None = None, snr: float = 1.0,
     closed form without forming a trace. An array of ranges is all or
     nothing: if any range is refused, the call raises, naming the first
     such range, and returns no bound.
+
+    Known defect: the bound is half the textbook Cramer-Rao bound
+    sigma^2 / |J''| in variance. At 4 m on the reference scene sqrt(bound)
+    is 0.280 mm against 0.397 mm, and 300 noisy trials of the full-model
+    coherent estimator gave an RMSE of 0.407 mm.
     """
     if snr <= 0:
         raise ValueError("snr must be positive")
@@ -510,7 +555,7 @@ def crb(scenario: Scenario, R, step: float | None = None, snr: float = 1.0,
         raise ValueError("R must be a scalar or a 1-D array of ranges")
     ranges = np.atleast_1d(np.asarray(R, dtype=float))
     stencil, h = crb_stencil(scenario, ranges, step)
-    j, signal_power = _stencil_objective(scenario, stencil, coherence,
+    j, signal_power = _stencil_objective(scenario, stencil, h, coherence,
                                          snr_normalization)
     j0, j1, j2 = j.T
     second = j0 - 2.0 * j1 + j2

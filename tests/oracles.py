@@ -117,6 +117,51 @@ def objective_loop(received, sc, r_hat: float, full: bool,
     return sum(abs(ip) ** 2 / e for ip, e in zip(ips, energies) if e > 0)
 
 
+_PI_LONG = 4 * np.arctan(np.longdouble(1))
+
+
+def stencil_curvature(sc, R: float, step: float, coherent: bool):
+    """|J(R - h) - 2 J(R) + J(R + h)| / h^2 of the full-model objective
+    against the noise-free closed-form traces at R, in long double.
+
+    The traces and the model traces are each pair's gain from pair_gain
+    times a sinc summed in np.longdouble on the synthesis time base:
+    2R/c - 16/B + n/(4B), n = 0 .. 127, formed in float64 as synthesis
+    forms it. The stencil points R -+ h are rounded to float64 as crb
+    rounds them; the objective is objective_loop's, written out."""
+    n = sc.n_antennas
+    z = [(l - (n - 1) / 2.0) * sc.spacing for l in range(n)]
+    bw = np.longdouble(sc.bandwidth)
+    start = 2.0 * R / _C - 16.0 / sc.bandwidth
+    t = (start + np.arange(128) / (4.0 * sc.bandwidth)).astype(np.longdouble)
+
+    def traces(r_hat):
+        rows = []
+        for p in range(n * n):
+            gain, _, _ = pair_gain(sc, z[p // n], z[p % n], r_hat)
+            z_s = (z[p // n] + z[p % n]) / 2.0
+            d = np.longdouble(z[p // n] - z_s)
+            r_s = np.sqrt(np.longdouble(r_hat) ** 2 + d * d)
+            x = _PI_LONG * bw * (t - 2 * r_s / np.longdouble(_C))
+            safe = np.where(x == 0, 1, x)
+            env = np.where(x == 0, 1, np.sin(safe) / safe)
+            rows.append(np.clongdouble(gain) * env)
+        return np.array(rows)
+
+    received = traces(R)
+    j = []
+    for r_hat in (R - step, R, R + step):
+        m = traces(r_hat)
+        ips = np.sum(np.conj(m) * received, axis=1)
+        energies = np.sum(np.abs(m) ** 2, axis=1)
+        if coherent:
+            j.append(np.abs(np.sum(ips)) ** 2 / np.sum(energies))
+        else:
+            on = energies > 0
+            j.append(np.sum(np.abs(ips[on]) ** 2 / energies[on]))
+    return abs(j[0] - 2 * j[1] + j[2]) / np.longdouble(step) ** 2
+
+
 def _plate_axis(half: float, lam: float, points: float, rule: str):
     """Nodes and weights of the plate quadrature rule on [-half, half],
     written out: midpoint cells of at most lam/points, or 8-node

@@ -16,7 +16,6 @@ from nfradar import (
     half_power_width,
     synthesize,
     reference_scenario,
-    sample_times,
 )
 from nfradar import em_spa, estimator
 from nfradar.em_spa import gain_and_delay_arrays, pair_offsets
@@ -25,7 +24,7 @@ from nfradar.estimator import (_GRID_CHUNK, _RANGE_CHUNK, _node_count,
 from nfradar.signal import waveform_value
 from nfradar.special_fn import fresnel_conj
 
-from oracles import objective_loop
+from oracles import objective_loop, stencil_curvature
 
 PARTIAL = ModelKind.PARTIAL_INFORMATION
 FULL = ModelKind.FULL_INFORMATION
@@ -300,11 +299,11 @@ class TestObjective:
         z_s, d = pair_offsets(sc)
         R = np.array([[2.0, 3.99, 4.0], [4.3, 6.1, 8.0]])
         want, _ = gain_and_delay_arrays(sc, z_s, d, R)
-        _, _, gain = estimator._templates(sc, groups, R,
-                                          sample_times(sc, R[:, 0]), FULL)
+        rows = groups[3]
+        # the full model reads no r_s
+        gain = estimator._gains(sc, groups, R, None, FULL)[rows]
         assert np.array_equal(gain, want)
-        _, _, gain = estimator._templates(sc, groups, R[0],
-                                          sample_times(sc, 2.0), FULL)
+        gain = estimator._gains(sc, groups, R[0], None, FULL)[rows]
         assert np.array_equal(gain, want[:, 0])
 
 
@@ -490,18 +489,18 @@ class TestCrb:
         # signal powers the traces' sample powers
         sc = reference_scenario(**overrides)
         ranges = np.array([3.3, 4.0])
-        stencil, _ = estimator.crb_stencil(sc, ranges)
+        stencil, step = estimator.crb_stencil(sc, ranges)
         received = [synthesize(sc, true_range=R) for R in ranges]
         for coherence in ("coherent", "incoherent"):
-            j, total = estimator._stencil_objective(sc, stencil, coherence,
-                                                    "total")
+            j, total = estimator._stencil_objective(sc, stencil, step,
+                                                    coherence, "total")
             for i, rx in enumerate(received):
                 for k in range(3):
                     slow = objective_loop(rx, sc, float(stencil[i, k]), True,
                                           coherence == "coherent")
                     assert j[i, k] == pytest.approx(slow, rel=1e-12)
-        _, per_pair = estimator._stencil_objective(sc, stencil, "coherent",
-                                                   "per_pair")
+        _, per_pair = estimator._stencil_objective(sc, stencil, step,
+                                                   "coherent", "per_pair")
         for i, rx in enumerate(received):
             power = np.abs(rx.traces) ** 2
             assert total[i] == pytest.approx(power.mean(), rel=1e-12)
@@ -510,9 +509,11 @@ class TestCrb:
 
     @pytest.mark.parametrize("coherence", ["coherent", "incoherent"])
     def test_array_matches_scalar(self, ref_sc, coherence):
-        # one call over a line crossing a _RANGE_CHUNK boundary gives each
-        # range the bound of a call at that range alone
-        ranges = 3.5 + 0.05 * np.arange(_RANGE_CHUNK + 3)
+        # one call over a 2-8 m line crossing a _RANGE_CHUNK boundary gives
+        # each range the bound of a call at that range alone: the
+        # envelope's Chebyshev nodes depend on the scene and step only, not
+        # on the ranges that share a call
+        ranges = np.linspace(2.0, 8.0, _RANGE_CHUNK + 3)
         line = crb(ref_sc, ranges, coherence=coherence,
                    snr_normalization="per_pair")
         assert np.array_equal(line.range, ranges)
@@ -523,6 +524,22 @@ class TestCrb:
             assert line.bound[i] == pytest.approx(one.bound, rel=1e-12)
             assert line.curvature[i] == pytest.approx(one.curvature,
                                                       rel=1e-12)
+
+    @pytest.mark.parametrize("overrides", [
+        {}, {"bandwidth": 1e9}, {"n_antennas": 4}])
+    def test_curvature_matches_long_double(self, overrides):
+        # against long-double sinc sums on the synthesis time base with the
+        # oracle's closed-form gains. rel 2e-9 is about 4x the worst error
+        # of the per-sample stencil the delay-space one replaced (4.6e-10
+        # on these cases, 5.4e-10 over 13 ranges of 2-8 m)
+        sc = reference_scenario(**overrides)
+        ranges = [2.0, 4.0, 7.5]
+        for coherence in ("coherent", "incoherent"):
+            got = crb(sc, ranges, coherence=coherence).curvature
+            for R, curvature in zip(ranges, got):
+                want = stencil_curvature(sc, R, default_crb_step(sc),
+                                         coherence == "coherent")
+                assert curvature == pytest.approx(float(want), rel=2e-9)
 
     def test_non_concave_names_first_range(self, ref_sc):
         # at a 30 nm step the second difference is 10x the curvature floor
@@ -546,7 +563,9 @@ class TestCrb:
         # Fresnel work per hypothesis is the y factor of the 13 distinct
         # |d| and the two z edges of the 49 geometries (not 169 pairs), in
         # two blocks per _RANGE_CHUNK ranges of the stencil; the envelope
-        # is one block per chunk too
+        # is one (K, 128) block of Chebyshev nodes per call, whatever the
+        # ranges: 13 nodes on the reference scene's one band, 17 on each
+        # of 4 bands at 1 GHz bandwidth
         fresnel_shapes, envelope_shapes = [], []
 
         def fresnel_recording(x):
@@ -565,5 +584,8 @@ class TestCrb:
         assert fresnel_shapes == [(13, _RANGE_CHUNK, 3),
                                   (2, 49, _RANGE_CHUNK, 3),
                                   (13, 4, 3), (2, 49, 4, 3)]
-        assert envelope_shapes == [(13, _RANGE_CHUNK, 3, 128),
-                                   (13, 4, 3, 128)]
+        assert envelope_shapes == [(13, 128)]
+        envelope_shapes.clear()
+        crb(ref_sc, 4.0)
+        crb(reference_scenario(bandwidth=1e9), [2.0, 8.0])
+        assert envelope_shapes == [(13, 128), (4 * 17, 128)]
