@@ -1,4 +1,5 @@
-"""Complex Fresnel integral under the pi/2 kernel.
+"""Complex Fresnel integral under the pi/2 kernel, and the Chebyshev
+interpolation toolkit of the delay-space objectives and the plate sum.
 
 F(x) = integral of exp(j*pi*t^2/2) dt from 0 to x, i.e. F = C + jS with the
 classic cosine and sine Fresnel integrals. This normalization is the one
@@ -9,9 +10,18 @@ C/x and S/x^3 in x^4 below 1.6, and above it the auxiliary functions f, g
 of F = (1 + j)/2 - (g + jf) exp(j pi x^2/2), as polynomials in 1/x up to 4
 and in (4/x)^4 beyond. tools/fresnel_coefficients.py fits the coefficients
 against mpmath and writes them below.
+
+Chebyshev interpolation (Trefethen, Approximation Theory and Approximation
+Practice, 2013, ch. 7-8): a smooth f on [-1, 1] is taken at the K
+first-kind points x_i = cos(pi (i + 1/2) / K) (chebyshev_nodes), its
+coefficients are C = to_coef f(x), and f(x) = T(x) C with the basis rows
+T_j(x), j < K (chebyshev_basis); chebyshev_node_count sets K from a
+bound on the K-th derivative.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -157,3 +167,52 @@ def fresnel(x):
 def fresnel_conj(x):
     """Conjugate Fresnel integral F*(x), the form the pair coefficients use."""
     return np.conj(fresnel(x))
+
+
+# bound on the Chebyshev interpolation error of chebyshev_node_count, per
+# unit of the interpolated function's magnitude
+NODE_TOL = 1e-17
+
+
+def chebyshev_node_count(s: float) -> int:
+    """Smallest K >= 1 with 2 (s/2)^K / (K+1)! <= NODE_TOL.
+
+    The Lagrange remainder of interpolation on [-1, 1] at K first-kind
+    points is at most max|f^(K)| / (2^(K-1) K!), so this K suffices for
+    any f with max|f^(K)| <= s^K / (K+1) and |f| <= 1. That holds for the
+    band-limited sinc(B (t - tau)) in tau over [mid - h, mid + h] with
+    s = pi B h, and for e^{j phi(x)} with a linear phase spanning s over
+    [-1, 1] (there max|f^(K)| = (s/2)^K, a tighter bound). The bound is
+    carried as a mantissa and a power of two, so that it cannot overflow
+    where s is large; the scaling is exact."""
+    k, bound, shift = 1, s / 2.0, 0
+    while bound > math.ldexp(NODE_TOL, -shift):
+        k += 1
+        bound, exponent = math.frexp(bound * (s / (2.0 * (k + 1))))
+        shift += exponent
+    return k
+
+
+def chebyshev_nodes(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(x, to_coef): the k first-kind Chebyshev points
+    x_i = cos(pi (i + 1/2) / k) on [-1, 1], and the (k, k) matrix taking
+    values at them to coefficients, C_j = (2/k) sum_i T_j(x_i) f(x_i) with
+    C_0 halved."""
+    theta = np.pi * (np.arange(k) + 0.5) / k
+    to_coef = np.cos(np.outer(np.arange(k), theta)) * (2.0 / k)
+    to_coef[0] /= 2.0
+    return np.cos(theta), to_coef
+
+
+def chebyshev_basis(x: np.ndarray, k: int) -> np.ndarray:
+    """T_j(x) for j < k by the three-term recurrence, on a new axis
+    before the last: x of shape (..., m) gives (..., k, m)."""
+    basis = np.empty(x.shape[:-1] + (k, x.shape[-1]))
+    basis[..., 0, :] = 1.0
+    if k > 1:
+        basis[..., 1, :] = x
+    x = 2.0 * x
+    for j in range(2, k):
+        np.multiply(x, basis[..., j - 1, :], out=basis[..., j, :])
+        basis[..., j, :] -= basis[..., j - 2, :]
+    return basis

@@ -7,9 +7,11 @@ from nfradar import (
     WaveformRef,
     exact_received_signal,
     reference_scenario,
+    synthesize,
     waveform_value,
 )
 from nfradar.scenario import antenna_positions
+from nfradar.special_fn import chebyshev_node_count
 
 from oracles import exact_pair
 
@@ -111,40 +113,62 @@ def center_row(scenario):
     return m * scenario.n_antennas + m
 
 
+# constant-waveform scenes whose y form needs many nodes, at 2 GHz: a plate
+# much wider than R near a lowered floor, where the phase span sets K (93
+# of 401 y nodes), and R at half a wavelength under dense sampling, where
+# the branch point of r sets it (80 of 320; the phase span alone gave 35
+# nodes and errors of 2.7e-11)
+WIDE = {"n_antennas": 2, "plate_width": 3.0, "plate_height": 0.5,
+        "range": 0.4, "min_range_wavelengths": 2.0}
+BRANCH = {"n_antennas": 2, "plate_width": 0.6, "plate_height": 0.2,
+          "range": 0.075, "min_range_wavelengths": 0.5}
+# a 6 m plate at R = 0.4 m: K = 179 of 201 y nodes, so the direct sum runs
+WIDE6 = {"n_antennas": 2, "plate_width": 6.0, "range": 0.4,
+         "min_range_wavelengths": 2.0}
+# 3 y nodes at 4 points per wavelength, fewer than K
+NARROW = {"n_antennas": 4, "plate_width": 0.2}
+
+
 class TestExactReceivedSignal:
-    @pytest.mark.parametrize("overrides, rule, sampled", [
-        ({"n_antennas": 1}, "midpoint", False),
+    @pytest.mark.parametrize("overrides, rule, sampled, points", [
+        ({"n_antennas": 1}, "midpoint", False, 10.0),
         # 54 and 51 y nodes: the fold with and without a middle node
-        ({"n_antennas": 4}, "midpoint", False),
-        ({"n_antennas": 4, "plate_width": 0.76}, "midpoint", False),
+        ({"n_antennas": 4}, "midpoint", False, 10.0),
+        ({"n_antennas": 4, "plate_width": 0.76}, "midpoint", False, 10.0),
         # 15 Gauss-Legendre panels in z: the middle one straddles z = 0
-        ({"n_antennas": 4}, "gauss_legendre_composite", False),
-        ({"n_antennas": 4, "plate_width": 0.76}, "midpoint", True),
-        ({"n_antennas": 4}, "gauss_legendre_composite", True),
+        ({"n_antennas": 4}, "gauss_legendre_composite", False, 10.0),
+        ({"n_antennas": 4, "plate_width": 0.76}, "midpoint", True, 10.0),
+        ({"n_antennas": 4}, "gauss_legendre_composite", True, 10.0),
         # the z fold: an odd array, whose middle element is its own mirror;
         # 114 z rows, with no middle row; 16 z panels, with z = 0 on a
         # panel edge
-        ({"n_antennas": 3}, "midpoint", False),
-        ({"n_antennas": 3}, "midpoint", True),
-        ({"n_antennas": 4, "plate_height": 1.7}, "midpoint", False),
-        ({"n_antennas": 4, "plate_height": 1.7}, "midpoint", True),
+        ({"n_antennas": 3}, "midpoint", False, 10.0),
+        ({"n_antennas": 3}, "midpoint", True, 10.0),
+        ({"n_antennas": 4, "plate_height": 1.7}, "midpoint", False, 10.0),
+        ({"n_antennas": 4, "plate_height": 1.7}, "midpoint", True, 10.0),
         ({"n_antennas": 4, "plate_height": 1.85},
-         "gauss_legendre_composite", False),
+         "gauss_legendre_composite", False, 10.0),
         # specular points of the outer pairs off the plate
         ({"n_antennas": 4, "spacing": 0.25, "plate_height": 0.5},
-         "midpoint", False),
+         "midpoint", False, 10.0),
         ({"n_antennas": 4, "spacing": 0.25, "plate_height": 0.5},
-         "gauss_legendre_composite", True),
-        ({"n_antennas": 4, "plate_width": 0.0}, "midpoint", False),
-        ({"n_antennas": 4, "plate_width": 0.0}, "midpoint", True),
+         "gauss_legendre_composite", True, 10.0),
+        ({"n_antennas": 4, "plate_width": 0.0}, "midpoint", False, 10.0),
+        ({"n_antennas": 4, "plate_width": 0.0}, "midpoint", True, 10.0),
+        (WIDE, "midpoint", False, 40.0),
+        (WIDE, "gauss_legendre_composite", False, 40.0),
+        (BRANCH, "midpoint", False, 160.0),
+        (WIDE6, "midpoint", False, 10.0),
+        (NARROW, "midpoint", False, 4.0),
     ], ids=["n1", "even-y", "odd-y", "gl", "odd-y-sinc", "gl-sinc",
             "odd-n", "odd-n-sinc", "even-z", "even-z-sinc", "gl-even-z-panels",
-            "off-plate", "off-plate-gl-sinc", "no-width", "no-width-sinc"])
-    def test_matches_oracle(self, overrides, rule, sampled):
+            "off-plate", "off-plate-gl-sinc", "no-width", "no-width-sinc",
+            "wide", "wide-gl", "branch", "wide-6m", "narrow"])
+    def test_matches_oracle(self, overrides, rule, sampled, points):
         # every pair, in tx-major rows, against the brute-force per-pair
         # plate sum; sampled traces relative to each pair's peak
-        sc = reference_scenario(**overrides, **SMALL)
-        quad = QuadratureSpec(10.0, rule)
+        sc = reference_scenario(**{**SMALL, **overrides})
+        quad = QuadratureSpec(points, rule)
         if sampled:
             w = WaveformRef.sinc(sc.bandwidth)
             t = 2.0 * sc.range / 299792458.0 + np.linspace(-8e-8, 8e-8, 17)
@@ -156,20 +180,72 @@ class TestExactReceivedSignal:
         z = [(l - (n - 1) / 2.0) * sc.spacing for l in range(n)]
         for p in range(n * n):
             want = exact_pair(sc, z[p // n], z[p % n], t, w.bandwidth,
-                              10.0, rule)
+                              points, rule)
             if sc.plate_width == 0.0:
                 assert np.all(got[p] == 0.0) and np.all(want == 0.0)
                 continue
             scale = np.max(np.abs(want))
             assert np.max(np.abs(got[p] - want)) <= 1e-12 * scale
 
+    @pytest.mark.parametrize("overrides, rule, points, nodes, phase", [
+        ({}, "midpoint", 10.0, 14, 14),
+        (WIDE, "midpoint", 40.0, 93, 93),
+        (WIDE, "gauss_legendre_composite", 40.0, 93, 93),
+        (BRANCH, "midpoint", 160.0, 80, 35),
+        (WIDE6, "midpoint", 10.0, 201, 179),
+        (NARROW, "midpoint", 4.0, 3, 8),
+    ], ids=["small", "wide", "wide-gl", "branch", "wide-6m", "narrow"])
+    def test_y_nodes(self, overrides, rule, points, nodes, phase,
+                     monkeypatch):
+        # the constant waveform's factors are taken at K Chebyshev points
+        # in y^2, K from the phase span or, where R is near a wavelength,
+        # the branch point; where K is near or above the folded y nodes
+        # (201 and 3 here) the direct sum takes them at the nodes
+        sizes = set()
+        factors = em_exact._antenna_factors
+
+        def recording(scenario, z_ant, y_sq, z):
+            sizes.add(np.size(y_sq))
+            return factors(scenario, z_ant, y_sq, z)
+
+        monkeypatch.setattr(em_exact, "_antenna_factors", recording)
+        sc = reference_scenario(**{**SMALL, **overrides})
+        exact_received_signal(sc, 0.0, CONST, QuadratureSpec(points, rule))
+        assert sizes == {nodes}
+        u_max = sc.plate_width ** 2 / 4.0
+        assert chebyshev_node_count(
+            sc.wavenumber * u_max / (np.hypot(sc.range, sc.plate_width / 2)
+                                     + sc.range)) == phase
+
+    def test_sampled_waveform_takes_y_nodes(self, monkeypatch):
+        # the y form is for the constant waveform only: a sampled one's
+        # delays couple the two antennas of a pair, so exact sinc synthesis
+        # takes every factor at the folded y nodes, without the form
+        sc = reference_scenario(n_antennas=3, **SMALL)
+        calls = []
+        factors = em_exact._antenna_factors
+
+        def recording(scenario, z_ant, y_sq, z):
+            calls.append(y_sq)
+            return factors(scenario, z_ant, y_sq, z)
+
+        def refused(*args):
+            raise AssertionError("y form used for a sampled waveform")
+
+        monkeypatch.setattr(em_exact, "_antenna_factors", recording)
+        monkeypatch.setattr(em_exact, "_y_form", refused)
+        synthesize(sc, backend="exact")
+        y, _ = em_exact._fold(*em_exact._axis_nodes(
+            sc.plate_width / 2, sc.wavelength, QuadratureSpec()))
+        assert calls and all(np.array_equal(u, y * y) for u in calls)
+
     def test_block_bound(self, ref_sc_10ghz, monkeypatch):
         # the plate is visited in blocks of whole z rows whose per-node
-        # arrays hold at most _BLOCK_NODES values (antennas x nodes for the
-        # constant waveform, pairs x nodes for a sampled one), never the
-        # whole plate at once; a sampled waveform's envelope takes each
-        # block's nodes span at a time, all samples in one call of at most
-        # _BLOCK_SAMPLES values
+        # arrays hold at most _BLOCK_NODES values (antennas x y form nodes
+        # for the constant waveform, pairs x y nodes for a sampled one),
+        # never the whole plate at once; a sampled waveform's envelope
+        # takes each block's nodes span at a time, all samples in one call
+        # of at most _BLOCK_SAMPLES values
         shapes, envelopes = [], []
         factors = em_exact._antenna_factors
 
@@ -190,9 +266,10 @@ class TestExactReceivedSignal:
         bound = em_exact._BLOCK_NODES
         monkeypatch.setattr(em_exact, "_antenna_factors", recording)
         exact_received_signal(ref_sc_10ghz, 0.0, CONST)
-        # 134 folded y nodes and 292 folded z rows (of 584) at 10 GHz
-        rows = bound // (13 * 134)
-        assert shapes == [(13, b, 134) for b in blocks(292, rows)]
+        # 24 y form nodes (of 134 folded y nodes) and 292 folded z rows
+        # (of 584) at 10 GHz
+        rows = bound // (13 * 24)
+        assert shapes == [(13, b, 24) for b in blocks(292, rows)]
 
         shapes.clear()
         # 27 folded y nodes, 59 folded z rows (of 117)
@@ -256,8 +333,10 @@ class TestExactReceivedSignal:
             exact_received_signal(sc, np.zeros((2, 2)), CONST)
 
     def test_degenerate_plate_is_zero(self):
+        # no y nodes and u_max = 0: exact zeros, with nothing divided by 0
         sc = reference_scenario(plate_width=0.0)
-        assert np.all(exact_received_signal(sc, 0.0, CONST) == 0.0)
+        with np.errstate(all="raise"):
+            assert np.all(exact_received_signal(sc, 0.0, CONST) == 0.0)
 
     def test_zero_drive_is_zero(self, ref_sc_10ghz):
         sc = reference_scenario(carrier_freq=10e9, antenna_gain_factor=0.0)

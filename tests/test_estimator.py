@@ -19,10 +19,9 @@ from nfradar import (
 )
 from nfradar import em_spa, estimator
 from nfradar.em_spa import gain_and_delay_arrays, pair_offsets
-from nfradar.estimator import (_GRID_CHUNK, _RANGE_CHUNK, _node_count,
-                               _objective_on_grid)
+from nfradar.estimator import _GRID_CHUNK, _RANGE_CHUNK, _objective_on_grid
 from nfradar.signal import waveform_value
-from nfradar.special_fn import fresnel_conj
+from nfradar.special_fn import chebyshev_node_count, fresnel_conj
 
 from oracles import objective_loop, stencil_curvature
 
@@ -283,8 +282,15 @@ class TestObjective:
                     err = np.abs(np.polynomial.chebyshev.chebval(x, coef)
                                  - f(x))
                     assert err.max() <= bound + 1e-15
-        assert _node_count(0.0) == 1
-        assert _node_count(np.pi / 2) == 17
+        assert chebyshev_node_count(0.0) == 1
+        assert chebyshev_node_count(np.pi / 2) == 17
+        # past s of about 1,400 the bound exceeds the float range before it
+        # falls; the count must still be the smallest K that meets it
+        for s in (2000.0, 1e5):
+            k = chebyshev_node_count(s)
+            log_bound = [math.log(2.0) + j * math.log(s / 2.0)
+                         - math.lgamma(j + 2) for j in (k - 1, k)]
+            assert log_bound[1] <= math.log(1e-17) < log_bound[0]
 
     @pytest.mark.parametrize("overrides", [
         {}, {"plate_height": 0.5}, {"n_antennas": 4}, {"spacing": 0.1}])
@@ -297,6 +303,11 @@ class TestObjective:
         if not overrides:
             assert groups[2].shape == (2, 49)
         z_s, d = pair_offsets(sc)
+        # the geometries and their order are those of np.unique over columns
+        geometry, of_pair = np.unique(np.abs([z_s, d]), axis=1,
+                                      return_inverse=True)
+        assert np.array_equal(groups[2], geometry)
+        assert np.array_equal(groups[3], of_pair.ravel())
         R = np.array([[2.0, 3.99, 4.0], [4.3, 6.1, 8.0]])
         want, _ = gain_and_delay_arrays(sc, z_s, d, R)
         rows = groups[3]
