@@ -38,19 +38,24 @@ so r, A and B are computed once per antenna. Under a sampled waveform the
 plate sum of every pair carries its own delays; under the constant one it
 is the matrix product A W B^T with the quadrature weights W.
 
-The y sum as a K x K form (constant waveform). Along a z row A and B
-depend on y only through u = y^2, smoothly: the phase k r moves by 4.2
-rad over the reference plate's width at 10 GHz and 32 rad at 77 GHz,
-which its 134 and 1,028 folded y nodes oversample many times over. So
-the factors are evaluated at K Chebyshev points u_i instead (24 at
-10 GHz, 70 at 77 GHz; the rule is _y_form's), and the y weights become
-the K x K matrix H = E diag(w_y) E^T, E the interpolation matrix from the
-u_i to the y nodes: each block of z rows adds A H (w_z B)^T. The nodes,
-weights and z fold are those of the direct sum, so this is the same
-quadrature up to interpolation and rounding: each pair is within 5.8e-14
-of its direct sum at 10 GHz and 1.8e-13 at 24 GHz, the size of the
-rounding eps k r of the phases. Where the form would not be cheaper, the
-direct sum runs.
+The plate sum as a two-axis form (constant waveform). A and B depend on
+y only through u = y^2, and both are smooth in u along a z row and in z
+along a y column: over the reference plate's folded quarter the phase
+k r moves by at most 4.2 rad in u and 69 rad in z at 10 GHz (32 and 531
+rad at 77 GHz), which its 134 folded y nodes and 292 folded z rows (1,028
+and 2,248) oversample many times over. So the factors are evaluated at
+K_z x K_y first-kind Chebyshev points instead, in z on the folded half
+and in u (77 x 24 at 10 GHz, 347 x 70 at 77 GHz; the rules are _z_count's
+and _y_count's), and each axis' weights become a real K x K matrix,
+G = E_z diag(w_z) E_z^T and H = E_y diag(w_y) E_y^T, E the interpolation
+matrix from the points to that axis' nodes. The half-plate sums are
+A (G x H) B^T: H along u and G along z as two real matrix products, then
+one complex product over the antennas (_axis_form, _constant_sum). The
+nodes, weights, fold and mirror identity are those of the direct sum, so
+this is the same quadrature up to interpolation and rounding: each pair
+is within 1.2e-13 of the direct sum at 10 GHz, 6.0e-13 at 24 GHz and
+1.8e-12 at 77 GHz, the size of the rounding eps k r of the phases. Along
+an axis where the form would not be cheaper, the direct sum runs.
 
 Quarter plate. The integrand depends on y only through y^2, so only the
 y >= 0 half of the symmetric y nodes is evaluated. The elements and the
@@ -71,22 +76,23 @@ import numpy as np
 from .scenario import SPEED_OF_LIGHT, Scenario, antenna_positions
 from .signal import WaveformRef, waveform_value
 from .special_fn import (NODE_TOL, chebyshev_basis, chebyshev_node_count,
-                         chebyshev_nodes)
+                         chebyshev_nodes, phase_node_count)
 
 _RULES = ("midpoint", "gauss_legendre_composite")
 
-# Bound on the values of the per-node arrays in one block of z rows:
-# rows x antennas x K y^2 values for the constant waveform (K of the y
-# form, or the y nodes), rows x pairs x y nodes for a sampled one; a block
-# holds at least one row. The block size depends
-# only on the scene, never on available memory, so the summation order and
-# the result are bitwise reproducible. Blocks of 2^14 keep the arrays in
-# cache: on a 2-core Xeon VM, 2^16 took 1.4-1.7x as long at 10 GHz.
+# Bound on the values of the per-node arrays in one block of z rows or z
+# points: rows x pairs x y nodes for a sampled waveform, points x antennas
+# x y points for the constant one; a block holds at least one row. The
+# block size depends only on the scene, never on available memory, so the
+# summation order and the result are bitwise reproducible. Blocks of 2^14
+# keep the arrays in cache: on a 2-core Xeon VM, 2^16 took 1.4-1.7x as
+# long at 10 GHz.
 _BLOCK_NODES = 1 << 14
 # Cost of one per-antenna factor (a square root, a complex exponential
-# and four products) in multiply-adds of the y form's matrix products:
-# 53-74 ns against 0.3-0.8 ns per complex multiply-add on a 2-core Xeon VM
-_FACTOR_MACS = 128
+# and four products) in real multiply-adds of the axis forms' matrix
+# products: about 58 ns against 0.04-0.06 ns per multiply-add on a 2-core
+# Xeon VM, one BLAS thread
+_FACTOR_MACS = 1024
 # Bound on pairs times nodes times samples in one envelope block of a
 # sampled waveform: the nodes of a block of z rows are taken span at a
 # time, so the sines and cosines of each pair's node delays are computed
@@ -94,6 +100,10 @@ _FACTOR_MACS = 128
 # a node fits. At 10 GHz this kept peak RSS within 4 MB of a per-sample
 # loop; 2^16 and 2^18 ran within the noise of 2^17.
 _BLOCK_SAMPLES = 1 << 17
+# Bound on the values of one block of Chebyshev basis rows at an axis'
+# nodes in the set-up of its form (1 MB): one block for either axis at
+# 10 GHz, 6 for z at 77 GHz
+_BLOCK_BASIS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -164,18 +174,12 @@ def _fold(nodes: np.ndarray, weights: np.ndarray
     return nodes[mid:], folded
 
 
-def _y_form(scenario: Scenario, y_nodes: np.ndarray, y_w: np.ndarray,
-            factors: int) -> tuple[np.ndarray, np.ndarray | None]:
-    """(u, H): the folded y sum of the constant-waveform integrand as a
-    bilinear form in the per-antenna factors at the values u of y^2,
-    sum_y w_y A(y^2) B(y^2) = A(u) H B(u)^T, for factors = antennas x z
-    rows evaluations of each y^2 (module docstring).
+def _y_count(scenario: Scenario, n_y: int) -> int:
+    """K of the y form: Chebyshev points in u = y^2 on [0, u_max],
+    u_max = (plate_width/2)^2, for the n_y folded y nodes (at most n_y).
 
-    u holds K first-kind Chebyshev points on [0, u_max],
-    u_max = (plate_width/2)^2, and H = E diag(w_y) E^T, E the (K, ny)
-    interpolation matrix from them to the y nodes' y^2. Along a z row the
-    factors are smooth in u, with r = sqrt(rho^2 + u) and
-    rho^2 = R^2 + (z - z_l)^2 >= R^2, and K meets two bounds:
+    Along a z row the factors are smooth in u, with r = sqrt(rho^2 + u)
+    and rho^2 = R^2 + (z - z_l)^2 >= R^2, and K meets two bounds:
     - the phase k r moves by k u / (r + rho) <= Phi =
       k u_max / (sqrt(R^2 + u_max) + R) over the interval, and
       chebyshev_node_count(Phi) holds the interpolation error of a
@@ -187,30 +191,156 @@ def _y_form(scenario: Scenario, y_nodes: np.ndarray, y_w: np.ndarray,
       that to NODE_TOL too. It binds where R is within about two
       wavelengths and the plate much wider than R: at R = lambda/2 on a
       0.6 m plate at 2 GHz the phase bound alone gave 35 nodes, not 80,
-      and sums 2.7e-11 off.
-    The form costs K factors and K^2 multiply-adds per antenna and z row,
-    and about K^2 ny to set up. Where that is not below the ny factors of
-    the direct sum (a factor costs about _FACTOR_MACS multiply-adds), u
-    holds the y nodes' y^2 and H is None: the direct sum with the
-    weights w_y."""
-    y_sq = y_nodes * y_nodes
-    n_y = y_sq.size
+      and sums 2.7e-11 off."""
+    if not n_y:
+        return 0
+    R = scenario.range
     u_max = (scenario.plate_width / 2.0) ** 2
-    k = n_y
-    if n_y:
-        R = scenario.range
-        digits = -math.log(NODE_TOL)
-        # ln rho_B, floored so that its count is at most n_y
-        decay = max(math.acosh(1.0 + 2.0 * R * R / u_max), digits / n_y)
-        k = max(chebyshev_node_count(scenario.wavenumber * u_max
-                                     / (math.sqrt(R * R + u_max) + R)),
-                math.ceil(digits / decay))
-    if factors * k + k * k * (factors + n_y) / _FACTOR_MACS \
-            >= factors * n_y:
-        return y_sq, None
-    x, to_coef = chebyshev_nodes(k)
-    interp = to_coef.T @ chebyshev_basis(y_sq * (2.0 / u_max) - 1.0, k)
-    return (x + 1.0) * (u_max / 2.0), (interp * y_w) @ interp.T
+    return max(chebyshev_node_count(scenario.wavenumber * u_max
+                                    / (math.sqrt(R * R + u_max) + R)),
+               _branch_count(math.acosh(1.0 + 2.0 * R * R / u_max), n_y))
+
+
+def _z_count(scenario: Scenario, z_ant: np.ndarray, n_z: int) -> int:
+    """K of the z form: Chebyshev points in z on the folded half [0, L],
+    L = plate_height/2, for the n_z folded z nodes (at most n_z).
+
+    At fixed u = y^2 the factors of antenna l are smooth in z, with
+    r = sqrt(R^2 + u + (z - z_l)^2), and K meets two bounds:
+    - the slope |dr/dz| = |z - z_l| / r is at most m / sqrt(R^2 + m^2),
+      m = L + max |z_l|, so the phase k r spans at most
+      s = L k m / sqrt(R^2 + m^2) over the interval, and
+      phase_node_count(s), a Bernstein-ellipse bound, holds the
+      interpolation error of a linear phase of that span below NODE_TOL
+      (77 nodes at 10 GHz and 347 at 77 GHz on the reference plate, where
+      chebyshev_node_count's Lagrange bound gives 122 and 751 of 292 and
+      2,248 folded rows; 56 already reach 2.8e-13 at 10 GHz);
+    - the branch points of r at z = z_l +- j sqrt(R^2 + u), nearest at
+      z_l +- j R, bound the coefficients' decay as _y_count's does: at
+      zeta, z mapped to [-1, 1], ln rho_B = arccosh((|zeta - 1| +
+      |zeta + 1|) / 2), the least over the antennas. It binds where R is
+      small against the plate height."""
+    if not n_z:
+        return 0
+    R = scenario.range
+    half = scenario.plate_height / 2.0
+    m = half + float(np.max(np.abs(z_ant)))
+    zeta = (2.0 * z_ant - half + 2j * R) / half
+    decay = float(np.min(np.arccosh(
+        (np.abs(zeta - 1.0) + np.abs(zeta + 1.0)) / 2.0)))
+    return max(phase_node_count(half * scenario.wavenumber * m
+                                / math.hypot(R, m)),
+               _branch_count(decay, n_z))
+
+
+def _branch_count(decay: float, nodes: int) -> int:
+    """Chebyshev points that take a coefficient decay rho_B^-K, ln rho_B =
+    decay, to NODE_TOL; at most nodes."""
+    digits = -math.log(NODE_TOL)
+    return math.ceil(digits / max(decay, digits / nodes))
+
+
+def _axis_form(x: np.ndarray, w: np.ndarray, hi: float, k: int,
+               factors: int) -> tuple[np.ndarray, np.ndarray | None]:
+    """(points, gram): one axis of the folded plate sum of the
+    constant-waveform integrand as a bilinear form in the per-antenna
+    factors, sum_i w_i A(x_i) B(x_i) = A(points) gram B(points)^T, for
+    factors evaluations of each point (the other axis' points times the
+    antennas; module docstring).
+
+    x holds the axis' node values in [0, hi] (y^2 or z) and w their
+    weights. points holds k first-kind Chebyshev points on [0, hi], and
+    gram = E diag(w) E^T, E the (k, x.size) interpolation matrix from them
+    to x: E = to_coef^T T with T the basis rows at x, so gram is
+    to_coef^T (T diag(w) T^T) to_coef, and the middle matrix is summed
+    over blocks of nodes. The form costs k factors and 2 k^2 real
+    multiply-adds per other point, and about k^2 (x.size + 2 k) to set
+    up. Where that is not below the x.size factors of the direct sum (a
+    factor costs about _FACTOR_MACS multiply-adds), points is x and gram
+    None: the direct sum with the weights w."""
+    n = x.size
+    if factors * k + k * k * (2 * factors + n + 2 * k) / _FACTOR_MACS \
+            >= factors * n:
+        return x, None
+    cheb, to_coef = chebyshev_nodes(k)
+    products = np.zeros((k, k))
+    span = max(_BLOCK_BASIS // k, 1)
+    for lo in range(0, n, span):
+        basis = chebyshev_basis(x[lo:lo + span] * (2.0 / hi) - 1.0, k)
+        products += (basis * w[lo:lo + span]) @ basis.T
+    return (cheb + 1.0) * (hi / 2.0), to_coef.T @ products @ to_coef
+
+
+def _constant_sum(scenario: Scenario, z_ant: np.ndarray, y_pts, y_w,
+                  h: np.ndarray | None, z_pts, z_w, g: np.ndarray | None
+                  ) -> np.ndarray:
+    """The half-plate pair sums M of the constant waveform, (N^2, 1):
+    A (G x H) B^T from the factors at the points of the two axis forms
+    (_axis_form; the weights where a form is None), in blocks of whole z
+    points of at most _BLOCK_NODES values. H acts on each block. G couples
+    every z point, so under the z form A and the y-weighted B are kept
+    whole (antennas x z points x y points each) and G is applied a block of
+    its rows at a time; under the direct z sum each block adds its pair
+    sums at once."""
+    n = z_ant.size
+    kz, ky = z_pts.size, y_pts.size
+    rows = max(_BLOCK_NODES // max(n * ky, 1), 1)
+    total = np.zeros((n, n), dtype=complex)
+    if g is not None:
+        a_all = np.empty((n, kz, ky), dtype=complex)
+        # z-leading, so that G is one real matrix product on its rows
+        hb = np.empty((kz, n, ky), dtype=complex)
+    for lo in range(0, kz, rows):
+        block = slice(lo, lo + rows)
+        _, a, b = _antenna_factors(scenario, z_ant, y_pts,
+                                   z_pts[block, None])
+        if h is None:
+            b *= y_w
+        else:
+            parts = np.ascontiguousarray(np.moveaxis(b, 2, 0))
+            b = np.moveaxis((h @ parts.view(float).reshape(ky, -1))
+                            .view(complex).reshape(parts.shape), 0, 2)
+        if g is None:
+            b *= z_w[block, None]
+            total += a.reshape(n, -1) @ b.reshape(n, -1).T
+        else:
+            a_all[:, block] = a
+            hb[block] = b.swapaxes(0, 1)
+    if g is not None:
+        flat = hb.view(float).reshape(kz, -1)
+        for lo in range(0, kz, rows):
+            c = (g[lo:lo + rows] @ flat).view(complex).reshape(-1, n, ky)
+            total += a_all[:, lo:lo + rows].reshape(n, -1) \
+                @ c.swapaxes(0, 1).reshape(n, -1).T
+    return total.reshape(n * n, 1)
+
+
+def _sampled_sum(scenario: Scenario, times: np.ndarray,
+                 waveform: WaveformRef, z_ant: np.ndarray, y_nodes, y_w,
+                 z_nodes, z_w) -> np.ndarray:
+    """The half-plate pair sums M of a sampled waveform, (N^2, samples):
+    one delay per pair and node, in blocks of whole z rows, with the
+    geometry of a block shared by every sample."""
+    n = z_ant.size
+    y_sq = y_nodes * y_nodes
+    rows = max(_BLOCK_NODES // max(n * n * y_sq.size, 1), 1)
+    # nodes per envelope block
+    span = max(_BLOCK_SAMPLES // max(n * n * times.size, 1), 1)
+    total = np.zeros((n * n, times.size), dtype=complex)
+    for start in range(0, z_nodes.size, rows):
+        zb = z_nodes[start:start + rows, None]
+        r, a, b = _antenna_factors(scenario, z_ant, y_sq, zb)
+        wb = b * (z_w[start:start + rows, None] * y_w)
+        tau = ((r[:, None] + r[None, :]) / SPEED_OF_LIGHT).reshape(n * n, -1)
+        # (pairs, nodes, re/im) so the pair sums at every sample are one
+        # real batched matrix product per envelope block
+        prod = (a[:, None] * wb[None, :]).reshape(n * n, -1)
+        parts = prod.view(float).reshape(n * n, -1, 2)
+        for lo in range(0, tau.shape[1], span):
+            env = waveform_value(waveform, times, tau[:, lo:lo + span])
+            summed = np.matmul(env.swapaxes(1, 2), parts[:, lo:lo + span])
+            total += summed.view(complex)[..., 0]
+    return total
 
 
 def exact_received_signal(scenario: Scenario, t, waveform: WaveformRef,
@@ -221,8 +351,9 @@ def exact_received_signal(scenario: Scenario, t, waveform: WaveformRef,
     (N^2,) + shape(t), rows in tx-major order (row i is tx i // N,
     rx i % N) like SignalSet rows. The plate geometry of each block of z
     rows is computed once for every pair and sample; only the quarter plate
-    y, z >= 0 is visited, and under the constant waveform the y sum is a
-    K x K form (module docstring, _y_form).
+    y, z >= 0 is visited, and under the constant waveform the plate sum is
+    a form in the factors at Chebyshev points in z and y^2 (module
+    docstring, _axis_form).
 
     Convergence contract: doubling points_per_wavelength moves the result
     by less than 0.1 dB in magnitude for densities of 10 per wavelength and
@@ -241,34 +372,18 @@ def exact_received_signal(scenario: Scenario, t, waveform: WaveformRef,
     y_nodes, y_w = _fold(*_axis_nodes(scenario.plate_width / 2, lam, quad))
     z_nodes, z_w = _fold(*_axis_nodes(scenario.plate_height / 2, lam, quad))
 
-    constant = waveform.kind == "constant"
-    if constant:
-        y_sq, y_form = _y_form(scenario, y_nodes, y_w, n * z_nodes.size)
+    if waveform.kind == "constant":
+        y_pts, h = _axis_form(y_nodes * y_nodes, y_w,
+                              (scenario.plate_width / 2.0) ** 2,
+                              _y_count(scenario, y_nodes.size),
+                              n * z_nodes.size)
+        z_pts, g = _axis_form(z_nodes, z_w, scenario.plate_height / 2.0,
+                              _z_count(scenario, z_ant, z_nodes.size),
+                              n * y_pts.size)
+        total = _constant_sum(scenario, z_ant, y_pts, y_w, h, z_pts, z_w, g)
     else:
-        y_sq, y_form = y_nodes * y_nodes, None
-    width = n if constant else n * n
-    rows = max(_BLOCK_NODES // max(width * y_sq.size, 1), 1)
-    # nodes per envelope block of a sampled waveform
-    span = max(_BLOCK_SAMPLES // max(n * n * times.size, 1), 1)
-    total = np.zeros((n * n, 1 if constant else times.size), dtype=complex)
-    for start in range(0, z_nodes.size, rows):
-        zb = z_nodes[start:start + rows, None]
-        r, a, b = _antenna_factors(scenario, z_ant, y_sq, zb)
-        wz = z_w[start:start + rows, None]
-        wb = b * (wz * y_w) if y_form is None else (b * wz) @ y_form
-        if constant:
-            total[:, 0] += (a.reshape(n, -1) @ wb.reshape(n, -1).T).ravel()
-            continue
-        # one delay per pair and node, shared geometry for every sample
-        tau = ((r[:, None] + r[None, :]) / SPEED_OF_LIGHT).reshape(n * n, -1)
-        # (pairs, nodes, re/im) so the pair sums at every sample are one
-        # real batched matrix product per envelope block
-        prod = (a[:, None] * wb[None, :]).reshape(n * n, -1)
-        parts = prod.view(float).reshape(n * n, -1, 2)
-        for lo in range(0, tau.shape[1], span):
-            env = waveform_value(waveform, times, tau[:, lo:lo + span])
-            summed = np.matmul(env.swapaxes(1, 2), parts[:, lo:lo + span])
-            total += summed.view(complex)[..., 0]
+        total = _sampled_sum(scenario, times, waveform, z_ant,
+                             y_nodes, y_w, z_nodes, z_w)
 
     # the z < 0 half by the mirror identity
     half = total.reshape(n, n, -1)

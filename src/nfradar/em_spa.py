@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .scenario import SPEED_OF_LIGHT, Scenario, antenna_positions
+from .scenario import SPEED_OF_LIGHT, Scenario
 from .signal import WaveformRef, waveform_value
 from .special_fn import fresnel_conj
 
@@ -38,13 +38,20 @@ def xi(scenario: Scenario) -> complex:
 def pair_offsets(scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
     """Per-pair specular z and antenna offset d = z_l - z_s for all N^2
     pairs in tx-major order. r_s(R) = sqrt(R^2 + d^2) for any hypothesized
-    standoff R, so these two arrays are the whole pair geometry."""
+    standoff R, so these two arrays are the whole pair geometry.
+
+    For tx i and rx j, z_s = (i + j - (N-1)) s/2 and d = (i - j) s/2, s
+    the spacing: each is one rounding of an integer times s/2, so pairs
+    with the same index sum (or difference) get the same bits, and
+    mirrored pairs exact negations. (z_i + z_j)/2 from the element
+    positions split them by rounding: 28 distinct |d| and 61 (|z_s|, |d|)
+    at spacing 0.1, not 13 and 49."""
     n = scenario.n_antennas
-    z = antenna_positions(scenario)
-    tx = np.repeat(z, n)
-    rx = np.tile(z, n)
-    z_s = (tx + rx) / 2.0
-    return z_s, tx - z_s
+    idx = np.arange(n)
+    half = scenario.spacing / 2.0
+    z_s = (idx[:, None] + idx - (n - 1)) * half
+    d = (idx[:, None] - idx) * half
+    return z_s.ravel(), d.ravel()
 
 
 def gain_and_delay_arrays(scenario: Scenario, z_s, d, R

@@ -516,3 +516,28 @@ class TestMain:
         _, header, data = read_csv(out)
         assert len(data) == 9
         assert max(abs(float(r[4])) for r in data) <= 0.5
+
+    def test_parser_reused_without_leaks(self, tmp_path):
+        # the parser is built once per process; successive calls with
+        # different --set and --seed values each write what their own
+        # overrides alone give, with nothing left over from an earlier
+        # call (the last one has no --set, so it parses the default list)
+        runs = [
+            ("crb", ["--set", "sweep.range=4,8",
+                     "--set", "scenario.spacing=0.1", "--seed", "1"],
+             ("sweep.range=4,8", "scenario.spacing=0.1", "noise.seed=1")),
+            ("crb", ["--set", "sweep.range=3",
+                     "--set", "scenario.bandwidth=2e8", "--seed", "2"],
+             ("sweep.range=3", "scenario.bandwidth=2e8", "noise.seed=2")),
+            ("validate-spa", ["--seed", "3"], ("noise.seed=3",)),
+            ("validate-spa", ["--set", "scenario.n_antennas=3"],
+             ("scenario.n_antennas=3",)),
+        ]
+        runners = {"crb": run_crb, "validate-spa": run_validate_spa}
+        for i, (experiment, args, overrides) in enumerate(runs):
+            out, want = tmp_path / f"out{i}.csv", tmp_path / f"want{i}.csv"
+            assert main([experiment] + args + ["--out", str(out)]) == 0
+            cfg = parse_config(overrides=overrides, experiment=experiment)
+            write_table(str(want), *runners[experiment](cfg), cfg)
+            assert out.read_bytes() == want.read_bytes()
+        assert cli._parser() is cli._parser()

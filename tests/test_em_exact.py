@@ -11,7 +11,7 @@ from nfradar import (
     waveform_value,
 )
 from nfradar.scenario import antenna_positions
-from nfradar.special_fn import chebyshev_node_count
+from nfradar.special_fn import chebyshev_node_count, phase_node_count
 
 from oracles import exact_pair
 
@@ -122,6 +122,11 @@ WIDE = {"n_antennas": 2, "plate_width": 3.0, "plate_height": 0.5,
         "range": 0.4, "min_range_wavelengths": 2.0}
 BRANCH = {"n_antennas": 2, "plate_width": 0.6, "plate_height": 0.2,
           "range": 0.075, "min_range_wavelengths": 0.5}
+# the same R on a plate three times taller than wide, where the branch
+# points of r in z set K_z (72 of 321 z rows; the phase span alone gave 31
+# nodes and sums 3.2e-11 off)
+TALL = {"n_antennas": 2, "plate_width": 0.2, "plate_height": 0.6,
+        "range": 0.075, "min_range_wavelengths": 0.5}
 # a 6 m plate at R = 0.4 m: K = 179 of 201 y nodes, so the direct sum runs
 WIDE6 = {"n_antennas": 2, "plate_width": 6.0, "range": 0.4,
          "min_range_wavelengths": 2.0}
@@ -158,12 +163,13 @@ class TestExactReceivedSignal:
         (WIDE, "midpoint", False, 40.0),
         (WIDE, "gauss_legendre_composite", False, 40.0),
         (BRANCH, "midpoint", False, 160.0),
+        (TALL, "midpoint", False, 160.0),
         (WIDE6, "midpoint", False, 10.0),
         (NARROW, "midpoint", False, 4.0),
     ], ids=["n1", "even-y", "odd-y", "gl", "odd-y-sinc", "gl-sinc",
             "odd-n", "odd-n-sinc", "even-z", "even-z-sinc", "gl-even-z-panels",
             "off-plate", "off-plate-gl-sinc", "no-width", "no-width-sinc",
-            "wide", "wide-gl", "branch", "wide-6m", "narrow"])
+            "wide", "wide-gl", "branch", "tall", "wide-6m", "narrow"])
     def test_matches_oracle(self, overrides, rule, sampled, points):
         # every pair, in tx-major rows, against the brute-force per-pair
         # plate sum; sampled traces relative to each pair's peak
@@ -217,35 +223,100 @@ class TestExactReceivedSignal:
             sc.wavenumber * u_max / (np.hypot(sc.range, sc.plate_width / 2)
                                      + sc.range)) == phase
 
+    @pytest.mark.parametrize("overrides, rule, points, nodes, phase", [
+        ({}, "midpoint", 10.0, 33, 33),
+        ({"n_antennas": 1}, "midpoint", 10.0, 26, 26),
+        ({"n_antennas": 4, "plate_height": 1.85},
+         "gauss_legendre_composite", 10.0, 29, 29),
+        (WIDE, "midpoint", 40.0, 24, 24),
+        (BRANCH, "midpoint", 160.0, 33, 20),
+        (TALL, "midpoint", 160.0, 72, 31),
+        (WIDE6, "midpoint", 10.0, 51, 51),
+        (NARROW, "midpoint", 4.0, 24, 28),
+    ], ids=["small", "n1", "gl", "wide", "branch", "tall", "wide-6m",
+            "narrow"])
+    def test_z_nodes(self, overrides, rule, points, nodes, phase,
+                     monkeypatch):
+        # the constant waveform's factors are taken at K Chebyshev points
+        # in z on the folded half, K from the phase span or, where R is
+        # small against the plate height, the branch points of r at
+        # z_l +- jR (33 of 107 and 72 of 321 rows where the phase span
+        # alone gives 20 and 31); where K is near or above the folded z
+        # rows (24 here) the direct sum takes them at the rows. The y form
+        # is taken or not on its own: wide-6m sums y directly and z by the
+        # form. The scenes after small are test_matches_oracle's, which
+        # holds every pair within 1e-12 of the brute-force sum
+        z_pts = []
+        factors = em_exact._antenna_factors
+
+        def recording(scenario, z_ant, y_sq, z):
+            z_pts.extend(np.ravel(z))
+            return factors(scenario, z_ant, y_sq, z)
+
+        monkeypatch.setattr(em_exact, "_antenna_factors", recording)
+        sc = reference_scenario(**{**SMALL, **overrides})
+        exact_received_signal(sc, 0.0, CONST, QuadratureSpec(points, rule))
+        assert len(z_pts) == nodes
+        half = sc.plate_height / 2.0
+        m = half + np.max(np.abs(antenna_positions(sc)))
+        assert phase_node_count(
+            half * sc.wavenumber * m / np.hypot(sc.range, m)) == phase
+
+    def test_z_nodes_reference(self):
+        # the reference plate: 77 of 292 folded z rows at 10 GHz, 138 of
+        # 701 at 24 GHz and 347 of 2,248 at 77 GHz, where the Lagrange
+        # bound of chebyshev_node_count would give 122, 254 and 751
+        for carrier, nodes, rows, lagrange in [(10e9, 77, 292, 122),
+                                               (24e9, 138, 701, 254),
+                                               (77e9, 347, 2248, 751)]:
+            sc = reference_scenario(carrier_freq=carrier)
+            z, _ = em_exact._fold(*em_exact._axis_nodes(
+                sc.plate_height / 2, sc.wavelength, QuadratureSpec()))
+            assert z.size == rows
+            z_ant = antenna_positions(sc)
+            assert em_exact._z_count(sc, z_ant, rows) == nodes
+            m = 0.875 + 0.75
+            assert chebyshev_node_count(
+                0.875 * sc.wavenumber * m / np.hypot(4.0, m)) == lagrange
+
     def test_sampled_waveform_takes_y_nodes(self, monkeypatch):
-        # the y form is for the constant waveform only: a sampled one's
-        # delays couple the two antennas of a pair, so exact sinc synthesis
-        # takes every factor at the folded y nodes, without the form
+        # the y and z forms are for the constant waveform only: a sampled
+        # one's delays couple the two antennas of a pair, so exact sinc
+        # synthesis takes every factor at the folded y nodes and z rows,
+        # without either form
         sc = reference_scenario(n_antennas=3, **SMALL)
         calls = []
         factors = em_exact._antenna_factors
 
         def recording(scenario, z_ant, y_sq, z):
-            calls.append(y_sq)
+            calls.append((y_sq, z))
             return factors(scenario, z_ant, y_sq, z)
 
         def refused(*args):
-            raise AssertionError("y form used for a sampled waveform")
+            raise AssertionError("axis form used for a sampled waveform")
 
         monkeypatch.setattr(em_exact, "_antenna_factors", recording)
-        monkeypatch.setattr(em_exact, "_y_form", refused)
+        for name in ("_axis_form", "_y_count", "_z_count"):
+            monkeypatch.setattr(em_exact, name, refused)
         synthesize(sc, backend="exact")
         y, _ = em_exact._fold(*em_exact._axis_nodes(
             sc.plate_width / 2, sc.wavelength, QuadratureSpec()))
-        assert calls and all(np.array_equal(u, y * y) for u in calls)
+        z, _ = em_exact._fold(*em_exact._axis_nodes(
+            sc.plate_height / 2, sc.wavelength, QuadratureSpec()))
+        assert calls and all(np.array_equal(u, y * y) for u, _ in calls)
+        assert np.array_equal(np.concatenate([zb[:, 0] for _, zb in calls]),
+                              z)
 
     def test_block_bound(self, ref_sc_10ghz, monkeypatch):
-        # the plate is visited in blocks of whole z rows whose per-node
-        # arrays hold at most _BLOCK_NODES values (antennas x y form nodes
-        # for the constant waveform, pairs x y nodes for a sampled one),
-        # never the whole plate at once; a sampled waveform's envelope
-        # takes each block's nodes span at a time, all samples in one call
-        # of at most _BLOCK_SAMPLES values
+        # the constant waveform evaluates the factors once at the points
+        # of the two axis forms, never at the plate's nodes: 13 x 77 x 24
+        # values at 10 GHz (of 13 x 292 x 134 quarter-plate nodes) and
+        # 13 x 347 x 70 at 77 GHz (of 13 x 2,248 x 1,028), in blocks of
+        # whole z points of at most _BLOCK_NODES values (antennas x y
+        # points). A sampled waveform visits the plate in blocks of whole
+        # z rows of at most _BLOCK_NODES values (pairs x y nodes), and its
+        # envelope takes each block's nodes span at a time, all samples in
+        # one call of at most _BLOCK_SAMPLES values
         shapes, envelopes = [], []
         factors = em_exact._antenna_factors
 
@@ -266,10 +337,11 @@ class TestExactReceivedSignal:
         bound = em_exact._BLOCK_NODES
         monkeypatch.setattr(em_exact, "_antenna_factors", recording)
         exact_received_signal(ref_sc_10ghz, 0.0, CONST)
-        # 24 y form nodes (of 134 folded y nodes) and 292 folded z rows
-        # (of 584) at 10 GHz
-        rows = bound // (13 * 24)
-        assert shapes == [(13, b, 24) for b in blocks(292, rows)]
+        assert shapes == [(13, b, 24) for b in blocks(77, bound // (13 * 24))]
+        shapes.clear()
+        exact_received_signal(reference_scenario(), 0.0, CONST)
+        assert shapes == [(13, b, 70) for b in blocks(347, bound // (13 * 70))]
+        assert max(np.prod(s) for s in shapes) <= bound
 
         shapes.clear()
         # 27 folded y nodes, 59 folded z rows (of 117)

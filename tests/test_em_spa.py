@@ -9,6 +9,7 @@ from nfradar import (
     reference_scenario,
     xi,
 )
+from nfradar import estimator
 from nfradar.em_spa import gain_and_delay_arrays, pair_offsets
 
 from oracles import fresnel_reference, pair_gain, quadratic_phase_integral
@@ -307,6 +308,27 @@ class TestVectorHelpers:
         for i, (tx_z, rx_z) in enumerate(pairs):
             assert z_s[i] == (tx_z + rx_z) / 2
             assert d[i] == tx_z - z_s[i]
+
+    @pytest.mark.parametrize("spacing", [0.1, 0.07])
+    def test_pair_offsets_one_value_per_class(self, spacing):
+        # a spacing that is not a binary fraction: pairs with one index sum
+        # share z_s and pairs with one index difference share d, bit for
+        # bit, so 13 antennas give 13 delay groups and 49 (|z_s|, |d|)
+        # geometries, and mirrored pairs are exact negations
+        sc = reference_scenario(spacing=spacing)
+        z_s, d = pair_offsets(sc)
+        n = sc.n_antennas
+        assert np.unique(np.abs(d)).size == 13
+        assert np.unique(np.abs([z_s, d]), axis=1).shape == (2, 49)
+        assert np.array_equal(z_s.reshape(n, n)[::-1, ::-1],
+                              -z_s.reshape(n, n))
+        assert np.array_equal(d.reshape(n, n)[::-1, ::-1], -d.reshape(n, n))
+        near = dict(rel=1e-15, abs=1e-16)
+        for i, (tx_z, rx_z) in enumerate(pair_positions(sc)):
+            assert z_s[i] == pytest.approx((tx_z + rx_z) / 2, **near)
+            assert d[i] == pytest.approx((tx_z - rx_z) / 2, **near)
+        groups = estimator._pair_groups(sc)
+        assert groups[0].size == 13 and groups[2].shape == (2, 49)
 
     def test_gain_and_delay_match_oracle(self):
         # every pair, on and off the plate, against the closed form written

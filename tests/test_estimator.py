@@ -481,6 +481,26 @@ class TestCrb:
         with pytest.raises(ValueError, match="step must be positive"):
             crb(ref_sc, 4.0, step=0.0)
 
+    def test_huge_step_refused(self, ref_sc, monkeypatch):
+        # a step at or past c/(2B) = 1.499 m reaches the first null of the
+        # main lobe; refused before any node is allocated (a 400 km step
+        # at 1000 km asked for about a million Chebyshev nodes and died in
+        # numpy's allocator)
+        def refused(*args):
+            raise AssertionError("envelope nodes built for a refused step")
+
+        monkeypatch.setattr(estimator, "_envelope_coefficients", refused)
+        sc = reference_scenario(range=1e6)
+        with pytest.raises(ValueError, match=r"step 400000\.0 m does not "
+                                             "resolve the main lobe"):
+            crb(sc, 1e6, step=4e5)
+        lobe = 299792458.0 / (2.0 * ref_sc.bandwidth)
+        for step in (lobe, np.inf):
+            with pytest.raises(ValueError, match=r"c/\(2B\)"):
+                crb(ref_sc, 4.0, step=step)
+        below = np.nextafter(lobe, 0.0)
+        assert estimator.crb_stencil(ref_sc, 4.0, below)[1] == below
+
     def test_degenerate_step_rejected(self, ref_sc):
         # 1 nm step: objective change is below float resolution, the
         # stencil is flat and must be refused rather than returning inf

@@ -10,6 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nfradar import fresnel, fresnel_conj
+from nfradar.special_fn import (NODE_TOL, chebyshev_basis,
+                                chebyshev_node_count, chebyshev_nodes,
+                                phase_node_count)
 
 from oracles import fresnel_reference
 
@@ -133,3 +136,33 @@ def test_coefficients_match_fresh_fit():
         [sys.executable, str(ROOT / "tools" / "fresnel_coefficients.py"),
          "--check"], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
+
+
+def ellipse_log_bound(s, k):
+    """ln of phase_node_count's bound 4 M rho^(1-k) / (rho - 1) at its
+    rho, or inf where that rho does not exceed 1."""
+    c = 2.0 * (k - 1) / s
+    if c <= 1.0:
+        return np.inf
+    a = np.arccosh(c)
+    return np.log(4.0) + s / 2.0 * np.sinh(a) - (k - 1) * a \
+        - np.log(np.expm1(a))
+
+
+@pytest.mark.parametrize("s", [0.5, 4.2, 69.0, 531.5])
+def test_phase_node_count(s):
+    # the smallest K whose bound is below NODE_TOL, and e^{j s x/2}
+    # interpolated at K first-kind points is within rounding of itself;
+    # for large s it is far below the Lagrange bound's count
+    k = phase_node_count(s)
+    assert ellipse_log_bound(s, k) <= np.log(NODE_TOL) \
+        < ellipse_log_bound(s, k - 1)
+    f = lambda x: np.exp(0.5j * s * x)
+    x, to_coef = chebyshev_nodes(k)
+    grid = np.linspace(-1.0, 1.0, 2001)
+    err = np.abs(chebyshev_basis(grid, k).T @ (to_coef @ f(x)) - f(grid))
+    assert err.max() <= 1e-15 * max(k, 10)
+    assert k <= chebyshev_node_count(s)
+    if s > 50:
+        assert k < 0.7 * chebyshev_node_count(s)
+    assert phase_node_count(0.0) == 1
