@@ -34,23 +34,33 @@ into one factor per antenna,
     g e^{j psi} = s(t - (r_l + r_l')/c) A_l B_l',
     A_l = e^{-jk r_l} / r_l^2,   B_l = R rho_l^2 e^{-jk r_l} / r_l^3,
 
-so r, A and B are computed once per antenna. Under a sampled waveform the
-plate sum of every pair carries its own delays; under the constant one it
-is the matrix product A W B^T with the quadrature weights W.
+so r, A and B are computed once per antenna, and at a fixed delay the
+plate sum is the matrix product A W B^T with the quadrature weights W.
 
-The plate sum as a two-axis form (constant waveform). A and B depend on
-y only through u = y^2, and both are smooth in u along a z row and in z
-along a y column: over the reference plate's folded quarter the phase
-k r moves by at most 4.2 rad in u and 69 rad in z at 10 GHz (32 and 531
-rad at 77 GHz), which its 134 folded y nodes and 292 folded z rows (1,028
-and 2,248) oversample many times over. So the factors are evaluated at
-K_z x K_y first-kind Chebyshev points instead, in z on the folded half
-and in u (77 x 24 at 10 GHz, 347 x 70 at 77 GHz; the rules are _z_count's
-and _y_count's), and each axis' weights become a real K x K matrix,
+The sinc as a frequency quadrature. The sinc is band-limited,
+s(t - tau) = 1/2 integral over x in [-1, 1] of e^{j pi B x (t - tau)} dx,
+and its delay factor e^{-j pi B x (r_l + r_l')/c} splits per antenna like
+the carrier's. So at a Gauss-Legendre node x_m, weight w_m, the plate sum
+M(x_m) is the constant waveform's at the phase wavenumber k + pi B x_m / c
+(amplitudes and prefactor stay at the carrier), and the traces are
+sum_m (w_m / 2) e^{j pi B x_m t} M(x_m); the constant waveform is the node
+x = 0, weight 1, with no time factor. The largest pi B |t - tau| sets the
+node count: 51 plate sums on synthesize's +-16/B window, where 44 reach
+the sums' rounding and 40 are 6.9e-11 of the peak off.
+
+The plate sum as a two-axis form. A and B depend on y only through u = y^2,
+and both are smooth in u along a z row and in z along a y column: over the
+reference plate's folded quarter the phase k r moves by at most 4.2 rad in
+u and 69 rad in z at 10 GHz (32 and 531 rad at 77 GHz), which its 134
+folded y nodes and 292 folded z rows (1,028 and 2,248) oversample many
+times over. So the factors are evaluated at K_z x K_y first-kind Chebyshev
+points instead, in z on the folded half and in u (77 x 24 at 10 GHz,
+347 x 70 at 77 GHz, by _z_count's and _y_count's rules at the band's top
+k + pi B / c), and each axis' weights become a real K x K matrix,
 G = E_z diag(w_z) E_z^T and H = E_y diag(w_y) E_y^T, E the interpolation
 matrix from the points to that axis' nodes. The half-plate sums are
 A (G x H) B^T: H along u and G along z as two real matrix products, then
-one complex product over the antennas (_axis_form, _constant_sum). The
+one complex product over the antennas (_axis_form, _plate_sum). The
 nodes, weights, fold and mirror identity are those of the direct sum, so
 this is the same quadrature up to interpolation and rounding: each pair
 is within 1.2e-13 of the direct sum at 10 GHz, 6.0e-13 at 24 GHz and
@@ -74,15 +84,15 @@ import math
 import numpy as np
 
 from .scenario import SPEED_OF_LIGHT, Scenario, antenna_positions
-from .signal import WaveformRef, waveform_value
+# not called here: perfbench/tracing.py wraps em_exact.waveform_value by name
+from .signal import WaveformRef, waveform_value  # noqa: F401
 from .special_fn import (NODE_TOL, chebyshev_basis, chebyshev_node_count,
                          chebyshev_nodes, phase_node_count)
 
 _RULES = ("midpoint", "gauss_legendre_composite")
 
-# Bound on the values of the per-node arrays in one block of z rows or z
-# points: rows x pairs x y nodes for a sampled waveform, points x antennas
-# x y points for the constant one; a block holds at least one row. The
+# Bound on the values of the per-node arrays in one block of z points
+# (points x antennas x y points); a block holds at least one point. The
 # block size depends only on the scene, never on available memory, so the
 # summation order and the result are bitwise reproducible. Blocks of 2^14
 # keep the arrays in cache: on a 2-core Xeon VM, 2^16 took 1.4-1.7x as
@@ -93,17 +103,13 @@ _BLOCK_NODES = 1 << 14
 # products: about 58 ns against 0.04-0.06 ns per multiply-add on a 2-core
 # Xeon VM, one BLAS thread
 _FACTOR_MACS = 1024
-# Bound on pairs times nodes times samples in one envelope block of a
-# sampled waveform: the nodes of a block of z rows are taken span at a
-# time, so the sines and cosines of each pair's node delays are computed
-# once for all samples, in arrays of at most this many values (1 MB) once
-# a node fits. At 10 GHz this kept peak RSS within 4 MB of a per-sample
-# loop; 2^16 and 2^18 ran within the noise of 2^17.
-_BLOCK_SAMPLES = 1 << 17
 # Bound on the values of one block of Chebyshev basis rows at an axis'
 # nodes in the set-up of its form (1 MB): one block for either axis at
 # 10 GHz, 6 for z at 77 GHz
 _BLOCK_BASIS = 1 << 17
+# Bound on a sinc's time from the plate's delays in 1/B (synthesize's window
+# is +-16/B): the frequency rule takes pi/2 plate sums per 1/B, 462 here
+_TIME_REACH = 256.0
 
 
 @dataclass(frozen=True)
@@ -128,14 +134,13 @@ class QuadratureSpec:
             raise ValueError(f"unknown quadrature rule {self.rule!r}")
 
 
-def _antenna_factors(scenario: Scenario, z_ant: np.ndarray, y_sq, z):
+def _antenna_factors(R: float, k: float, z_ant: np.ndarray, y_sq, z):
     """(r, A, B) of each antenna at z_ant (leading axis) on the plate
     points (y^2, z), broadcast: A = e^{-jkr}/r^2, B = R rho^2 e^{-jkr}/r^3."""
-    R = scenario.range
     shape = (-1,) + (1,) * np.ndim(z)
     rho_sq = R * R + (z - np.reshape(z_ant, shape)) ** 2
     r = np.sqrt(rho_sq + y_sq)
-    a = np.exp(-1j * scenario.wavenumber * r) / (r * r)
+    a = np.exp(-1j * k * r) / (r * r)
     return r, a, a * (R * rho_sq / r)
 
 
@@ -174,9 +179,9 @@ def _fold(nodes: np.ndarray, weights: np.ndarray
     return nodes[mid:], folded
 
 
-def _y_count(scenario: Scenario, n_y: int) -> int:
-    """K of the y form: Chebyshev points in u = y^2 on [0, u_max],
-    u_max = (plate_width/2)^2, for the n_y folded y nodes (at most n_y).
+def _y_count(scenario: Scenario, k: float, n_y: int) -> int:
+    """K of the y form at wavenumber k: Chebyshev points in u = y^2 on
+    [0, u_max], u_max = (plate_width/2)^2, for the n_y folded y nodes.
 
     Along a z row the factors are smooth in u, with r = sqrt(rho^2 + u)
     and rho^2 = R^2 + (z - z_l)^2 >= R^2, and K meets two bounds:
@@ -196,14 +201,15 @@ def _y_count(scenario: Scenario, n_y: int) -> int:
         return 0
     R = scenario.range
     u_max = (scenario.plate_width / 2.0) ** 2
-    return max(chebyshev_node_count(scenario.wavenumber * u_max
+    return max(chebyshev_node_count(k * u_max
                                     / (math.sqrt(R * R + u_max) + R)),
                _branch_count(math.acosh(1.0 + 2.0 * R * R / u_max), n_y))
 
 
-def _z_count(scenario: Scenario, z_ant: np.ndarray, n_z: int) -> int:
-    """K of the z form: Chebyshev points in z on the folded half [0, L],
-    L = plate_height/2, for the n_z folded z nodes (at most n_z).
+def _z_count(scenario: Scenario, k: float, z_ant: np.ndarray,
+             n_z: int) -> int:
+    """K of the z form at wavenumber k: Chebyshev points in z on the folded
+    half [0, L], L = plate_height/2, for the n_z folded z nodes.
 
     At fixed u = y^2 the factors of antenna l are smooth in z, with
     r = sqrt(R^2 + u + (z - z_l)^2), and K meets two bounds:
@@ -228,8 +234,7 @@ def _z_count(scenario: Scenario, z_ant: np.ndarray, n_z: int) -> int:
     zeta = (2.0 * z_ant - half + 2j * R) / half
     decay = float(np.min(np.arccosh(
         (np.abs(zeta - 1.0) + np.abs(zeta + 1.0)) / 2.0)))
-    return max(phase_node_count(half * scenario.wavenumber * m
-                                / math.hypot(R, m)),
+    return max(phase_node_count(half * k * m / math.hypot(R, m)),
                _branch_count(decay, n_z))
 
 
@@ -271,10 +276,10 @@ def _axis_form(x: np.ndarray, w: np.ndarray, hi: float, k: int,
     return (cheb + 1.0) * (hi / 2.0), to_coef.T @ products @ to_coef
 
 
-def _constant_sum(scenario: Scenario, z_ant: np.ndarray, y_pts, y_w,
-                  h: np.ndarray | None, z_pts, z_w, g: np.ndarray | None
-                  ) -> np.ndarray:
-    """The half-plate pair sums M of the constant waveform, (N^2, 1):
+def _plate_sum(R: float, k: float, z_ant: np.ndarray, y_pts, y_w,
+               h: np.ndarray | None, z_pts, z_w, g: np.ndarray | None
+               ) -> np.ndarray:
+    """The half-plate pair sums M at the phase wavenumber k, (N^2,):
     A (G x H) B^T from the factors at the points of the two axis forms
     (_axis_form; the weights where a form is None), in blocks of whole z
     points of at most _BLOCK_NODES values. H acts on each block. G couples
@@ -292,8 +297,7 @@ def _constant_sum(scenario: Scenario, z_ant: np.ndarray, y_pts, y_w,
         hb = np.empty((kz, n, ky), dtype=complex)
     for lo in range(0, kz, rows):
         block = slice(lo, lo + rows)
-        _, a, b = _antenna_factors(scenario, z_ant, y_pts,
-                                   z_pts[block, None])
+        _, a, b = _antenna_factors(R, k, z_ant, y_pts, z_pts[block, None])
         if h is None:
             b *= y_w
         else:
@@ -312,35 +316,31 @@ def _constant_sum(scenario: Scenario, z_ant: np.ndarray, y_pts, y_w,
             c = (g[lo:lo + rows] @ flat).view(complex).reshape(-1, n, ky)
             total += a_all[:, lo:lo + rows].reshape(n, -1) \
                 @ c.swapaxes(0, 1).reshape(n, -1).T
-    return total.reshape(n * n, 1)
+    return total.reshape(n * n)
 
 
-def _sampled_sum(scenario: Scenario, times: np.ndarray,
-                 waveform: WaveformRef, z_ant: np.ndarray, y_nodes, y_w,
-                 z_nodes, z_w) -> np.ndarray:
-    """The half-plate pair sums M of a sampled waveform, (N^2, samples):
-    one delay per pair and node, in blocks of whole z rows, with the
-    geometry of a block shared by every sample."""
-    n = z_ant.size
-    y_sq = y_nodes * y_nodes
-    rows = max(_BLOCK_NODES // max(n * n * y_sq.size, 1), 1)
-    # nodes per envelope block
-    span = max(_BLOCK_SAMPLES // max(n * n * times.size, 1), 1)
-    total = np.zeros((n * n, times.size), dtype=complex)
-    for start in range(0, z_nodes.size, rows):
-        zb = z_nodes[start:start + rows, None]
-        r, a, b = _antenna_factors(scenario, z_ant, y_sq, zb)
-        wb = b * (z_w[start:start + rows, None] * y_w)
-        tau = ((r[:, None] + r[None, :]) / SPEED_OF_LIGHT).reshape(n * n, -1)
-        # (pairs, nodes, re/im) so the pair sums at every sample are one
-        # real batched matrix product per envelope block
-        prod = (a[:, None] * wb[None, :]).reshape(n * n, -1)
-        parts = prod.view(float).reshape(n * n, -1, 2)
-        for lo in range(0, tau.shape[1], span):
-            env = waveform_value(waveform, times, tau[:, lo:lo + span])
-            summed = np.matmul(env.swapaxes(1, 2), parts[:, lo:lo + span])
-            total += summed.view(complex)[..., 0]
-    return total
+def _frequency_rule(scenario: Scenario, times: np.ndarray,
+                    waveform: WaveformRef):
+    """(top, offsets, synthesis): plate sums at the wavenumbers k + offsets,
+    forms at k + top, and the (nodes, samples) matrix to the traces;
+    (0, [0], None) for the constant waveform (module docstring)."""
+    if waveform.kind == "constant":
+        return 0.0, np.zeros(1), None
+    band, R = waveform.bandwidth, scenario.range
+    near = 2.0 * R / SPEED_OF_LIGHT
+    hi = scenario.plate_height / 2.0 + antenna_positions(scenario)[-1]
+    far = 2.0 * math.hypot(R, scenario.plate_width / 2.0, hi) / SPEED_OF_LIGHT
+    lag = np.maximum(times - near, far - times)  # largest |t - tau|
+    if np.any(lag > far - near + _TIME_REACH / band):
+        raise ValueError(f"sample time {float(times[np.argmax(lag)])!r} s is "
+                         f"more than {_TIME_REACH:g}/B off the plate's delays")
+    # K Chebyshev points interpolate e^{j pi B (t - tau) x} within NODE_TOL;
+    # M Gauss-Legendre nodes are exact to degree 2M - 1 (Trefethen, Thm 19.3)
+    points = phase_node_count(2.0 * np.pi * band * np.max(lag, initial=0.0))
+    x, w = np.polynomial.legendre.leggauss((points + 1) // 2 + 1)
+    top = np.pi * band / SPEED_OF_LIGHT
+    return top, top * x, w[:, None] / 2.0 * np.exp(
+        1j * np.pi * band * np.multiply.outer(x, times))
 
 
 def exact_received_signal(scenario: Scenario, t, waveform: WaveformRef,
@@ -349,11 +349,10 @@ def exact_received_signal(scenario: Scenario, t, waveform: WaveformRef,
 
     t is a scalar or a 1-D array of sample times; the result has shape
     (N^2,) + shape(t), rows in tx-major order (row i is tx i // N,
-    rx i % N) like SignalSet rows. The plate geometry of each block of z
-    rows is computed once for every pair and sample; only the quarter plate
-    y, z >= 0 is visited, and under the constant waveform the plate sum is
-    a form in the factors at Chebyshev points in z and y^2 (module
-    docstring, _axis_form).
+    rx i % N) like SignalSet rows. The plate sum is a form over the quarter
+    plate at Chebyshev points in z and y^2, set up once per call, and the
+    sinc takes M of them (module docstring). Times that are not finite, and
+    a sinc's times more than 256/B from the plate's delays, are refused.
 
     Convergence contract: doubling points_per_wavelength moves the result
     by less than 0.1 dB in magnitude for densities of 10 per wavelength and
@@ -366,29 +365,29 @@ def exact_received_signal(scenario: Scenario, t, waveform: WaveformRef,
     if times.ndim > 1:
         raise ValueError("t must be a scalar or a 1-D array of times")
     times = np.atleast_1d(times)
+    if not np.all(np.isfinite(times)):
+        raise ValueError("sample times must be finite")
     n = scenario.n_antennas
     z_ant = antenna_positions(scenario)
+    top, offsets, synthesis = _frequency_rule(scenario, times, waveform)
+    k = scenario.wavenumber
     lam = scenario.wavelength
     y_nodes, y_w = _fold(*_axis_nodes(scenario.plate_width / 2, lam, quad))
     z_nodes, z_w = _fold(*_axis_nodes(scenario.plate_height / 2, lam, quad))
-
-    if waveform.kind == "constant":
-        y_pts, h = _axis_form(y_nodes * y_nodes, y_w,
-                              (scenario.plate_width / 2.0) ** 2,
-                              _y_count(scenario, y_nodes.size),
-                              n * z_nodes.size)
-        z_pts, g = _axis_form(z_nodes, z_w, scenario.plate_height / 2.0,
-                              _z_count(scenario, z_ant, z_nodes.size),
-                              n * y_pts.size)
-        total = _constant_sum(scenario, z_ant, y_pts, y_w, h, z_pts, z_w, g)
-    else:
-        total = _sampled_sum(scenario, times, waveform, z_ant,
-                             y_nodes, y_w, z_nodes, z_w)
-
+    y_pts, h = _axis_form(y_nodes * y_nodes, y_w,
+                          (scenario.plate_width / 2.0) ** 2,
+                          _y_count(scenario, k + top, y_nodes.size),
+                          n * z_nodes.size)
+    z_pts, g = _axis_form(z_nodes, z_w, scenario.plate_height / 2.0,
+                          _z_count(scenario, k + top, z_ant, z_nodes.size),
+                          n * y_pts.size)
+    total = np.stack([_plate_sum(scenario.range, k + dk, z_ant, y_pts, y_w, h,
+                                 z_pts, z_w, g) for dk in offsets.tolist()], 1)
+    if synthesis is not None:
+        total = total @ synthesis
     # the z < 0 half by the mirror identity
     half = total.reshape(n, n, -1)
     total = ((half + half[::-1, ::-1]) / 2).reshape(n * n, -1)
-    k = scenario.wavenumber
     prefactor = (-2 * k * k * scenario.free_space_impedance
                  * scenario.antenna_gain_factor / (4 * np.pi) ** 2)
     out = prefactor * np.broadcast_to(total, (n * n, times.size))

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -8,9 +10,9 @@ from nfradar import (
     exact_received_signal,
     reference_scenario,
     synthesize,
-    waveform_value,
 )
-from nfradar.scenario import antenna_positions
+from nfradar.scenario import SPEED_OF_LIGHT, antenna_positions
+from nfradar.signal import sample_times
 from nfradar.special_fn import chebyshev_node_count, phase_node_count
 
 from oracles import exact_pair
@@ -33,8 +35,8 @@ def plate_term(scenario, tx_z, rx_z, y, z):
     """(path r_tx + r_rx, g e^{j psi} under the constant waveform) of the
     pair (tx_z, rx_z) at the plate point (y, z), from the per-antenna
     factors the quadrature sums."""
-    r, a, b = em_exact._antenna_factors(scenario, np.array([tx_z, rx_z]),
-                                        y * y, z)
+    r, a, b = em_exact._antenna_factors(scenario.range, scenario.wavenumber,
+                                        np.array([tx_z, rx_z]), y * y, z)
     return r[0] + r[1], a[0] * b[1]
 
 
@@ -166,32 +168,46 @@ class TestExactReceivedSignal:
         (TALL, "midpoint", False, 160.0),
         (WIDE6, "midpoint", False, 10.0),
         (NARROW, "midpoint", False, 4.0),
+        (WIDE, "midpoint", True, 40.0),
+        (WIDE, "gauss_legendre_composite", True, 40.0),
+        (BRANCH, "midpoint", True, 160.0),
+        (TALL, "midpoint", True, 160.0),
+        (WIDE6, "midpoint", True, 10.0),
+        (NARROW, "midpoint", True, 4.0),
     ], ids=["n1", "even-y", "odd-y", "gl", "odd-y-sinc", "gl-sinc",
             "odd-n", "odd-n-sinc", "even-z", "even-z-sinc", "gl-even-z-panels",
             "off-plate", "off-plate-gl-sinc", "no-width", "no-width-sinc",
-            "wide", "wide-gl", "branch", "tall", "wide-6m", "narrow"])
+            "wide", "wide-gl", "branch", "tall", "wide-6m", "narrow",
+            "wide-sinc", "wide-gl-sinc", "branch-sinc", "tall-sinc",
+            "wide-6m-sinc", "narrow-sinc"])
     def test_matches_oracle(self, overrides, rule, sampled, points):
         # every pair, in tx-major rows, against the brute-force per-pair
-        # plate sum; sampled traces relative to each pair's peak
+        # plate sum; sampled traces relative to each pair's peak, on
+        # windows of +-8/B and +-40/B about the round trip (the frequency
+        # rule takes 33 and 96 nodes for 13 antennas on the reference
+        # plate)
         sc = reference_scenario(**{**SMALL, **overrides})
         quad = QuadratureSpec(points, rule)
         if sampled:
             w = WaveformRef.sinc(sc.bandwidth)
-            t = 2.0 * sc.range / 299792458.0 + np.linspace(-8e-8, 8e-8, 17)
+            windows = [2.0 * sc.range / SPEED_OF_LIGHT
+                       + np.linspace(-h, h, 17) / sc.bandwidth
+                       for h in (8.0, 40.0)]
         else:
-            w, t = CONST, 0.0
-        got = exact_received_signal(sc, t, w, quad)
+            w, windows = CONST, [0.0]
         n = sc.n_antennas
-        assert got.shape == (n * n,) + np.shape(t)
         z = [(l - (n - 1) / 2.0) * sc.spacing for l in range(n)]
-        for p in range(n * n):
-            want = exact_pair(sc, z[p // n], z[p % n], t, w.bandwidth,
-                              points, rule)
-            if sc.plate_width == 0.0:
-                assert np.all(got[p] == 0.0) and np.all(want == 0.0)
-                continue
-            scale = np.max(np.abs(want))
-            assert np.max(np.abs(got[p] - want)) <= 1e-12 * scale
+        for t in windows:
+            got = exact_received_signal(sc, t, w, quad)
+            assert got.shape == (n * n,) + np.shape(t)
+            for p in range(n * n):
+                want = exact_pair(sc, z[p // n], z[p % n], t, w.bandwidth,
+                                  points, rule)
+                if sc.plate_width == 0.0:
+                    assert np.all(got[p] == 0.0) and np.all(want == 0.0)
+                    continue
+                scale = np.max(np.abs(want))
+                assert np.max(np.abs(got[p] - want)) <= 1e-12 * scale
 
     @pytest.mark.parametrize("overrides, rule, points, nodes, phase", [
         ({}, "midpoint", 10.0, 14, 14),
@@ -210,9 +226,9 @@ class TestExactReceivedSignal:
         sizes = set()
         factors = em_exact._antenna_factors
 
-        def recording(scenario, z_ant, y_sq, z):
+        def recording(R, k, z_ant, y_sq, z):
             sizes.add(np.size(y_sq))
-            return factors(scenario, z_ant, y_sq, z)
+            return factors(R, k, z_ant, y_sq, z)
 
         monkeypatch.setattr(em_exact, "_antenna_factors", recording)
         sc = reference_scenario(**{**SMALL, **overrides})
@@ -249,9 +265,9 @@ class TestExactReceivedSignal:
         z_pts = []
         factors = em_exact._antenna_factors
 
-        def recording(scenario, z_ant, y_sq, z):
+        def recording(R, k, z_ant, y_sq, z):
             z_pts.extend(np.ravel(z))
-            return factors(scenario, z_ant, y_sq, z)
+            return factors(R, k, z_ant, y_sq, z)
 
         monkeypatch.setattr(em_exact, "_antenna_factors", recording)
         sc = reference_scenario(**{**SMALL, **overrides})
@@ -274,60 +290,74 @@ class TestExactReceivedSignal:
                 sc.plate_height / 2, sc.wavelength, QuadratureSpec()))
             assert z.size == rows
             z_ant = antenna_positions(sc)
-            assert em_exact._z_count(sc, z_ant, rows) == nodes
+            assert em_exact._z_count(sc, sc.wavenumber, z_ant, rows) == nodes
             m = 0.875 + 0.75
             assert chebyshev_node_count(
                 0.875 * sc.wavenumber * m / np.hypot(4.0, m)) == lagrange
 
-    def test_sampled_waveform_takes_y_nodes(self, monkeypatch):
-        # the y and z forms are for the constant waveform only: a sampled
-        # one's delays couple the two antennas of a pair, so exact sinc
-        # synthesis takes every factor at the folded y nodes and z rows,
-        # without either form
+    def test_sinc_takes_both_forms(self, monkeypatch):
+        # the sinc is a quadrature over its band of constant-waveform plate
+        # sums at the wavenumbers k + pi B x / c, so it takes both axis
+        # forms, set up once, with node counts at the band's top
+        # k + pi B / c (15 y and 28 z points here, where the carrier alone
+        # gives 14 and 28), and never evaluates a delayed waveform
         sc = reference_scenario(n_antennas=3, **SMALL)
-        calls = []
-        factors = em_exact._antenna_factors
+        top = sc.wavenumber + np.pi * sc.bandwidth / SPEED_OF_LIGHT
+        counts, grams, calls = [], [], []
 
-        def recording(scenario, z_ant, y_sq, z):
-            calls.append((y_sq, z))
-            return factors(scenario, z_ant, y_sq, z)
+        def recorded(name):
+            inner = getattr(em_exact, name)
+
+            def wrapper(*args):
+                out = inner(*args)
+                if name == "_axis_form":
+                    grams.append(out[1])
+                elif name == "_antenna_factors":
+                    calls.append((args[1], np.size(args[3]), np.size(args[4])))
+                else:
+                    counts.append((name, args[1], out))
+                return out
+            monkeypatch.setattr(em_exact, name, wrapper)
 
         def refused(*args):
-            raise AssertionError("axis form used for a sampled waveform")
+            raise AssertionError("exact synthesis evaluated a waveform")
 
-        monkeypatch.setattr(em_exact, "_antenna_factors", recording)
-        for name in ("_axis_form", "_y_count", "_z_count"):
-            monkeypatch.setattr(em_exact, name, refused)
+        for name in ("_y_count", "_z_count", "_axis_form",
+                     "_antenna_factors"):
+            recorded(name)
+        monkeypatch.setattr(em_exact, "waveform_value", refused)
         synthesize(sc, backend="exact")
-        y, _ = em_exact._fold(*em_exact._axis_nodes(
-            sc.plate_width / 2, sc.wavelength, QuadratureSpec()))
-        z, _ = em_exact._fold(*em_exact._axis_nodes(
-            sc.plate_height / 2, sc.wavelength, QuadratureSpec()))
-        assert calls and all(np.array_equal(u, y * y) for u, _ in calls)
-        assert np.array_equal(np.concatenate([zb[:, 0] for _, zb in calls]),
-                              z)
+        assert [(name, k) for name, k, _ in counts] == [
+            ("_y_count", pytest.approx(top, rel=1e-15)),
+            ("_z_count", pytest.approx(top, rel=1e-15))]
+        assert [kk for _, _, kk in counts] == [15, 28]
+        assert len(grams) == 2 and all(g is not None for g in grams)
+        # one block of all 28 z points per frequency node, at 50 nodes
+        # symmetric about the carrier (51 for 13 antennas, whose delays
+        # spread wider)
+        ks = np.array([k for k, _, _ in calls])
+        assert {(y, z) for _, y, z in calls} == {(15, 28)}
+        assert ks.size == 50 and np.all(np.diff(ks) > 0)
+        assert np.allclose(ks + ks[::-1], 2 * sc.wavenumber,
+                           rtol=1e-15, atol=0)
+        assert ks[-1] < top
 
     def test_block_bound(self, ref_sc_10ghz, monkeypatch):
-        # the constant waveform evaluates the factors once at the points
+        # the factors are evaluated once per frequency node at the points
         # of the two axis forms, never at the plate's nodes: 13 x 77 x 24
         # values at 10 GHz (of 13 x 292 x 134 quarter-plate nodes) and
         # 13 x 347 x 70 at 77 GHz (of 13 x 2,248 x 1,028), in blocks of
         # whole z points of at most _BLOCK_NODES values (antennas x y
-        # points). A sampled waveform visits the plate in blocks of whole
-        # z rows of at most _BLOCK_NODES values (pairs x y nodes), and its
-        # envelope takes each block's nodes span at a time, all samples in
-        # one call of at most _BLOCK_SAMPLES values
-        shapes, envelopes = [], []
+        # points). The constant waveform is one node; the sinc on
+        # synthesize's +-16/B window takes 51 for the SMALL scene and the
+        # reference one at 10 and 77 GHz, at the counts of the band's top
+        # wavenumber (the same 77 x 24 at 10 GHz)
+        shapes = []
         factors = em_exact._antenna_factors
 
         def recording(*args):
             out = factors(*args)
             shapes.append(out[0].shape)
-            return out
-
-        def envelope(w, t, delay):
-            out = waveform_value(w, t, delay)
-            envelopes.append(out.shape)
             return out
 
         def blocks(n_rows, rows):
@@ -344,24 +374,18 @@ class TestExactReceivedSignal:
         assert max(np.prod(s) for s in shapes) <= bound
 
         shapes.clear()
-        # 27 folded y nodes, 59 folded z rows (of 117)
-        sc = reference_scenario(**SMALL)
-        monkeypatch.setattr(em_exact, "waveform_value", envelope)
-        exact_received_signal(sc, np.zeros(3), WaveformRef.sinc(1e8))
-        rows = bound // (169 * 27)
-        assert shapes == [(13, b, 27) for b in blocks(59, rows)]
-        # 3 samples: a block's 81 nodes are within one span of 258
-        assert em_exact._BLOCK_SAMPLES // (169 * 3) >= rows * 27
-        assert envelopes == [(169, b * 27, 3) for b in blocks(59, rows)]
-
-        envelopes.clear()
-        sc = reference_scenario(n_antennas=3, **SMALL)
-        exact_received_signal(sc, np.zeros(128), WaveformRef.sinc(1e8))
-        rows = bound // (9 * 27)
-        span = em_exact._BLOCK_SAMPLES // (9 * 128)
-        assert envelopes == [(9, s, 128) for b in blocks(59, rows)
-                             for s in blocks(b * 27, span)]
-        assert max(np.prod(e) for e in envelopes) <= em_exact._BLOCK_SAMPLES
+        synthesize(ref_sc_10ghz, backend="exact")
+        assert shapes == 51 * [(13, b, 24)
+                               for b in blocks(77, bound // (13 * 24))]
+        assert max(np.prod(s) for s in shapes) <= bound
+        # 33 z points x 15 y points: one block per node
+        shapes.clear()
+        synthesize(reference_scenario(**SMALL), backend="exact")
+        assert shapes == 51 * [(13, 33, 15)]
+        sc = reference_scenario()
+        _, offsets, _ = em_exact._frequency_rule(
+            sc, sample_times(sc, sc.range), WaveformRef.sinc(sc.bandwidth))
+        assert offsets.size == 51
 
     @pytest.mark.parametrize("n", [4, 13])
     @pytest.mark.parametrize("sampled", [False, True])
@@ -379,8 +403,8 @@ class TestExactReceivedSignal:
 
     def test_sample_times_bitwise(self):
         # one call over many sample times matches a call at each time
-        # alone within 1e-14 of the trace peak (the envelope's bits depend
-        # on the call's shapes), and repeats its own bits
+        # alone within 1e-14 of the trace peak (each call's frequency rule
+        # covers its own times), and repeats its own bits
         sc = reference_scenario(n_antennas=3, **SMALL)
         w = WaveformRef.sinc(sc.bandwidth)
         t = 2.0 * sc.range / 299792458.0 + np.array([-3e-9, 0.0, 4e-9])
@@ -398,6 +422,32 @@ class TestExactReceivedSignal:
         sc = reference_scenario(n_antennas=3, **SMALL)
         for w in (CONST, WaveformRef.sinc(sc.bandwidth)):
             assert exact_received_signal(sc, np.empty(0), w).shape == (9, 0)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_refuses_non_finite_times(self, bad):
+        # the sinc used to return NaN traces for these, with warnings
+        sc = reference_scenario(n_antennas=1, **SMALL)
+        for w in (CONST, WaveformRef.sinc(sc.bandwidth)):
+            with pytest.raises(ValueError, match="must be finite"):
+                exact_received_signal(sc, np.array([0.0, bad]), w)
+
+    def test_refuses_far_times(self):
+        # the frequency rule takes about pi/2 nodes per 1/B between a time
+        # and the plate's delays (462 just inside the bound), so under the
+        # sinc a time more than 256/B from them is refused and named
+        # (synthesize's window is +-16/B); the constant waveform does not
+        # depend on the time
+        sc = reference_scenario(n_antennas=1, **SMALL)
+        w = WaveformRef.sinc(sc.bandwidth)
+        near = 2.0 * sc.range / SPEED_OF_LIGHT
+        far = 2.0 * np.hypot(4.0, np.hypot(0.4, 0.875)) / SPEED_OF_LIGHT
+        for t in (near - 257.0 / sc.bandwidth, far + 257.0 / sc.bandwidth):
+            with pytest.raises(ValueError, match=re.escape(repr(float(t)))):
+                exact_received_signal(sc, np.array([near, t]), w)
+            assert np.all(np.isfinite(exact_received_signal(sc, t, CONST)))
+        inside = np.array([near - 255.0 / sc.bandwidth,
+                           far + 255.0 / sc.bandwidth])
+        assert np.all(np.isfinite(exact_received_signal(sc, inside, w)))
 
     def test_rejects_2d_times(self):
         sc = reference_scenario(n_antennas=1, **SMALL)
@@ -430,6 +480,41 @@ class TestExactReceivedSignal:
                                     QuadratureSpec(20.0))[i]
         assert amp_db(u10, u20) <= 0.1
         assert phase_deg(u10, u20) <= 1.0
+
+    def test_frequency_rule_converged(self):
+        # a time 23.9/B before the round trip widens the span the frequency
+        # rule covers and takes it from 50 to 66 nodes; the traces at
+        # synthesize's times move by no more than 1e-14 of the peak (5e-15
+        # here; with 8 nodes fewer than the rule they are 9.5e-13 off)
+        sc = reference_scenario(**{**SMALL, **BRANCH})
+        w = WaveformRef.sinc(sc.bandwidth)
+        t = sample_times(sc, sc.range)
+        wider = np.append(t, t[0] - 7.9 / sc.bandwidth)
+        assert [em_exact._frequency_rule(sc, x, w)[1].size
+                for x in (t, wider)] == [50, 66]
+        u = exact_received_signal(sc, t, w)
+        more = exact_received_signal(sc, wider, w)[:, :-1]
+        assert np.max(np.abs(u - more)) <= 1e-14 * np.max(np.abs(u))
+
+    def test_sinc_at_77ghz(self):
+        # the paper's carrier on a 0.1 x 0.25 m plate, every fourth sample
+        # of synthesize's window, against the brute-force sum for the
+        # centre pair (6, 6) and the weak pairs (0, 0) and (10, 11), whose
+        # specular points are off the plate. The tolerance is relative to
+        # the scene's largest trace peak (all 169 pairs are within
+        # 2.2e-13 of it): relative to its own peak the weak (10, 11) is
+        # 5.2e-12 off, which is the rounding of the form's phases k r
+        # (about 6,500 rad here; the module docstring gives 1.8e-12 for
+        # the constant waveform at 77 GHz), not the frequency rule
+        sc = reference_scenario(plate_width=0.1, plate_height=0.25)
+        t = sample_times(sc, sc.range)[::4]
+        assert t.size == 32
+        got = exact_received_signal(sc, t, WaveformRef.sinc(sc.bandwidth))
+        peak = np.max(np.abs(got))
+        z = antenna_positions(sc)
+        for p in (0, 84, 141):
+            want = exact_pair(sc, z[p // 13], z[p % 13], t, sc.bandwidth)
+            assert np.max(np.abs(got[p] - want)) <= 1e-12 * peak
 
     def test_rule_cross_check(self, ref_sc_10ghz):
         # two genuinely different quadrature rules, same integral
