@@ -15,7 +15,7 @@ from .special_fn import fresnel, fresnel_conj
 from .em_exact import QuadratureSpec, exact_received_signal
 from .em_spa import spa_received_signal, xi
 from .signal import (SignalSet, WaveformRef, add_awgn, sample_times,
-                     save_signal_set, synthesize, waveform_value)
+                     synthesize, waveform_value)
 from .estimator import (AmbiguityCurve, CrbResult, ModelKind, ambiguity,
                         crb, default_crb_step, estimate_range,
                         half_power_width)
@@ -27,7 +27,7 @@ __all__ = [
     "QuadratureSpec", "exact_received_signal",
     "spa_received_signal", "xi",
     "SignalSet", "WaveformRef", "add_awgn", "sample_times",
-    "save_signal_set", "synthesize", "waveform_value",
+    "synthesize", "waveform_value",
     "AmbiguityCurve", "CrbResult", "ModelKind", "ambiguity", "crb",
     "default_crb_step", "estimate_range", "half_power_width",
 ]

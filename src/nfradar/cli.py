@@ -14,8 +14,9 @@ import argparse
 import configparser
 import dataclasses
 import functools
-import io
+import itertools
 import math
+import operator
 import re
 import sys
 from dataclasses import dataclass
@@ -475,17 +476,26 @@ def write_table(path: str, columns, rows, cfg: ExperimentConfig) -> None:
     config. No timestamps or environment state: reruns are byte-identical.
 
     Row cells are Python ints, floats and strings, written with str, which
-    for a float is its shortest round-trip repr."""
-    buf = io.StringIO()
-    buf.write(f"# nfradar {__version__}\n")
-    buf.write(f"# experiment: {cfg.experiment}\n")
-    for line in emit_config(cfg).rstrip("\n").split("\n"):
-        buf.write(f"# {line}\n" if line else "#\n")
-    buf.write(",".join(columns) + "\n")
-    for row in rows:
-        buf.write(",".join(map(str, row)) + "\n")
+    for a float is its shortest round-trip repr; every row gives the line
+    ",".join(map(str, row)). The rows are formatted a column at a time,
+    and a column whose cells are all one object (a run's sweep value) is
+    formatted once. One object, not equal values: 0.0 and -0.0, or 1,
+    1.0 and True, compare equal but print differently. Rows of unequal
+    length raise a ValueError."""
+    lines = [f"# nfradar {__version__}", f"# experiment: {cfg.experiment}"]
+    lines += [f"# {line}" if line else "#"
+              for line in emit_config(cfg).rstrip("\n").split("\n")]
+    lines.append(",".join(columns))
+    cells = []
+    for column in zip(*rows, strict=True):
+        first = column[0]
+        if all(map(operator.is_, column, itertools.repeat(first))):
+            cells.append([str(first)] * len(column))
+        else:
+            cells.append(list(map(str, column)))
+    lines += map(",".join, zip(*cells))
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(buf.getvalue())
+        fh.write("\n".join(lines) + "\n")
 
 
 @functools.cache

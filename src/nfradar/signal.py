@@ -10,7 +10,6 @@ with no inter-transmitter interference term.
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -179,35 +178,20 @@ def add_awgn(signals: SignalSet, noise_power: float, seed: int) -> SignalSet:
 
     Per-trace child seeds are spawned from the root seed, so a run that
     processes traces in parallel and a serial run produce bitwise-identical
-    noise.
+    noise. Trace i's child stream gives 2n standard normals in one draw:
+    the first n scaled are its real noise, the last n its imaginary noise,
+    the same bits as two draws of n.
     """
     if noise_power < 0:
         raise ValueError("noise_power must be nonnegative")
     if noise_power == 0:
         return dataclasses.replace(signals, traces=signals.traces.copy())
-    scale = np.sqrt(noise_power / 2.0)
-    children = np.random.SeedSequence(seed).spawn(signals.traces.shape[0])
+    pairs, n = signals.traces.shape
+    draws = np.empty((pairs, 2 * n))
+    for row, child in zip(draws, np.random.SeedSequence(seed).spawn(pairs)):
+        np.random.Generator(np.random.PCG64(child)).standard_normal(out=row)
+    draws *= np.sqrt(noise_power / 2.0)
     noisy = signals.traces.copy()
-    for i, child in enumerate(children):
-        rng = np.random.Generator(np.random.PCG64(child))
-        noisy[i] += scale * (rng.standard_normal(signals.n_samples)
-                             + 1j * rng.standard_normal(signals.n_samples))
+    noisy.real += draws[:, :n]
+    noisy.imag += draws[:, n:]
     return dataclasses.replace(signals, traces=noisy)
-
-
-def save_signal_set(signals: SignalSet, path) -> None:
-    """Columnar dump, one row per sample: tx,rx,time,re,im (CSV, header row).
-
-    Floats use repr-faithful %.17g so a dump is reproducible byte for byte.
-    """
-    n = math.isqrt(signals.traces.shape[0])
-    if n * n != signals.traces.shape[0]:
-        raise ValueError("trace count is not the N^2 pairs of an array")
-    t = signals.times
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("tx,rx,time,re,im\n")
-        for i, trace in enumerate(signals.traces):
-            tx, rx = divmod(i, n)
-            for tj, v in zip(t, trace):
-                fh.write(f"{tx},{rx},"
-                         f"{tj:.17g},{v.real:.17g},{v.imag:.17g}\n")

@@ -117,6 +117,21 @@ def objective_loop(received, sc, r_hat: float, full: bool,
     return sum(abs(ip) ** 2 / e for ip, e in zip(ips, energies) if e > 0)
 
 
+def awgn_loop(traces, noise_power: float, seed: int) -> np.ndarray:
+    """traces plus circular complex Gaussian noise, one trace at a time:
+    trace i's PCG64 child of SeedSequence(seed) draws n real parts, then
+    n imaginary parts, each scaled by sqrt(noise_power / 2)."""
+    scale = np.sqrt(noise_power / 2.0)
+    noisy = np.array(traces, dtype=complex)
+    n = noisy.shape[1]
+    children = np.random.SeedSequence(seed).spawn(noisy.shape[0])
+    for i, child in enumerate(children):
+        rng = np.random.Generator(np.random.PCG64(child))
+        noisy[i] += scale * (rng.standard_normal(n)
+                             + 1j * rng.standard_normal(n))
+    return noisy
+
+
 _PI_LONG = 4 * np.arctan(np.longdouble(1))
 
 

@@ -469,6 +469,58 @@ class TestWriteTable:
         assert float(data[0][1]) == 1.0 / 3.0
 
 
+def _table_by_rows(columns, rows, cfg) -> str:
+    """write_table's text built one row at a time."""
+    lines = [f"# nfradar {cli.__version__}",
+             f"# experiment: {cfg.experiment}"]
+    lines += [f"# {line}" if line else "#"
+              for line in emit_config(cfg).rstrip("\n").split("\n")]
+    lines.append(",".join(columns))
+    lines += [",".join(map(str, row)) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+_REPEATED = 0.1 + 0.2
+
+TABLES = {
+    # equal cells that print differently: only one object may be
+    # formatted once for a whole column
+    "signed zeros": [(0.0, 1), (-0.0, 1), (0.0, 1)],
+    "one, one point zero, true": [(1, "a"), (1.0, "a"), (True, "a")],
+    "empty strings and floats": [("", 2.5), (1.5, ""), ("", "")],
+    "one float repeated": [(_REPEATED, float(i)) for i in range(4)],
+    "one row": [(-0.0, 3)],
+    "no rows": [],
+}
+
+
+class TestWriteTableByColumns:
+    @pytest.mark.parametrize("rows", TABLES.values(), ids=TABLES.keys())
+    def test_matches_rows(self, tmp_path, rows):
+        cfg = parse_config()
+        out = tmp_path / "t.csv"
+        write_table(str(out), ["a", "b"], rows, cfg)
+        assert out.read_text(encoding="ascii") == _table_by_rows(
+            ["a", "b"], rows, cfg)
+
+    def test_sweep_blocks_match_rows(self, tmp_path):
+        # the constant sweep_value column changes between the two blocks
+        cfg = parse_config(overrides=("grid.min=3.9", "grid.max=4.1",
+                                      "grid.step=0.01",
+                                      "sweep.range=3.95,4.05"))
+        columns, rows = run_ambiguity(cfg)
+        assert {row[2] for row in rows} == {3.95, 4.05}
+        out = tmp_path / "amb.csv"
+        write_table(str(out), columns, rows, cfg)
+        assert out.read_text(encoding="ascii") == _table_by_rows(
+            columns, rows, cfg)
+
+    def test_ragged_rows_raise(self, tmp_path):
+        with pytest.raises(ValueError):
+            write_table(str(tmp_path / "r.csv"), ["a", "b"],
+                        [(1.0, 2.0), (3.0,)], parse_config())
+
+
 class TestMain:
     def test_end_to_end_deterministic(self, tmp_path):
         args = ["ambiguity",
