@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 from .scenario import (FREE_SPACE_IMPEDANCE, SPEED_OF_LIGHT, Scenario,
                        reference_scenario)
 from .special_fn import fresnel, fresnel_conj
-from .em_exact import QuadratureSpec, exact_received_signal
+from .em_exact import exact_received_signal
 from .em_spa import spa_received_signal, xi
 from .signal import (SignalSet, WaveformRef, add_awgn, sample_times,
                      synthesize, waveform_value)
@@ -24,7 +24,7 @@ __all__ = [
     "FREE_SPACE_IMPEDANCE", "SPEED_OF_LIGHT",
     "Scenario", "reference_scenario",
     "fresnel", "fresnel_conj",
-    "QuadratureSpec", "exact_received_signal",
+    "exact_received_signal",
     "spa_received_signal", "xi",
     "SignalSet", "WaveformRef", "add_awgn", "sample_times",
     "synthesize", "waveform_value",

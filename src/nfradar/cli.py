@@ -24,13 +24,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .em_exact import QuadratureSpec, exact_received_signal
+from .em_exact import exact_received_signal, plate_node_counts
 from .em_spa import spa_received_signal
 from .estimator import (ModelKind, ambiguity, crb, crb_stencil,
                         half_power_width)
 from .scenario import Scenario
-from .signal import (DEFAULT_EXACT_CARRIER_CEILING, WaveformRef, add_awgn,
-                     synthesize)
+from .signal import WaveformRef, add_awgn, synthesize
 
 EXPERIMENTS = ("validate-spa", "ambiguity", "crb")
 SWEEPABLE = ("bandwidth", "carrier_freq", "range")
@@ -86,13 +85,6 @@ _FIELDS = (
      _one_of("total", "per_pair")),
     ("experiment", "validation_carrier", "10000000000.0", float,
      _FINITE_POSITIVE),
-    # inf means no ceiling
-    ("experiment", "exact_carrier_ceiling",
-     repr(DEFAULT_EXACT_CARRIER_CEILING), float,
-     _require(lambda v: v > 0, "positive")),
-    # QuadratureSpec(points_per_wavelength) refuses a density no run can use
-    ("experiment", "quad_points_per_wavelength", "10.0", float,
-     QuadratureSpec),
     ("grid", "min", "2.0", float, _FINITE),
     ("grid", "max", "8.0", float, _FINITE),
     # auto means lambda/8 at the operating carrier
@@ -151,8 +143,6 @@ class ExperimentConfig:
     snr: float
     snr_normalization: str
     validation_carrier: float
-    exact_carrier_ceiling: float
-    quad_points_per_wavelength: float
     slow: bool = False
 
 
@@ -292,20 +282,12 @@ def _scene(base: Scenario, label: str, **changes) -> Scenario:
 
 def _validation_scene(cfg: ExperimentConfig) -> Scenario:
     """validate-spa's scene: the configured one, its carrier lowered to the
-    validation carrier unless slow mode is on. Without slow mode a carrier
-    above the exact backend's ceiling is refused, naming the key that set
-    it."""
-    if cfg.slow:
+    validation carrier unless slow mode is on."""
+    if cfg.slow or cfg.scenario.carrier_freq <= cfg.validation_carrier:
         return cfg.scenario
-    key, carrier = "scenario.carrier_freq", cfg.scenario.carrier_freq
-    if carrier > cfg.validation_carrier:
-        key, carrier = "experiment.validation_carrier", cfg.validation_carrier
-    if carrier > cfg.exact_carrier_ceiling:
-        raise ValueError(
-            f"{key} = {carrier!r} exceeds experiment.exact_carrier_ceiling "
-            f"= {cfg.exact_carrier_ceiling!r}: the exact backend refuses it "
-            "without --slow")
-    return _scene(cfg.scenario, f"{key} = {carrier!r}", carrier_freq=carrier)
+    return _scene(cfg.scenario, "experiment.validation_carrier = "
+                  f"{cfg.validation_carrier!r}",
+                  carrier_freq=cfg.validation_carrier)
 
 
 def _ambiguity_scenes(cfg: ExperimentConfig):
@@ -343,9 +325,10 @@ def _check_scenes(cfg: ExperimentConfig) -> None:
     lies above the validity floor and covers the scene's true range. For
     crb it builds the range grid when range is not swept, and checks the
     stencil of the smallest range on every line, which bounds every other
-    range's stencil from below."""
+    range's stencil from below. For validate-spa it checks that the exact
+    backend's plate rule stays within its node budget."""
     if cfg.experiment == "validate-spa":
-        _validation_scene(cfg)
+        plate_node_counts(_validation_scene(cfg))
     elif cfg.experiment == "ambiguity":
         for param, value, scene in _ambiguity_scenes(cfg):
             at = f" at sweep.{param} = {value!r}" if cfg.sweep else ""
@@ -386,12 +369,10 @@ def run_validate_spa(cfg: ExperimentConfig):
     spa_db, amp_err_db and phase_err_deg cells stay empty.
     """
     scenario = _validation_scene(cfg)
-    quad = QuadratureSpec(
-        points_per_wavelength=cfg.quad_points_per_wavelength)
     waveform = WaveformRef.constant()
     columns = ["tx", "rx", "exact_db", "spa_db", "amp_err_db",
                "phase_err_deg"]
-    exact = exact_received_signal(scenario, 0.0, waveform, quad)
+    exact = exact_received_signal(scenario, 0.0, waveform)
     spa = spa_received_signal(scenario, 0.0, waveform)
     # hypot, not np.abs: numpy's vectorized complex abs can differ in the
     # last bit from its scalar abs, whose bits these CSV cells keep
@@ -514,8 +495,8 @@ def _parser() -> argparse.ArgumentParser:
                             "reference scenario)")
         p.add_argument("--out", default=None, help="output CSV path")
         p.add_argument("--slow", action="store_true",
-                       help="full-carrier runs (exact backend at the "
-                            "configured carrier; expect long runtimes)")
+                       help="validate-spa at the configured carrier "
+                            "instead of experiment.validation_carrier")
         p.add_argument("--seed", type=int, default=None,
                        help="noise seed override")
         p.add_argument("--set", dest="overrides", action="append",

@@ -1,5 +1,6 @@
 """Complex Fresnel integral under the pi/2 kernel, and the Chebyshev
-interpolation toolkit of the delay-space objectives and the plate sum.
+interpolation toolkit of the delay-space objectives and of the exact
+backend's node counts.
 
 F(x) = integral of exp(j*pi*t^2/2) dt from 0 to x, i.e. F = C + jS with the
 classic cosine and sine Fresnel integrals. This normalization is the one

@@ -41,8 +41,6 @@ NON_DEFAULT = {
     ("experiment", "snr"): "0.1",
     ("experiment", "snr_normalization"): "per_pair",
     ("experiment", "validation_carrier"): "5e9",
-    ("experiment", "exact_carrier_ceiling"): "inf",
-    ("experiment", "quad_points_per_wavelength"): "12.5",
     ("grid", "min"): "3",
     ("grid", "max"): "7.25",
     ("grid", "step"): "0.001",
@@ -155,16 +153,6 @@ class TestParseConfig:
             overrides=(f"scenario.n_antennas={MAX_ANTENNAS}",))
         assert cfg.scenario.n_antennas == MAX_ANTENNAS
 
-    @pytest.mark.parametrize("text", ["nan", "inf", "3"])
-    def test_quadrature_density_refusal_names_key(self, text):
-        # QuadratureSpec is the one check: NaN and inf used to pass it and
-        # fail inside the quadrature
-        with pytest.raises(ValueError, match=re.escape(
-                f"experiment.quad_points_per_wavelength = '{text}': "
-                "points_per_wavelength must be finite and at least 4")):
-            parse_config(experiment="validate-spa", overrides=(
-                f"experiment.quad_points_per_wavelength={text}",))
-
     def test_scenario_refusal_names_key(self):
         with pytest.raises(ValueError, match=re.escape(
                 "scenario.spacing = '-1': spacing must be strictly "
@@ -189,8 +177,6 @@ class TestParseConfig:
             "noise.noise_power=-1", "noise.noise_power=inf",
             "experiment.snr=0", "experiment.snr=-2", "experiment.snr=nan",
             "experiment.snr=inf",
-            "experiment.quad_points_per_wavelength=3",
-            "experiment.quad_points_per_wavelength=nan",
             "noise.seed=-1",
             "grid.min=nan", "grid.max=inf", "grid.step=inf",
             "grid.step=nan",
@@ -199,9 +185,6 @@ class TestParseConfig:
             "experiment.validation_carrier=nan",
             "experiment.validation_carrier=0",
             "experiment.validation_carrier=-1e10",
-            "experiment.exact_carrier_ceiling=nan",
-            "experiment.exact_carrier_ceiling=0",
-            "experiment.exact_carrier_ceiling=-1e10",
             # values that do not convert to the key's type
             "scenario.n_antennas=1.5", "noise.seed=1e3", "scenario.range=abc",
             "grid.step=abc", "sweep.range=",
@@ -215,9 +198,6 @@ class TestParseConfig:
         # a scene the runner would build is refused by Scenario, or a crb
         # stencil falls below the validity floor
         ("experiment.validation_carrier=1e9", "validate-spa"),
-        # a validation carrier above the exact backend's ceiling
-        ("experiment.validation_carrier=2e10", "validate-spa"),
-        ("experiment.exact_carrier_ceiling=5e9", "validate-spa"),
         ("sweep.range=-1", "crb"), ("sweep.range=0.1", "crb"),
         ("sweep.range=4,0.1", "crb"), ("grid.min=0.1", "crb"),
         ("sweep.range=-1", "ambiguity"), ("sweep.range=0.1", "ambiguity"),
@@ -243,19 +223,32 @@ class TestParseConfig:
             main([experiment, "--set", override, "--out", str(out)])
         assert not out.exists()
 
-    def test_validation_ceiling_names_scene_carrier(self):
-        # at 15 GHz the configured carrier is below the validation carrier
-        # and is the one validated, so it is the key named; slow mode
-        # validates at the configured carrier whatever the ceiling
-        with pytest.raises(ValueError, match=r"scenario\.carrier_freq = "
-                           r"15000000000\.0 exceeds experiment\."
-                           r"exact_carrier_ceiling"):
-            parse_config(experiment="validate-spa", overrides=(
-                "scenario.carrier_freq=15e9",
-                "experiment.validation_carrier=20e9"))
+    def test_validation_scene_carrier(self):
+        # validate-spa runs at the lower of the configured and the
+        # validation carrier, and slow mode at the configured one
+        cfg = parse_config(experiment="validate-spa", overrides=(
+            "scenario.carrier_freq=15e9",
+            "experiment.validation_carrier=20e9"))
+        assert cli._validation_scene(cfg) is cfg.scenario
+        cfg = parse_config(experiment="validate-spa")
+        assert cli._validation_scene(cfg).carrier_freq == 10e9
         cfg = parse_config(experiment="validate-spa", slow=True)
         assert cfg.scenario.carrier_freq == 77e9
         assert cli._validation_scene(cfg) is cfg.scenario
+
+    @pytest.mark.parametrize("slow", [False, True])
+    def test_plate_node_budget_refused_at_parse(self, slow, tmp_path):
+        # R = 1 mm before the reference plate would take 17,127 z nodes
+        # (em_exact's test_refuses_plate_over_budget); validate-spa refuses
+        # it at parse time, naming the range and the plate
+        out = tmp_path / "out.csv"
+        argv = ["validate-spa", "--set", "scenario.min_range_wavelengths=0",
+                "--set", "scenario.range=0.001", "--out", str(out)]
+        with pytest.raises(ValueError, match=re.escape(
+                "the 0.8 x 1.75 m plate at range 0.001 m needs more than "
+                "2048 quadrature nodes along y")):
+            main(argv + ["--slow"] * slow)
+        assert not out.exists()
 
     def test_invalid_min_range_wavelengths_refused(self, tmp_path):
         # NaN used to switch the validity floor off, and crb wrote bounds
@@ -288,11 +281,6 @@ class TestParseConfig:
         with pytest.raises(ValueError, match="scenario.range = 4.0"):
             parse_config(overrides=("grid.min=3", "grid.max=4",
                                     "grid.step=0.3"))
-
-    def test_infinite_exact_ceiling_means_none(self):
-        cfg = parse_config(overrides=("experiment.exact_carrier_ceiling=inf",))
-        assert cfg.exact_carrier_ceiling == float("inf")
-        assert parse_config(text=emit_config(cfg)) == cfg
 
     def test_readme_config_block(self):
         # the README's default configuration parses to the defaults and
@@ -386,12 +374,13 @@ class TestRunners:
             else:
                 assert all(math.isfinite(float(v)) for v in row[2:])
         assert off == 72
-        # on-plate rows keep their values (pair 6,6 as written before the
-        # off-plate cells were emptied)
+        # on-plate rows keep their values (pair 6,6 as written by the
+        # Gauss-Legendre plate rule; the midpoint sum at 10 points per
+        # wavelength wrote exact_db 1.3e-3 dB higher)
         center = next(r for r in data if r[:2] == ["6", "6"])
         assert [float(v) for v in center[2:]] == pytest.approx(
-            [61.147193309557196, 61.17601002335957, 0.02881671380237094,
-             -0.35520730352818464], rel=1e-9)
+            [61.145885358673894, 61.17601002335958, 0.030124664685686753,
+             -0.3563637329986841], rel=1e-9)
 
     def test_ambiguity_rows(self):
         cfg = parse_config(overrides=("grid.min=3.8", "grid.max=4.2",

@@ -1,11 +1,11 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from nfradar import em_exact
 from nfradar import (
-    QuadratureSpec,
     WaveformRef,
     exact_received_signal,
     reference_scenario,
@@ -13,12 +13,12 @@ from nfradar import (
 )
 from nfradar.scenario import SPEED_OF_LIGHT, antenna_positions
 from nfradar.signal import sample_times
-from nfradar.special_fn import chebyshev_node_count, phase_node_count
+from nfradar.special_fn import phase_node_count
 
-from oracles import exact_pair
+from oracles import exact_line, exact_pair, pair_integrand
 
 CONST = WaveformRef.constant()
-# 2 GHz keeps the brute-force oracle cheap: about 6,000 plate nodes
+# 2 GHz keeps the brute-force oracle cheap: about 18,000 plate nodes
 SMALL = dict(carrier_freq=2e9, min_range_wavelengths=20.0)
 
 
@@ -94,100 +94,65 @@ class TestIntegrand:
         assert abs(gz[iz] - 0.0) <= gz[1] - gz[0]
 
 
-class TestQuadratureSpec:
-    def test_density_floor(self):
-        with pytest.raises(ValueError, match="at least 4"):
-            QuadratureSpec(points_per_wavelength=3.9)
-
-    @pytest.mark.parametrize("points", [np.nan, np.inf, -np.inf])
-    def test_density_not_finite(self, points):
-        # NaN and inf used to pass and fail later inside _axis_nodes
-        with pytest.raises(ValueError, match="must be finite"):
-            QuadratureSpec(points_per_wavelength=points)
-
-    def test_unknown_rule(self):
-        with pytest.raises(ValueError, match="unknown quadrature rule"):
-            QuadratureSpec(rule="simpson")
-
-
-def center_row(scenario):
-    m = (scenario.n_antennas - 1) // 2
-    return m * scenario.n_antennas + m
-
-
-# constant-waveform scenes whose y form needs many nodes, at 2 GHz: a plate
-# much wider than R near a lowered floor, where the phase span sets K (93
-# of 401 y nodes), and R at half a wavelength under dense sampling, where
-# the branch point of r sets it (80 of 320; the phase span alone gave 35
-# nodes and errors of 2.7e-11)
-WIDE = {"n_antennas": 2, "plate_width": 3.0, "plate_height": 0.5,
-        "range": 0.4, "min_range_wavelengths": 2.0}
+# scenes at 2 GHz where the branch points of r at distance R from the plate
+# set the node count: R at half a wavelength before a plate wider than
+# tall (81 y and 27 z nodes, where the phase span alone gives 32 and 18),
+# and the same R before a plate taller than wide (30 and 79, against 18
+# and 33)
 BRANCH = {"n_antennas": 2, "plate_width": 0.6, "plate_height": 0.2,
           "range": 0.075, "min_range_wavelengths": 0.5}
-# the same R on a plate three times taller than wide, where the branch
-# points of r in z set K_z (72 of 321 z rows; the phase span alone gave 31
-# nodes and sums 3.2e-11 off)
 TALL = {"n_antennas": 2, "plate_width": 0.2, "plate_height": 0.6,
         "range": 0.075, "min_range_wavelengths": 0.5}
-# a 6 m plate at R = 0.4 m: K = 179 of 201 y nodes, so the direct sum runs
+# plates much wider than R, where the phase span sets many y nodes: 93 on
+# a 3 m plate and 166 on a 6 m plate
+WIDE = {"n_antennas": 2, "plate_width": 3.0, "plate_height": 0.5,
+        "range": 0.4, "min_range_wavelengths": 2.0}
 WIDE6 = {"n_antennas": 2, "plate_width": 6.0, "range": 0.4,
          "min_range_wavelengths": 2.0}
-# 3 y nodes at 4 points per wavelength, fewer than K
+# a plate a wavelength and a third wide: 7 y nodes
 NARROW = {"n_antennas": 4, "plate_width": 0.2}
 
 
+def assert_line_rule(sc, axis, ats, line_sum, tol):
+    """line_sum(z_tx, z_rx, at), a rule's integral of the pair integrand
+    along the plate axis "y" or "z" with the other coordinate at `at`, is
+    within tol of the largest converged line integral (oracles.exact_line)
+    at each of ats, for every pair with the first antenna as tx and every
+    monostatic pair."""
+    z_ant = antenna_positions(sc)
+    pairs = [(z_ant[0], b) for b in z_ant] + [(a, a) for a in z_ant[1:]]
+    for at in ats:
+        want = np.array([exact_line(sc, a, b, axis, at) for a, b in pairs])
+        got = np.array([line_sum(a, b, at) for a, b in pairs])
+        assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want))
+
+
 class TestExactReceivedSignal:
-    @pytest.mark.parametrize("overrides, rule, sampled, points", [
-        ({"n_antennas": 1}, "midpoint", False, 10.0),
-        # 54 and 51 y nodes: the fold with and without a middle node
-        ({"n_antennas": 4}, "midpoint", False, 10.0),
-        ({"n_antennas": 4, "plate_width": 0.76}, "midpoint", False, 10.0),
-        # 15 Gauss-Legendre panels in z: the middle one straddles z = 0
-        ({"n_antennas": 4}, "gauss_legendre_composite", False, 10.0),
-        ({"n_antennas": 4, "plate_width": 0.76}, "midpoint", True, 10.0),
-        ({"n_antennas": 4}, "gauss_legendre_composite", True, 10.0),
-        # the z fold: an odd array, whose middle element is its own mirror;
-        # 114 z rows, with no middle row; 16 z panels, with z = 0 on a
-        # panel edge
-        ({"n_antennas": 3}, "midpoint", False, 10.0),
-        ({"n_antennas": 3}, "midpoint", True, 10.0),
-        ({"n_antennas": 4, "plate_height": 1.7}, "midpoint", False, 10.0),
-        ({"n_antennas": 4, "plate_height": 1.7}, "midpoint", True, 10.0),
-        ({"n_antennas": 4, "plate_height": 1.85},
-         "gauss_legendre_composite", False, 10.0),
-        # specular points of the outer pairs off the plate
-        ({"n_antennas": 4, "spacing": 0.25, "plate_height": 0.5},
-         "midpoint", False, 10.0),
-        ({"n_antennas": 4, "spacing": 0.25, "plate_height": 0.5},
-         "gauss_legendre_composite", True, 10.0),
-        ({"n_antennas": 4, "plate_width": 0.0}, "midpoint", False, 10.0),
-        ({"n_antennas": 4, "plate_width": 0.0}, "midpoint", True, 10.0),
-        (WIDE, "midpoint", False, 40.0),
-        (WIDE, "gauss_legendre_composite", False, 40.0),
-        (BRANCH, "midpoint", False, 160.0),
-        (TALL, "midpoint", False, 160.0),
-        (WIDE6, "midpoint", False, 10.0),
-        (NARROW, "midpoint", False, 4.0),
-        (WIDE, "midpoint", True, 40.0),
-        (WIDE, "gauss_legendre_composite", True, 40.0),
-        (BRANCH, "midpoint", True, 160.0),
-        (TALL, "midpoint", True, 160.0),
-        (WIDE6, "midpoint", True, 10.0),
-        (NARROW, "midpoint", True, 4.0),
-    ], ids=["n1", "even-y", "odd-y", "gl", "odd-y-sinc", "gl-sinc",
-            "odd-n", "odd-n-sinc", "even-z", "even-z-sinc", "gl-even-z-panels",
-            "off-plate", "off-plate-gl-sinc", "no-width", "no-width-sinc",
-            "wide", "wide-gl", "branch", "tall", "wide-6m", "narrow",
-            "wide-sinc", "wide-gl-sinc", "branch-sinc", "tall-sinc",
-            "wide-6m-sinc", "narrow-sinc"])
-    def test_matches_oracle(self, overrides, rule, sampled, points):
-        # every pair, in tx-major rows, against the brute-force per-pair
-        # plate sum; sampled traces relative to each pair's peak, on
-        # windows of +-8/B and +-40/B about the round trip (the frequency
-        # rule takes 33 and 96 nodes for 13 antennas on the reference
-        # plate)
+    @pytest.mark.parametrize("overrides, sampled", [
+        (overrides, sampled) for sampled in (False, True) for overrides in (
+            {"n_antennas": 1},
+            # 14 and 13 y nodes: the fold without and with a middle node
+            {"n_antennas": 4},
+            {"n_antennas": 4, "plate_width": 0.76},
+            # the z fold: an odd array, whose middle element is its own
+            # mirror, with 27 z nodes and so a middle row at z = 0
+            {"n_antennas": 3},
+            {"n_antennas": 4, "plate_height": 1.7},
+            # specular points of the outer pairs off the plate
+            {"n_antennas": 4, "spacing": 0.25, "plate_height": 0.5},
+            {"n_antennas": 4, "plate_width": 0.0},
+            WIDE, BRANCH, TALL, WIDE6, NARROW)
+    ], ids=[name + suffix for suffix in ("", "-sinc") for name in (
+        "n1", "even-y", "odd-y", "odd-n", "even-z", "off-plate", "no-width",
+        "wide", "branch", "tall", "wide-6m", "narrow")])
+    def test_matches_oracle(self, overrides, sampled):
+        # every pair, in tx-major rows, against the converged brute-force
+        # per-pair plate sum; sampled traces relative to each pair's peak,
+        # on windows of +-8/B and +-40/B about the round trip (the
+        # frequency rule takes 33 and 96 nodes for 13 antennas on the
+        # reference plate). The 6 m plate is the worst, at 8.2e-13; the
+        # others are within 2.2e-14
         sc = reference_scenario(**{**SMALL, **overrides})
-        quad = QuadratureSpec(points, rule)
         if sampled:
             w = WaveformRef.sinc(sc.bandwidth)
             windows = [2.0 * sc.range / SPEED_OF_LIGHT
@@ -198,160 +163,95 @@ class TestExactReceivedSignal:
         n = sc.n_antennas
         z = [(l - (n - 1) / 2.0) * sc.spacing for l in range(n)]
         for t in windows:
-            got = exact_received_signal(sc, t, w, quad)
+            got = exact_received_signal(sc, t, w)
             assert got.shape == (n * n,) + np.shape(t)
             for p in range(n * n):
-                want = exact_pair(sc, z[p // n], z[p % n], t, w.bandwidth,
-                                  points, rule)
+                want = exact_pair(sc, z[p // n], z[p % n], t, w.bandwidth)
                 if sc.plate_width == 0.0:
                     assert np.all(got[p] == 0.0) and np.all(want == 0.0)
                     continue
                 scale = np.max(np.abs(want))
                 assert np.max(np.abs(got[p] - want)) <= 1e-12 * scale
 
-    @pytest.mark.parametrize("overrides, rule, points, nodes, phase", [
-        ({}, "midpoint", 10.0, 14, 14),
-        (WIDE, "midpoint", 40.0, 93, 93),
-        (WIDE, "gauss_legendre_composite", 40.0, 93, 93),
-        (BRANCH, "midpoint", 160.0, 80, 35),
-        (WIDE6, "midpoint", 10.0, 201, 179),
-        (NARROW, "midpoint", 4.0, 3, 8),
-    ], ids=["small", "wide", "wide-gl", "branch", "wide-6m", "narrow"])
-    def test_y_nodes(self, overrides, rule, points, nodes, phase,
-                     monkeypatch):
-        # the constant waveform's factors are taken at K Chebyshev points
-        # in y^2, K from the phase span or, where R is near a wavelength,
-        # the branch point; where K is near or above the folded y nodes
-        # (201 and 3 here) the direct sum takes them at the nodes
-        sizes = set()
-        factors = em_exact._antenna_factors
+    @pytest.mark.parametrize("overrides, counts, phase", [
+        ({"carrier_freq": 10e9}, (26, 103), (26, 103)),
+        ({"carrier_freq": 24e9}, (43, 210), (43, 210)),
+        ({}, (97, 597), (97, 597)),
+        ({**SMALL, **BRANCH}, (81, 27), (32, 18)),
+        ({**SMALL, **TALL}, (30, 79), (18, 33)),
+        ({**SMALL, **WIDE6}, (166, 61), (166, 61)),
+    ], ids=["10g", "24g", "77g", "branch", "tall", "wide-6m"])
+    def test_node_counts(self, overrides, counts, phase):
+        # M = (K + 1) // 2 + 1 Gauss-Legendre nodes per axis, K from the
+        # pair phase span over the axis or, where R is small against the
+        # plate, the branch points of r; phase gives the counts of the
+        # phase span alone
+        sc = reference_scenario(**overrides)
+        assert em_exact.plate_node_counts(sc) == counts
+        k, R = sc.wavenumber, sc.range
+        half_y, half_z = sc.plate_width / 2.0, sc.plate_height / 2.0
+        m = half_z + np.max(np.abs(antenna_positions(sc)))
+        assert tuple((phase_node_count(s) + 1) // 2 + 1 for s in (
+            4.0 * k * half_y ** 2 / np.hypot(R, half_y),
+            4.0 * k * half_z * m / np.hypot(R, m))) == phase
 
-        def recording(R, k, z_ant, y_sq, z):
-            sizes.add(np.size(y_sq))
-            return factors(R, k, z_ant, y_sq, z)
+    @pytest.mark.parametrize("overrides, tol", [
+        (SMALL, 1e-12), ({**SMALL, **WIDE}, 1e-12),
+        ({**SMALL, **BRANCH}, 1e-12), ({**SMALL, **TALL}, 1e-12),
+        ({**SMALL, **WIDE6}, 1e-12), ({**SMALL, **NARROW}, 1e-12),
+        ({"carrier_freq": 10e9}, 1e-12), ({}, 1e-11),
+    ], ids=["small", "wide", "branch", "tall", "wide-6m", "narrow", "10g",
+            "77g"])
+    def test_y_nodes(self, overrides, tol):
+        # the folded y rule on its own integrates the pair integrand along
+        # y, on the centre line z = 0, at the outer antenna and at the
+        # plate's edge, within 1e-12 of the converged line integrals (the
+        # 6 m plate is the worst, at 7.7e-13), and at 77 GHz within the
+        # rounding of the phases k r (3.9e-12). The integrand is even in y,
+        # so the folded half is the whole rule
+        sc = reference_scenario(**overrides)
+        (y, y_w), _ = em_exact._plate_rule(sc, sc.wavenumber)
+        assert y.size == (em_exact.plate_node_counts(sc)[0] + 1) // 2
+        assert_line_rule(
+            sc, "y", (0.0, antenna_positions(sc)[-1], sc.plate_height / 2.0),
+            lambda a, b, at: np.sum(y_w * pair_integrand(sc, a, b, y, at)[1]),
+            tol)
 
-        monkeypatch.setattr(em_exact, "_antenna_factors", recording)
-        sc = reference_scenario(**{**SMALL, **overrides})
-        exact_received_signal(sc, 0.0, CONST, QuadratureSpec(points, rule))
-        assert sizes == {nodes}
-        u_max = sc.plate_width ** 2 / 4.0
-        assert chebyshev_node_count(
-            sc.wavenumber * u_max / (np.hypot(sc.range, sc.plate_width / 2)
-                                     + sc.range)) == phase
+    @pytest.mark.parametrize("overrides, tol", [
+        (SMALL, 1e-12), ({**SMALL, "n_antennas": 1}, 1e-12),
+        ({**SMALL, "n_antennas": 3}, 1e-12), ({**SMALL, **WIDE}, 1e-12),
+        ({**SMALL, **BRANCH}, 1e-12), ({**SMALL, **TALL}, 1e-12),
+        ({**SMALL, **WIDE6}, 1e-12), ({**SMALL, **NARROW}, 1e-12),
+        ({"carrier_freq": 10e9}, 1e-12), ({}, 1e-11),
+    ], ids=["small", "n1", "odd-n", "wide", "branch", "tall", "wide-6m",
+            "narrow", "10g", "77g"])
+    def test_z_nodes(self, overrides, tol):
+        # the folded z rule, completed by the mirror identity (a pair's
+        # z < 0 half is its integrand at -z), integrates the pair
+        # integrand along z, on the centre line y = 0, a quarter across
+        # and at the plate's edge, within 1e-12 of the converged line
+        # integrals, and at 77 GHz within the rounding of the phases k r
+        # (3.0e-12). n1 takes 13 folded nodes and odd-n 14, with a middle
+        # node at z = 0 counted once
+        sc = reference_scenario(**overrides)
+        _, (z, z_w) = em_exact._plate_rule(sc, sc.wavenumber)
+        assert z.size == (em_exact.plate_node_counts(sc)[1] + 1) // 2
+        half = sc.plate_width / 2.0
 
-    @pytest.mark.parametrize("overrides, rule, points, nodes, phase", [
-        ({}, "midpoint", 10.0, 33, 33),
-        ({"n_antennas": 1}, "midpoint", 10.0, 26, 26),
-        ({"n_antennas": 4, "plate_height": 1.85},
-         "gauss_legendre_composite", 10.0, 29, 29),
-        (WIDE, "midpoint", 40.0, 24, 24),
-        (BRANCH, "midpoint", 160.0, 33, 20),
-        (TALL, "midpoint", 160.0, 72, 31),
-        (WIDE6, "midpoint", 10.0, 51, 51),
-        (NARROW, "midpoint", 4.0, 24, 28),
-    ], ids=["small", "n1", "gl", "wide", "branch", "tall", "wide-6m",
-            "narrow"])
-    def test_z_nodes(self, overrides, rule, points, nodes, phase,
-                     monkeypatch):
-        # the constant waveform's factors are taken at K Chebyshev points
-        # in z on the folded half, K from the phase span or, where R is
-        # small against the plate height, the branch points of r at
-        # z_l +- jR (33 of 107 and 72 of 321 rows where the phase span
-        # alone gives 20 and 31); where K is near or above the folded z
-        # rows (24 here) the direct sum takes them at the rows. The y form
-        # is taken or not on its own: wide-6m sums y directly and z by the
-        # form. The scenes after small are test_matches_oracle's, which
-        # holds every pair within 1e-12 of the brute-force sum
-        z_pts = []
-        factors = em_exact._antenna_factors
+        def line_sum(a, b, at):
+            upper = pair_integrand(sc, a, b, at, z)[1]
+            lower = pair_integrand(sc, a, b, at, -z)[1]
+            return np.sum(z_w * (upper + lower)) / 2.0
 
-        def recording(R, k, z_ant, y_sq, z):
-            z_pts.extend(np.ravel(z))
-            return factors(R, k, z_ant, y_sq, z)
-
-        monkeypatch.setattr(em_exact, "_antenna_factors", recording)
-        sc = reference_scenario(**{**SMALL, **overrides})
-        exact_received_signal(sc, 0.0, CONST, QuadratureSpec(points, rule))
-        assert len(z_pts) == nodes
-        half = sc.plate_height / 2.0
-        m = half + np.max(np.abs(antenna_positions(sc)))
-        assert phase_node_count(
-            half * sc.wavenumber * m / np.hypot(sc.range, m)) == phase
-
-    def test_z_nodes_reference(self):
-        # the reference plate: 77 of 292 folded z rows at 10 GHz, 138 of
-        # 701 at 24 GHz and 347 of 2,248 at 77 GHz, where the Lagrange
-        # bound of chebyshev_node_count would give 122, 254 and 751
-        for carrier, nodes, rows, lagrange in [(10e9, 77, 292, 122),
-                                               (24e9, 138, 701, 254),
-                                               (77e9, 347, 2248, 751)]:
-            sc = reference_scenario(carrier_freq=carrier)
-            z, _ = em_exact._fold(*em_exact._axis_nodes(
-                sc.plate_height / 2, sc.wavelength, QuadratureSpec()))
-            assert z.size == rows
-            z_ant = antenna_positions(sc)
-            assert em_exact._z_count(sc, sc.wavenumber, z_ant, rows) == nodes
-            m = 0.875 + 0.75
-            assert chebyshev_node_count(
-                0.875 * sc.wavenumber * m / np.hypot(4.0, m)) == lagrange
-
-    def test_sinc_takes_both_forms(self, monkeypatch):
-        # the sinc is a quadrature over its band of constant-waveform plate
-        # sums at the wavenumbers k + pi B x / c, so it takes both axis
-        # forms, set up once, with node counts at the band's top
-        # k + pi B / c (15 y and 28 z points here, where the carrier alone
-        # gives 14 and 28), and never evaluates a delayed waveform
-        sc = reference_scenario(n_antennas=3, **SMALL)
-        top = sc.wavenumber + np.pi * sc.bandwidth / SPEED_OF_LIGHT
-        counts, grams, calls = [], [], []
-
-        def recorded(name):
-            inner = getattr(em_exact, name)
-
-            def wrapper(*args):
-                out = inner(*args)
-                if name == "_axis_form":
-                    grams.append(out[1])
-                elif name == "_antenna_factors":
-                    calls.append((args[1], np.size(args[3]), np.size(args[4])))
-                else:
-                    counts.append((name, args[1], out))
-                return out
-            monkeypatch.setattr(em_exact, name, wrapper)
-
-        def refused(*args):
-            raise AssertionError("exact synthesis evaluated a waveform")
-
-        for name in ("_y_count", "_z_count", "_axis_form",
-                     "_antenna_factors"):
-            recorded(name)
-        monkeypatch.setattr(em_exact, "waveform_value", refused)
-        synthesize(sc, backend="exact")
-        assert [(name, k) for name, k, _ in counts] == [
-            ("_y_count", pytest.approx(top, rel=1e-15)),
-            ("_z_count", pytest.approx(top, rel=1e-15))]
-        assert [kk for _, _, kk in counts] == [15, 28]
-        assert len(grams) == 2 and all(g is not None for g in grams)
-        # one block of all 28 z points per frequency node, at 50 nodes
-        # symmetric about the carrier (51 for 13 antennas, whose delays
-        # spread wider)
-        ks = np.array([k for k, _, _ in calls])
-        assert {(y, z) for _, y, z in calls} == {(15, 28)}
-        assert ks.size == 50 and np.all(np.diff(ks) > 0)
-        assert np.allclose(ks + ks[::-1], 2 * sc.wavenumber,
-                           rtol=1e-15, atol=0)
-        assert ks[-1] < top
+        assert_line_rule(sc, "z", (0.0, half / 2.0, half), line_sum, tol)
 
     def test_block_bound(self, ref_sc_10ghz, monkeypatch):
-        # the factors are evaluated once per frequency node at the points
-        # of the two axis forms, never at the plate's nodes: 13 x 77 x 24
-        # values at 10 GHz (of 13 x 292 x 134 quarter-plate nodes) and
-        # 13 x 347 x 70 at 77 GHz (of 13 x 2,248 x 1,028), in blocks of
-        # whole z points of at most _BLOCK_NODES values (antennas x y
-        # points). The constant waveform is one node; the sinc on
-        # synthesize's +-16/B window takes 51 for the SMALL scene and the
-        # reference one at 10 and 77 GHz, at the counts of the band's top
-        # wavenumber (the same 77 x 24 at 10 GHz)
+        # the reference plate is summed over its quarter: 52 z x 13 y
+        # folded nodes at 10 GHz and 299 x 49 at 77 GHz, in blocks of
+        # whole z rows of at most _BLOCK_NODES values (antennas x y
+        # nodes). The constant waveform is one plate sum; the sinc on
+        # synthesize's +-16/B window takes 51, at the counts of the band's
+        # top wavenumber (52 x 14 at 10 GHz)
         shapes = []
         factors = em_exact._antenna_factors
 
@@ -360,31 +260,151 @@ class TestExactReceivedSignal:
             shapes.append(out[0].shape)
             return out
 
-        def blocks(n_rows, rows):
+        def blocks(n_rows, y_nodes):
+            rows = em_exact._BLOCK_NODES // (13 * y_nodes)
             full, tail = divmod(n_rows, rows)
-            return [rows] * full + ([tail] if tail else [])
+            return [(13, b, y_nodes)
+                    for b in [rows] * full + ([tail] if tail else [])]
 
-        bound = em_exact._BLOCK_NODES
         monkeypatch.setattr(em_exact, "_antenna_factors", recording)
         exact_received_signal(ref_sc_10ghz, 0.0, CONST)
-        assert shapes == [(13, b, 24) for b in blocks(77, bound // (13 * 24))]
+        assert shapes == blocks(52, 13) == [(13, 52, 13)]
         shapes.clear()
         exact_received_signal(reference_scenario(), 0.0, CONST)
-        assert shapes == [(13, b, 70) for b in blocks(347, bound // (13 * 70))]
-        assert max(np.prod(s) for s in shapes) <= bound
-
+        assert shapes == blocks(299, 49)
+        assert max(np.prod(s) for s in shapes) <= em_exact._BLOCK_NODES
         shapes.clear()
         synthesize(ref_sc_10ghz, backend="exact")
-        assert shapes == 51 * [(13, b, 24)
-                               for b in blocks(77, bound // (13 * 24))]
-        assert max(np.prod(s) for s in shapes) <= bound
-        # 33 z points x 15 y points: one block per node
-        shapes.clear()
-        synthesize(reference_scenario(**SMALL), backend="exact")
-        assert shapes == 51 * [(13, 33, 15)]
-        sc = reference_scenario()
+        assert shapes == 51 * blocks(52, 14)
+
+    @pytest.mark.parametrize("overrides, tol", [
+        ({"carrier_freq": 10e9}, 1e-12), ({"carrier_freq": 24e9}, 1e-12),
+        ({}, 1e-11),
+        ({**SMALL, **BRANCH}, 1e-12), ({**SMALL, **TALL}, 1e-12),
+        ({**SMALL, **WIDE6}, 1e-12),
+        # test_matches_oracle's other scenes
+        ({**SMALL, "n_antennas": 1}, 1e-12),
+        ({**SMALL, "n_antennas": 4}, 1e-12),
+        ({**SMALL, "n_antennas": 4, "plate_width": 0.76}, 1e-12),
+        ({**SMALL, "n_antennas": 3}, 1e-12),
+        ({**SMALL, "n_antennas": 4, "plate_height": 1.7}, 1e-12),
+        ({**SMALL, "n_antennas": 4, "spacing": 0.25, "plate_height": 0.5},
+         1e-12),
+        ({**SMALL, **WIDE}, 1e-12), ({**SMALL, **NARROW}, 1e-12),
+    ], ids=["10g", "24g", "77g", "branch", "tall", "wide-6m", "n1", "even-y",
+            "odd-y", "odd-n", "even-z", "off-plate", "wide", "narrow"])
+    def test_node_rule_converged(self, overrides, tol, monkeypatch):
+        # a quarter more nodes along y, then along z, moves no pair by
+        # more than tol of the scene's largest pair: 1e-12 (the 6 m plate
+        # is the worst, at 8.2e-13), and at 77 GHz the rounding of the
+        # phases k r, about 6,500 rad per antenna, whose floor of
+        # 2.3-4.4e-12 stays flat from one to 597 added z nodes
+        sc = reference_scenario(**overrides)
+        u = exact_received_signal(sc, 0.0, CONST)
+        counts = em_exact.plate_node_counts(sc)
+        for axis in (0, 1):
+            more = list(counts)
+            more[axis] += counts[axis] // 4 + 1
+            monkeypatch.setattr(em_exact, "plate_node_counts",
+                                lambda scenario, k=None: tuple(more))
+            denser = exact_received_signal(sc, 0.0, CONST)
+            assert np.max(np.abs(u - denser)) <= tol * np.max(np.abs(u))
+
+    @pytest.mark.parametrize("overrides, plate, axis", [
+        ({"range": 1e-3}, "0.8 x 1.75 m plate at range 0.001", "y"),
+        ({"range": 1e-3, "plate_width": 2e-3},
+         "0.002 x 1.75 m plate at range 0.001", "z"),
+        ({"plate_width": 4.8}, "4.8 x 1.75 m plate at range 4.0", "y"),
+        ({"plate_height": 100.0}, "0.8 x 100 m plate at range 4.0", "z"),
+    ], ids=["branch-y", "branch-z", "phase-y", "phase-z"])
+    def test_refuses_plate_over_budget(self, overrides, plate, axis):
+        # at R = 1 mm before the reference plate the branch points of r
+        # would ask for 7,830 y and 17,127 z nodes, and leggauss(17,127)
+        # for a dense 2.3 GB matrix; on a 2 mm wide plate only z is over
+        # the budget. A 4.8 m wide plate's phase span takes about 2,090 y
+        # nodes, and a 100 m tall plate's far more. Each plate is refused,
+        # naming the range, the plate and the axis, before any node or
+        # factor array is built (under 1 MB traced)
+        sc = reference_scenario(**overrides, min_range_wavelengths=0.0)
+        for w in (CONST, WaveformRef.sinc(sc.bandwidth)):
+            tracemalloc.start()
+            try:
+                with pytest.raises(ValueError, match=re.escape(
+                        f"the {plate} m needs more than "
+                        f"{em_exact._MAX_AXIS_NODES} quadrature nodes "
+                        f"along {axis}")):
+                    exact_received_signal(sc, 2.0 * sc.range / SPEED_OF_LIGHT,
+                                          w)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 20
+
+    @pytest.mark.parametrize("span, decay", [
+        (7950.0, 1.0), (8192.0, 1.0), (8192.5, 1.0), (1e300, 1.0),
+        (1.0, 0.0095), (1.0, 0.00956), (1.0, 0.00957), (1.0, 1e-300),
+        (1.0, 0.0),
+    ])
+    def test_axis_count_budget_bound(self, span, decay):
+        # the two shortcuts past the budget (a span over 4 x 2,048, a
+        # decay under ln(1/NODE_TOL) / (2 x 2,048)) answer exactly where
+        # the full count would exceed _MAX_AXIS_NODES too: 7,950 and 8,192
+        # take 2,088 and 2,150 nodes by the full count, decays near
+        # 0.00956 cross the budget between them
+        limit = em_exact._MAX_AXIS_NODES
+        got = em_exact._axis_count(span, decay)
+        if decay == 0.0 or span > 1e6:
+            assert got == limit + 1
+            return
+        k = max(phase_node_count(span),
+                int(np.ceil(-np.log(em_exact.NODE_TOL) / decay)))
+        want = (k + 1) // 2 + 1
+        assert (got > limit) == (want > limit)
+        if want <= limit or got <= limit:
+            assert got == want
+
+    def test_sinc_counts_at_band_top(self, monkeypatch):
+        # the sinc is a quadrature over its band of constant-waveform plate
+        # sums at the wavenumbers k + pi B x / c, so the node counts are
+        # set once, at the band's top k + pi B / c (14 y and 28 z nodes
+        # here, where the carrier alone gives 14 and 27), and a delayed
+        # waveform is never evaluated
+        sc = reference_scenario(n_antennas=3, **SMALL)
+        top = sc.wavenumber + np.pi * sc.bandwidth / SPEED_OF_LIGHT
+        counts, calls = [], []
+        count = em_exact.plate_node_counts
+        factors = em_exact._antenna_factors
+
+        def counting(scenario, k=None):
+            out = count(scenario, k)
+            counts.append((k, out))
+            return out
+
+        def recording(*args):
+            calls.append((args[1], np.size(args[3]), np.size(args[4])))
+            return factors(*args)
+
+        def refused(*args):
+            raise AssertionError("exact synthesis evaluated a waveform")
+
+        monkeypatch.setattr(em_exact, "plate_node_counts", counting)
+        monkeypatch.setattr(em_exact, "_antenna_factors", recording)
+        monkeypatch.setattr(em_exact, "waveform_value", refused)
+        synthesize(sc, backend="exact")
+        assert counts == [(pytest.approx(top, rel=1e-15), (14, 28))]
+        assert count(sc) == (14, 27)
+        # one block of all 14 z rows x 7 y nodes per frequency node, at 50
+        # nodes symmetric about the carrier (51 for 13 antennas, whose
+        # delays spread wider)
+        ks = np.array([k for k, _, _ in calls])
+        assert {(y, z) for _, y, z in calls} == {(7, 14)}
+        assert ks.size == 50 and np.all(np.diff(ks) > 0)
+        assert np.allclose(ks + ks[::-1], 2 * sc.wavenumber,
+                           rtol=1e-15, atol=0)
+        assert ks[-1] < top
         _, offsets, _ = em_exact._frequency_rule(
-            sc, sample_times(sc, sc.range), WaveformRef.sinc(sc.bandwidth))
+            reference_scenario(), sample_times(reference_scenario(), 4.0),
+            WaveformRef.sinc(1e8))
         assert offsets.size == 51
 
     @pytest.mark.parametrize("n", [4, 13])
@@ -454,9 +474,12 @@ class TestExactReceivedSignal:
         with pytest.raises(ValueError, match="1-D"):
             exact_received_signal(sc, np.zeros((2, 2)), CONST)
 
-    def test_degenerate_plate_is_zero(self):
-        # no y nodes and u_max = 0: exact zeros, with nothing divided by 0
-        sc = reference_scenario(plate_width=0.0)
+    @pytest.mark.parametrize("key", ["plate_width", "plate_height"])
+    def test_degenerate_plate_is_zero(self, key):
+        # a plate of zero area takes no nodes: exact zeros, with nothing
+        # divided by 0
+        sc = reference_scenario(**{key: 0.0})
+        assert em_exact.plate_node_counts(sc) == (0, 0)
         with np.errstate(all="raise"):
             assert np.all(exact_received_signal(sc, 0.0, CONST) == 0.0)
 
@@ -470,16 +493,6 @@ class TestExactReceivedSignal:
         assert phase_deg(u[0, 5], u[5, 0]) <= 1.0
         assert np.max(amp_db(u, u.T)) <= 0.1
         assert np.max(phase_deg(u, u.T)) <= 1.0
-
-    def test_convergence_in_density(self, ref_sc_10ghz):
-        # doubling the sampling density must not move the answer
-        i = center_row(ref_sc_10ghz)
-        u10 = exact_received_signal(ref_sc_10ghz, 0.0, CONST,
-                                    QuadratureSpec(10.0))[i]
-        u20 = exact_received_signal(ref_sc_10ghz, 0.0, CONST,
-                                    QuadratureSpec(20.0))[i]
-        assert amp_db(u10, u20) <= 0.1
-        assert phase_deg(u10, u20) <= 1.0
 
     def test_frequency_rule_converged(self):
         # a time 23.9/B before the round trip widens the span the frequency
@@ -498,14 +511,13 @@ class TestExactReceivedSignal:
 
     def test_sinc_at_77ghz(self):
         # the paper's carrier on a 0.1 x 0.25 m plate, every fourth sample
-        # of synthesize's window, against the brute-force sum for the
-        # centre pair (6, 6) and the weak pairs (0, 0) and (10, 11), whose
-        # specular points are off the plate. The tolerance is relative to
-        # the scene's largest trace peak (all 169 pairs are within
-        # 2.2e-13 of it): relative to its own peak the weak (10, 11) is
-        # 5.2e-12 off, which is the rounding of the form's phases k r
-        # (about 6,500 rad here; the module docstring gives 1.8e-12 for
-        # the constant waveform at 77 GHz), not the frequency rule
+        # of synthesize's window, against the converged brute-force sum
+        # for the centre pair (6, 6) and the weak pairs (0, 0) and
+        # (10, 11), whose specular points are off the plate. The tolerance
+        # is relative to the scene's largest trace peak (the three pairs
+        # are within 1.6e-13 of it): relative to its own peak the weak
+        # (10, 11) is 7.4e-12 off, which is the rounding of the phases
+        # k r (about 6,500 rad here), not the plate or frequency rule
         sc = reference_scenario(plate_width=0.1, plate_height=0.25)
         t = sample_times(sc, sc.range)[::4]
         assert t.size == 32
@@ -515,17 +527,6 @@ class TestExactReceivedSignal:
         for p in (0, 84, 141):
             want = exact_pair(sc, z[p // 13], z[p % 13], t, sc.bandwidth)
             assert np.max(np.abs(got[p] - want)) <= 1e-12 * peak
-
-    def test_rule_cross_check(self, ref_sc_10ghz):
-        # two genuinely different quadrature rules, same integral
-        i = center_row(ref_sc_10ghz)
-        um = exact_received_signal(ref_sc_10ghz, 0.0, CONST,
-                                   QuadratureSpec(10.0, "midpoint"))[i]
-        ug = exact_received_signal(
-            ref_sc_10ghz, 0.0, CONST,
-            QuadratureSpec(10.0, "gauss_legendre_composite"))[i]
-        assert amp_db(um, ug) <= 0.1
-        assert phase_deg(um, ug) <= 1.0
 
     def test_off_plate_specular_point_drops(self):
         # pair with z_s = -0.75: on the full plate the specular point is

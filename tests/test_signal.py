@@ -6,6 +6,7 @@ from nfradar import (
     SignalSet,
     WaveformRef,
     add_awgn,
+    exact_received_signal,
     synthesize,
     reference_scenario,
     sample_times,
@@ -221,9 +222,18 @@ class TestSynthesize:
         with pytest.raises(ValueError, match="unknown backend"):
             synthesize(ref_sc, backend="fdtd")
 
-    def test_exact_carrier_ceiling(self, ref_sc):
-        with pytest.raises(ValueError, match="ceiling"):
-            synthesize(ref_sc, backend="exact")
+    def test_exact_at_77ghz(self):
+        # the paper's carrier, once refused by a 12 GHz cost guard, on a
+        # 0.1 x 0.25 m plate (12 y and 72 z nodes, 51 frequency nodes):
+        # finite traces on synthesis' time base, the centre pair peaking at
+        # its round trip
+        sc = reference_scenario(plate_width=0.1, plate_height=0.25)
+        s = synthesize(sc, backend="exact")
+        assert s.traces.shape == (169, 128)
+        assert np.all(np.isfinite(s.traces))
+        assert np.argmax(np.abs(s.traces[84])) == 64
+        assert np.array_equal(s.traces, exact_received_signal(
+            sc, s.times, WaveformRef.sinc(sc.bandwidth)))
 
     @pytest.mark.parametrize("true_range", [None, 4.3])
     def test_exact_sinc_traces_match_oracle(self, true_range):
