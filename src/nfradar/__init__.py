@@ -17,8 +17,7 @@ from .em_spa import spa_received_signal, xi
 from .signal import (SignalSet, WaveformRef, add_awgn, sample_times,
                      synthesize, waveform_value)
 from .estimator import (AmbiguityCurve, CrbResult, ModelKind, ambiguity,
-                        crb, default_crb_step, estimate_range,
-                        half_power_width)
+                        crb, estimate_range, half_power_width)
 
 __all__ = [
     "FREE_SPACE_IMPEDANCE", "SPEED_OF_LIGHT",
@@ -29,5 +28,5 @@ __all__ = [
     "SignalSet", "WaveformRef", "add_awgn", "sample_times",
     "synthesize", "waveform_value",
     "AmbiguityCurve", "CrbResult", "ModelKind", "ambiguity", "crb",
-    "default_crb_step", "estimate_range", "half_power_width",
+    "estimate_range", "half_power_width",
 ]

@@ -28,7 +28,7 @@ from .em_exact import exact_received_signal, plate_node_counts
 from .em_spa import spa_received_signal
 from .estimator import (ModelKind, ambiguity, crb, crb_stencil,
                         half_power_width)
-from .scenario import Scenario
+from .scenario import Scenario, reference_scenario
 from .signal import WaveformRef, add_awgn, synthesize
 
 EXPERIMENTS = ("validate-spa", "ambiguity", "crb")
@@ -64,19 +64,13 @@ def _grid_step(text: str) -> float | None:
 
 # One row per config key: (section, key, default text, type, check). The
 # type converts the key's text; the check, if any, raises a ValueError for
-# a value no run can use. Scenario checks the [scenario] values itself.
-_FIELDS = (
-    ("scenario", "n_antennas", "13", int,
-     _require(lambda v: v <= MAX_ANTENNAS, f"at most {MAX_ANTENNAS}")),
-    ("scenario", "spacing", "0.125", float, None),
-    ("scenario", "antenna_gain_factor", "1.0", float, None),
-    ("scenario", "bandwidth", "100000000.0", float, None),
-    ("scenario", "carrier_freq", "77000000000.0", float, None),
-    ("scenario", "plate_width", "0.8", float, None),
-    ("scenario", "plate_height", "1.75", float, None),
-    ("scenario", "range", "4.0", float, None),
-    ("scenario", "free_space_impedance", "376.730313668", float, None),
-    ("scenario", "min_range_wavelengths", "100.0", float, None),
+# a value no run can use. The [scenario] rows are the Scenario fields, with
+# the reference scene's values as defaults; Scenario checks them itself.
+_FIELDS = tuple(
+    ("scenario", key, repr(value), type(value),
+     _require(lambda v: v <= MAX_ANTENNAS, f"at most {MAX_ANTENNAS}")
+     if key == "n_antennas" else None)
+    for key, value in dataclasses.asdict(reference_scenario()).items()) + (
     ("experiment", "model", "auto", str, _one_of("auto", "full", "partial")),
     ("experiment", "coherence", "coherent", str,
      _one_of("coherent", "incoherent")),
@@ -143,13 +137,11 @@ class ExperimentConfig:
     snr: float
     snr_normalization: str
     validation_carrier: float
-    slow: bool = False
 
 
 def parse_config(path: str | None = None,
                  overrides: tuple[str, ...] = (),
                  experiment: str = "ambiguity",
-                 slow: bool = False,
                  text: str | None = None) -> ExperimentConfig:
     """Builds an ExperimentConfig from an optional INI file plus
     section.key=value override strings (later wins)."""
@@ -215,11 +207,17 @@ def parse_config(path: str | None = None,
         sweep.append((key, _value("sweep", key, cp.get("sweep", key),
                                   _sweep_values, _ALL_FINITE)))
     sweep.sort()  # deterministic order regardless of file order
+    swept = ", ".join(f"sweep.{key}" for key, _ in sweep)
+    if experiment == "validate-spa" and sweep:
+        raise ValueError(f"{swept}: validate-spa takes no [sweep]")
+    if experiment == "ambiguity" and len(sweep) > 1:
+        raise ValueError(
+            f"{swept}: ambiguity sweeps one parameter at a time")
 
     cfg = ExperimentConfig(
         scenario=scenario, experiment=experiment, sweep=tuple(sweep),
-        slow=slow, **{_attr(section, key): value for (section, key), value
-                      in values.items() if section != "scenario"})
+        **{_attr(section, key): value for (section, key), value
+           in values.items() if section != "scenario"})
     if not cfg.grid_min < cfg.grid_max:
         raise ValueError("grid min must be below grid max")
     if cfg.grid_step is not None:
@@ -282,8 +280,9 @@ def _scene(base: Scenario, label: str, **changes) -> Scenario:
 
 def _validation_scene(cfg: ExperimentConfig) -> Scenario:
     """validate-spa's scene: the configured one, its carrier lowered to the
-    validation carrier unless slow mode is on."""
-    if cfg.slow or cfg.scenario.carrier_freq <= cfg.validation_carrier:
+    validation carrier (so experiment.validation_carrier at or above the
+    configured carrier runs at the configured one)."""
+    if cfg.scenario.carrier_freq <= cfg.validation_carrier:
         return cfg.scenario
     return _scene(cfg.scenario, "experiment.validation_carrier = "
                   f"{cfg.validation_carrier!r}",
@@ -323,10 +322,11 @@ def _check_scenes(cfg: ExperimentConfig) -> None:
     the Scenario refuses fails at parse time with its key named. For
     ambiguity it also builds each scene's range grid and checks that it
     lies above the validity floor and covers the scene's true range. For
-    crb it builds the range grid when range is not swept, and checks the
-    stencil of the smallest range on every line, which bounds every other
-    range's stencil from below. For validate-spa it checks that the exact
-    backend's plate rule stays within its node budget."""
+    crb it builds the range grid when range is not swept, and checks on
+    every line the delay lattice's size and the stencil of the smallest
+    range, which bounds every other range's stencil from below. For
+    validate-spa it checks that the exact backend's plate rule stays
+    within its node budget."""
     if cfg.experiment == "validate-spa":
         plate_node_counts(_validation_scene(cfg))
     elif cfg.experiment == "ambiguity":
@@ -363,10 +363,10 @@ def _check_scenes(cfg: ExperimentConfig) -> None:
 def run_validate_spa(cfg: ExperimentConfig):
     """Exact-vs-closed-form comparison, one row per pair.
 
-    Uses the constant waveform and, unless slow mode is on, replaces the
-    configured carrier with the cheaper validation carrier. Where the
-    specular point is off the plate the closed form is exactly 0, and the
-    spa_db, amp_err_db and phase_err_deg cells stay empty.
+    Uses the constant waveform and the configured carrier lowered to the
+    validation carrier (_validation_scene). Where the specular point is
+    off the plate the closed form is exactly 0, and the spa_db, amp_err_db
+    and phase_err_deg cells stay empty.
     """
     scenario = _validation_scene(cfg)
     waveform = WaveformRef.constant()
@@ -397,10 +397,6 @@ def run_ambiguity(cfg: ExperimentConfig):
     plus a summary row (width, argmax) per sweep value. noise_power > 0
     perturbs the received traces with the configured seed (the same root
     seed for every sweep value)."""
-    if len(cfg.sweep) > 1:
-        raise ValueError(
-            "ambiguity sweeps one parameter at a time; got "
-            + ", ".join(name for name, _ in cfg.sweep))
     kind = ModelKind.parse(cfg.model if cfg.model != "auto" else "partial")
     columns = ["row_kind", "sweep_param", "sweep_value", "r_hat", "value",
                "width", "argmax"]
@@ -494,9 +490,6 @@ def _parser() -> argparse.ArgumentParser:
                        help="INI config file (defaults reproduce the "
                             "reference scenario)")
         p.add_argument("--out", default=None, help="output CSV path")
-        p.add_argument("--slow", action="store_true",
-                       help="validate-spa at the configured carrier "
-                            "instead of experiment.validation_carrier")
         p.add_argument("--seed", type=int, default=None,
                        help="noise seed override")
         p.add_argument("--set", dest="overrides", action="append",
@@ -511,7 +504,7 @@ def main(argv=None) -> int:
     if args.seed is not None:
         overrides.append(f"noise.seed={args.seed}")
     cfg = parse_config(path=args.config, overrides=tuple(overrides),
-                       experiment=args.experiment, slow=args.slow)
+                       experiment=args.experiment)
     columns, rows = _RUNNERS[args.experiment](cfg)
     out = args.out or cfg.output_path or f"{args.experiment}.csv"
     write_table(out, columns, rows, cfg)

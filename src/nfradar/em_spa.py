@@ -54,6 +54,32 @@ def pair_offsets(scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
     return z_s.ravel(), d.ravel()
 
 
+def pair_groups(scenario: Scenario):
+    """(abs_d, group, geometry, of_pair): the pairs' delay groups and gain
+    geometries, so that nothing per pair is computed twice.
+
+    A pair's delay depends on |d| alone: abs_d holds the distinct values,
+    group[p] the index of pair p's, |i - j| for tx i and rx j. Its gain
+    depends on (|z_s|, |d|) alone, bit for bit, because mirroring z_s only
+    swaps the two Fresnel edge terms of a commutative add: geometry holds
+    the distinct (|z_s|, |d|) as two rows in lexicographic order, of_pair[p]
+    the column of pair p's. Both come from the integer indices, as the
+    offsets of pair_offsets do, so they carry its bits: 13 delay groups and
+    49 geometries for 169 pairs. A geometry's key |i + j - (N-1)| N + |i - j|
+    orders them, marked in a table of N^2 keys rather than sorted."""
+    n = scenario.n_antennas
+    idx = np.arange(n)
+    half = scenario.spacing / 2.0
+    diff = np.abs(idx[:, None] - idx).ravel()
+    total = np.abs(idx[:, None] + idx - (n - 1)).ravel()
+    key = total * n + diff
+    present = np.zeros(n * n, dtype=bool)
+    present[key] = True
+    of_pair = (np.cumsum(present) - 1)[key]
+    geometry = np.stack(np.divmod(np.flatnonzero(present), n)) * half
+    return idx * half, diff, geometry, of_pair
+
+
 def gain_and_delay_arrays(scenario: Scenario, z_s, d, R
                           ) -> tuple[np.ndarray, np.ndarray]:
     """Pair gains xi * alpha * exp(-j 2 k r_s) / r_s and delays 2 r_s / c
@@ -91,7 +117,8 @@ def gain_and_delay_arrays(scenario: Scenario, z_s, d, R
 def spa_received_signal(scenario: Scenario, t, waveform: WaveformRef
                         ) -> np.ndarray:
     """u(t) of all N^2 pairs from the closed form at the scenario range:
-    each pair's gain times the waveform at its delayed time. The one
+    each pair's gain times the waveform at its delayed time, the gains
+    taken once per (|z_s|, |d|) geometry (pair_groups). The one
     closed-form synthesis; signal.synthesize calls it.
 
     t is a scalar or a 1-D array of sample times; the result has shape
@@ -100,9 +127,10 @@ def spa_received_signal(scenario: Scenario, t, waveform: WaveformRef
     times = np.asarray(t, dtype=float)
     if times.ndim > 1:
         raise ValueError("t must be a scalar or a 1-D array of times")
-    z_s, d = pair_offsets(scenario)
-    gain, delay = gain_and_delay_arrays(scenario, z_s, d, scenario.range)
-    # pairs with equal |d| share a delay bit for bit: one waveform each
+    _, _, geometry, of_pair = pair_groups(scenario)
+    gain, delay = gain_and_delay_arrays(scenario, *geometry, scenario.range)
+    # geometries with equal |d| share a delay bit for bit: one waveform each
     shared, row = np.unique(delay, return_inverse=True)
     env = waveform_value(waveform, np.atleast_1d(times), shared)[row]
-    return (gain[:, None] * env).reshape(gain.shape + times.shape)
+    return (gain[:, None] * env)[of_pair].reshape(of_pair.shape
+                                                  + times.shape)

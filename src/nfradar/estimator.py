@@ -32,7 +32,7 @@ import numpy as np
 from .scenario import SPEED_OF_LIGHT, Scenario
 from .signal import (SignalSet, WaveformRef, sample_times, synthesize,
                      waveform_value)
-from .em_spa import gain_and_delay_arrays, pair_offsets
+from .em_spa import gain_and_delay_arrays, pair_groups
 from .special_fn import (chebyshev_basis, chebyshev_node_count,
                          chebyshev_nodes)
 
@@ -51,6 +51,10 @@ _CHUNK_SPAN = 1.0
 # crb ranges per chunk, one gain call each (and at most _CHUNK_CELLS
 # geometry-points): bounds the per-class arrays
 _RANGE_CHUNK = 64
+# most delay bands of crb's lattice: 17 Chebyshev nodes x 128 samples each,
+# 18 MB of envelope coefficients at the cap (the reference scene takes 1
+# band, 128 antennas at 0.125 m spacing and 7.7 GHz bandwidth 388)
+_MAX_CRB_BANDS = 1024
 # smallest crb stencil second difference, relative to J(R), taken as
 # curvature: each J carries rounding error of up to about 1e-15 of J, so
 # the floor keeps that error below a few percent of the curvature
@@ -117,31 +121,6 @@ def _validate_hypothesis(scenario: Scenario, r_hat) -> None:
             f"hypothesized range {r_hat[bad.argmax()]:g} m below validity "
             f"floor {floor:g} m "
             f"({scenario.min_range_wavelengths:g} wavelengths)")
-
-
-def _pair_groups(scenario: Scenario):
-    """(abs_d, group, geometry, of_pair): the pairs' delay groups and gain
-    geometries, so that nothing per pair is computed twice.
-
-    A pair's delay depends on |d| alone: abs_d holds the distinct values,
-    group[p] the index of pair p's. Its full-model gain depends on
-    (|z_s|, |d|) alone, bit for bit, because mirroring z_s only swaps the
-    two Fresnel edge terms of a commutative add: geometry holds the
-    distinct (|z_s|, |d|) as two rows, of_pair[p] the column of pair p's.
-    13 antennas give 13 delay groups and 49 geometries for 169 pairs.
-    The geometries are np.unique(..., axis=1) of the two rows, found by
-    one lexsort: for 169 pairs np.unique over columns took 160 us, and
-    the whole call now takes 55-60 us (190-250 us before)."""
-    z_s, d = pair_offsets(scenario)
-    abs_d, group = np.unique(np.abs(d), return_inverse=True)
-    key = np.abs([z_s, d])
-    order = np.lexsort(key[::-1])
-    key = key[:, order]
-    step = key[:, 1:] != key[:, :-1]
-    new = np.concatenate(([True], step[0] | step[1]))
-    of_pair = np.empty(order.size, dtype=np.intp)
-    of_pair[order] = np.cumsum(new) - 1
-    return abs_d, group, key[:, new], of_pair
 
 
 def _gains(scenario: Scenario, groups, rh: np.ndarray, r_s: np.ndarray,
@@ -249,7 +228,7 @@ def _objective_on_grid(received: SignalSet, scenario: Scenario,
         raise ValueError(f"unknown coherence {coherence!r}")
     grid = _as_grid(grid)
     _validate_hypothesis(scenario, grid)
-    groups = _pair_groups(scenario)
+    groups = pair_groups(scenario)
     abs_d, group = groups[:2]
     # pair p's row in _gains' result; pairs with equal rows have equal
     # templates
@@ -392,41 +371,50 @@ def half_power_width(curve: AmbiguityCurve) -> float:
     return float(right - left)
 
 
-def default_crb_step(scenario: Scenario) -> float:
-    """Stencil step resolving both carrier-scale lobes (lambda/4) and the
-    bandwidth-limited main lobe (c/(80B), about width/35)."""
-    return min(scenario.wavelength / 4.0,
-               SPEED_OF_LIGHT / (80.0 * scenario.bandwidth))
-
-
-def crb_stencil(scenario: Scenario, R, step: float | None = None
-                ) -> tuple[np.ndarray, float]:
-    """(stencil, h): the hypotheses R - h, R, R + h of crb along a new last
-    axis, h the given step or default_crb_step. Refuses a step that is not
-    positive, or not below c/(2B): there the points R +- h lie at or past
-    the first null of the envelope's main lobe, and the stencil's delay
-    band would need of order B h / c Chebyshev nodes (1.1 million for a
-    400 km step at 100 MHz). Refuses any hypothesis that is not positive
-    and finite or lies below the validity floor, naming the first."""
-    h = default_crb_step(scenario) if step is None else float(step)
-    if not h > 0:
-        raise ValueError("step must be positive")
-    lobe = SPEED_OF_LIGHT / (2.0 * scenario.bandwidth)
-    if not h < lobe:
+def _crb_lattice(scenario: Scenario, h: float) -> tuple[np.ndarray, float]:
+    """(start, width): the delay bands of crb's stencil objective at step h
+    (_stencil_objective), band i covering [start[i], start[i] + width].
+    Refuses, before any node is built, a scene that needs more than
+    _MAX_CRB_BANDS bands: their number grows with the array's largest pair
+    offset times B."""
+    floor = scenario.min_range_wavelengths * scenario.wavelength
+    reach = (scenario.n_antennas - 1) * (scenario.spacing / 2.0)
+    lo = -2.0 * h / SPEED_OF_LIGHT
+    hi = 2.0 * (np.hypot(floor + 2.0 * h, reach) - floor - h) / SPEED_OF_LIGHT
+    spread = 4.0 * h / SPEED_OF_LIGHT
+    width = _CHUNK_SPAN / scenario.bandwidth
+    n_bands = 1 + max(int(np.ceil((hi - lo - width) / (width - spread))), 0)
+    if n_bands > _MAX_CRB_BANDS:
         raise ValueError(
-            f"step {h!r} m does not resolve the main lobe: it must be "
-            f"below c/(2B) = {lobe!r} m")
+            f"pair offsets up to {reach:g} m at bandwidth "
+            f"{scenario.bandwidth:g} Hz need a crb delay lattice of "
+            f"{n_bands} bands, more than {_MAX_CRB_BANDS}: narrow the array "
+            "(n_antennas, spacing) or the bandwidth")
+    width = min(width, hi - lo)
+    return lo + (width - spread) * np.arange(n_bands), width
+
+
+def crb_stencil(scenario: Scenario, R) -> tuple[np.ndarray, float]:
+    """(stencil, h): the hypotheses R - h, R, R + h of crb along a new last
+    axis, with h = min(lambda/4, c/(80B)), which resolves both the
+    carrier-scale lobes and the bandwidth-limited main lobe (about
+    width/35). Refuses a scene whose delay lattice is over budget
+    (_crb_lattice), and any hypothesis that is not positive and finite or
+    lies below the validity floor, naming the first."""
+    h = min(scenario.wavelength / 4.0,
+            SPEED_OF_LIGHT / (80.0 * scenario.bandwidth))
+    _crb_lattice(scenario, h)
     R = np.asarray(R, dtype=float)
     stencil = np.stack([R - h, R, R + h], axis=-1)
     _validate_hypothesis(scenario, stencil)
     return stencil, h
 
 
-def _stencil_objective(scenario: Scenario, stencil: np.ndarray,
-                       step: float, coherence: str, snr_normalization: str
+def _stencil_objective(scenario: Scenario, stencil: np.ndarray, h: float,
+                       coherence: str, snr_normalization: str
                        ) -> tuple[np.ndarray, np.ndarray]:
     """(J, signal_power) of crb: full-model J at every stencil point (shape
-    of stencil, rows R = stencil[:, 1], spaced by step) against the
+    of stencil, rows R = stencil[:, 1], spaced by h) against the
     noise-free synthesis at R, and its signal power per range. Pair p's
     received trace is g_p(R) e(tau_u(R)), so its correlation with the
     model at R_hat is conj(g_p(R_hat)) g_p(R) <e(tau_u(R_hat)),
@@ -434,36 +422,26 @@ def _stencil_objective(scenario: Scenario, stencil: np.ndarray,
     geometry are one class. The envelope enters in delay space
     (_envelope_coefficients). Relative to the middle time 2R/c of the
     synthesis time base, a stencil delay 2 (r_s(R_hat) - R)/c lies between
-    -2 step/c and its value at the lowest range the validity floor allows.
+    -2h/c and its value at the lowest range the validity floor allows.
     That interval carries the Chebyshev nodes (13 on the reference scene),
     or where wider than 1/B each band of a lattice on it, 1/B wide and
-    overlapping by the stencil's delay spread 4 step/c, so that a range's
-    three points share a band (4 bands of 17 at 1 GHz bandwidth). The nodes
-    depend on the scene and step only, never on the other ranges of a
-    call. The correlation is T(x_R_hat) G T(x_R)^T, the energy
+    overlapping by the stencil's delay spread 4h/c <= 1/(20B), so that a
+    range's three points share a band (4 bands of 17 at 1 GHz bandwidth).
+    The nodes depend on the scene only, never on the ranges of a call. The
+    correlation is T(x_R_hat) G T(x_R)^T, the energy
     T(x_R_hat) G T(x_R_hat)^T. Against long-double sinc sums
     (tests/oracles.py) the curvature is within 4.7e-10 relative over 2-8 m
     at 13 and 4 antennas and at 1 GHz bandwidth (5.4e-10 for the
     per-sample stencil it replaced)."""
-    groups = _pair_groups(scenario)
+    groups = pair_groups(scenario)
     abs_d, group, geometry, of_pair = groups
     count = np.bincount(of_pair)[:, None, None]
     of_class = np.searchsorted(abs_d, geometry[1])  # each one's delay group
     d_sq = abs_d[:, None, None] ** 2
-    # the band lattice, bands at least twice the delay spread wide so that
-    # they advance
-    floor = scenario.min_range_wavelengths * scenario.wavelength
-    lo = -2.0 * step / SPEED_OF_LIGHT
-    hi = 2.0 * (np.hypot(floor + 2.0 * step, abs_d[-1]) - floor - step) \
-        / SPEED_OF_LIGHT
-    spread = 4.0 * step / SPEED_OF_LIGHT
-    width = max(_CHUNK_SPAN / scenario.bandwidth, 2.0 * spread)
-    n_bands = 1 + max(int(np.ceil((hi - lo - width) / (width - spread))), 0)
-    width = min(width, hi - lo)
-    start = lo + (width - spread) * np.arange(n_bands)
+    start, width = _crb_lattice(scenario, h)
     t = sample_times(scenario, 0.0)
     coef, gram = _envelope_coefficients(scenario, t, start + width / 2.0,
-                                        np.full(n_bands, width / 2.0))
+                                        np.full(start.size, width / 2.0))
     k = coef.shape[1]
 
     j = np.empty(stencil.shape)
@@ -482,7 +460,7 @@ def _stencil_objective(scenario: Scenario, stencil: np.ndarray,
         basis = chebyshev_basis(
             (delay.ravel() - start[band]) / (width / 2.0) - 1.0, k)
         weighted = np.empty_like(basis)
-        for i in range(n_bands):
+        for i in range(start.size):
             weighted[:, band == i] = gram[i] @ basis[:, band == i]
         weighted = weighted.reshape((k,) + delay.shape)
         basis = basis.reshape((k,) + delay.shape)
@@ -501,21 +479,22 @@ def _stencil_objective(scenario: Scenario, stencil: np.ndarray,
     return j, signal_power
 
 
-def crb(scenario: Scenario, R, step: float | None = None, snr: float = 1.0,
+def crb(scenario: Scenario, R, snr: float = 1.0,
         snr_normalization: str = "total",
         coherence: str = "coherent") -> CrbResult:
     """Numerical variance bound from the full-model objective curvature, at
     one range R or at each of a 1-D array of ranges; for an array the
     result's fields are arrays of its length.
 
-    The noise-free objective is evaluated at R - step, R, R + step; the
-    central second difference gives the curvature, and the bound is
-    noise_power / (2 |J''|) with noise_power set by the constant receive
-    SNR convention: "total" references the mean sample power over all
-    traces, "per_pair" the strongest pair's mean sample power. Absolute
-    levels therefore depend on that convention; shapes across sweeps do
-    not. The step must resolve the main lobe (about width/20 or finer), or
-    the stencil stops being concave and is rejected.
+    The noise-free objective is evaluated at R - h, R, R + h, h fixed by
+    the scene (crb_stencil); the central second difference gives the
+    curvature, and the bound is noise_power / (2 |J''|) with noise_power
+    set by the constant receive SNR convention: "total" references the
+    mean sample power over all traces, "per_pair" the strongest pair's
+    mean sample power. Absolute levels therefore depend on that
+    convention; shapes across sweeps do not. A stencil that is not
+    concave by more than the objective's rounding (_CURVATURE_FLOOR) is
+    refused.
 
     The received data is the noise-free synthesis at R, correlated in
     closed form without forming a trace. An array of ranges is all or
@@ -537,7 +516,7 @@ def crb(scenario: Scenario, R, step: float | None = None, snr: float = 1.0,
     if np.ndim(R) > 1:
         raise ValueError("R must be a scalar or a 1-D array of ranges")
     ranges = np.atleast_1d(np.asarray(R, dtype=float))
-    stencil, h = crb_stencil(scenario, ranges, step)
+    stencil, h = crb_stencil(scenario, ranges)
     j, signal_power = _stencil_objective(scenario, stencil, h, coherence,
                                          snr_normalization)
     j0, j1, j2 = j.T
@@ -546,9 +525,8 @@ def crb(scenario: Scenario, R, step: float | None = None, snr: float = 1.0,
     if bad.any():
         raise ValueError(
             f"non-concave stencil at R = {float(ranges[bad.argmax()])!r}"
-            " m: step does not resolve the objective curvature (too large "
-            "for the main lobe, or so small the objective change is below "
-            "float resolution)")
+            " m: the objective's second difference there is not resolved "
+            "above its rounding")
     curvature = np.abs(second) / (h * h)
     bound = signal_power / snr / (2.0 * curvature)
     if np.ndim(R) == 0:

@@ -3,6 +3,7 @@ import csv
 import io
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -121,7 +122,8 @@ class TestParseConfig:
             parse_config(overrides=("sweep.plate_width=0.4,0.8",))
 
     def test_sweep_sorted_by_name(self):
-        cfg = parse_config(overrides=("sweep.carrier_freq=5e9,77e9",
+        cfg = parse_config(experiment="crb",
+                           overrides=("sweep.carrier_freq=24e9,77e9",
                                       "sweep.bandwidth=1e8,1e9"))
         assert [name for name, _ in cfg.sweep] == \
             ["bandwidth", "carrier_freq"]
@@ -225,29 +227,87 @@ class TestParseConfig:
 
     def test_validation_scene_carrier(self):
         # validate-spa runs at the lower of the configured and the
-        # validation carrier, and slow mode at the configured one
+        # validation carrier, so a validation carrier at the configured
+        # one runs the full carrier
         cfg = parse_config(experiment="validate-spa", overrides=(
             "scenario.carrier_freq=15e9",
             "experiment.validation_carrier=20e9"))
         assert cli._validation_scene(cfg) is cfg.scenario
         cfg = parse_config(experiment="validate-spa")
         assert cli._validation_scene(cfg).carrier_freq == 10e9
-        cfg = parse_config(experiment="validate-spa", slow=True)
+        cfg = parse_config(experiment="validate-spa", overrides=(
+            "experiment.validation_carrier=7.7e10",))
         assert cfg.scenario.carrier_freq == 77e9
         assert cli._validation_scene(cfg) is cfg.scenario
 
-    @pytest.mark.parametrize("slow", [False, True])
-    def test_plate_node_budget_refused_at_parse(self, slow, tmp_path):
+    def test_full_carrier_validation_roundtrips(self, tmp_path):
+        # the full-carrier run is set by a config key, so its table's
+        # header replays it: parsing the header back gives the same config
+        # and the same 77 GHz scene
+        cfg = parse_config(experiment="validate-spa", overrides=(
+            "experiment.validation_carrier=7.7e10",
+            "scenario.n_antennas=2"))
+        again = parse_config(text=emit_config(cfg),
+                             experiment="validate-spa")
+        assert again == cfg
+        assert cli._validation_scene(again).carrier_freq == 77e9
+        out = tmp_path / "val.csv"
+        assert main(["validate-spa", "--set",
+                     "experiment.validation_carrier=7.7e10", "--set",
+                     "scenario.n_antennas=2", "--out", str(out)]) == 0
+        header = "".join(line[2:] + "\n" for line in read_csv(out)[0][2:])
+        assert parse_config(text=header, experiment="validate-spa") == cfg
+
+    def test_slow_flag_gone(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["validate-spa", "--slow"])
+        assert "unrecognized arguments: --slow" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("carrier", ["1e10", "7.7e10"])
+    def test_plate_node_budget_refused_at_parse(self, carrier, tmp_path):
         # R = 1 mm before the reference plate would take 17,127 z nodes
         # (em_exact's test_refuses_plate_over_budget); validate-spa refuses
-        # it at parse time, naming the range and the plate
+        # it at parse time, naming the range and the plate, at the
+        # validation carrier and at the full one
         out = tmp_path / "out.csv"
         argv = ["validate-spa", "--set", "scenario.min_range_wavelengths=0",
-                "--set", "scenario.range=0.001", "--out", str(out)]
+                "--set", "scenario.range=0.001",
+                "--set", f"experiment.validation_carrier={carrier}",
+                "--out", str(out)]
         with pytest.raises(ValueError, match=re.escape(
                 "the 0.8 x 1.75 m plate at range 0.001 m needs more than "
                 "2048 quadrature nodes along y")):
-            main(argv + ["--slow"] * slow)
+            main(argv)
+        assert not out.exists()
+
+    def test_validate_spa_refuses_sweep(self, tmp_path):
+        # validate-spa runs one scene; a [sweep] it would ignore is refused
+        # with its keys named
+        out = tmp_path / "out.csv"
+        with pytest.raises(ValueError, match=re.escape(
+                "sweep.range: validate-spa takes no [sweep]")):
+            main(["validate-spa", "--set", "sweep.range=3.9,4.0",
+                  "--out", str(out)])
+        assert not out.exists()
+
+    def test_crb_lattice_refused_at_parse(self, tmp_path):
+        # 128 antennas at 1 km spacing offset pairs by up to 63.5 km:
+        # crb's delay lattice would be 42,418 bands of 17 nodes, 738 MB of
+        # coefficients. Refused at parse time before any node is built
+        out = tmp_path / "out.csv"
+        argv = ["crb", "--set", "scenario.n_antennas=128",
+                "--set", "scenario.spacing=1000", "--set", "sweep.range=4",
+                "--out", str(out)]
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=re.escape(
+                    "pair offsets up to 63500 m at bandwidth 1e+08 Hz need "
+                    "a crb delay lattice of 42418 bands, more than 1024")):
+                main(argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
         assert not out.exists()
 
     def test_invalid_min_range_wavelengths_refused(self, tmp_path):
@@ -346,7 +406,7 @@ class TestRunners:
 
     def test_validate_spa_carrier_replacement(self):
         # the 77 GHz default is replaced by the validation carrier unless
-        # slow mode asks for the real thing
+        # experiment.validation_carrier asks for the real thing
         cfg = parse_config(experiment="validate-spa",
                            overrides=("scenario.n_antennas=1",))
         assert cfg.scenario.carrier_freq == 77e9
@@ -403,11 +463,15 @@ class TestRunners:
         assert summary[5] == ""
         assert summary[6] == pytest.approx(4.0, abs=1e-12)
 
-    def test_ambiguity_rejects_two_sweeps(self):
-        cfg = parse_config(overrides=("sweep.range=3,4",
-                                      "sweep.bandwidth=1e8,1e9"))
-        with pytest.raises(ValueError, match="one parameter at a time"):
-            run_ambiguity(cfg)
+    def test_ambiguity_rejects_two_sweeps(self, tmp_path):
+        # refused at parse time, naming both keys, before anything is run
+        out = tmp_path / "out.csv"
+        with pytest.raises(ValueError, match=re.escape(
+                "sweep.bandwidth, sweep.range: ambiguity sweeps one "
+                "parameter at a time")):
+            main(["ambiguity", "--set", "sweep.range=3.9,4.0",
+                  "--set", "sweep.bandwidth=1e8", "--out", str(out)])
+        assert not out.exists()
 
     def test_ambiguity_noise_uses_seed(self):
         base = ("grid.min=3.9", "grid.max=4.1", "grid.step=0.01",

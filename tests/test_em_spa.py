@@ -9,8 +9,8 @@ from nfradar import (
     reference_scenario,
     xi,
 )
-from nfradar import estimator
-from nfradar.em_spa import gain_and_delay_arrays, pair_offsets
+from nfradar.em_spa import gain_and_delay_arrays, pair_groups, pair_offsets
+from nfradar.signal import sample_times, waveform_value
 
 from oracles import fresnel_reference, pair_gain, quadratic_phase_integral
 
@@ -327,8 +327,32 @@ class TestVectorHelpers:
         for i, (tx_z, rx_z) in enumerate(pair_positions(sc)):
             assert z_s[i] == pytest.approx((tx_z + rx_z) / 2, **near)
             assert d[i] == pytest.approx((tx_z - rx_z) / 2, **near)
-        groups = estimator._pair_groups(sc)
+        groups = pair_groups(sc)
         assert groups[0].size == 13 and groups[2].shape == (2, 49)
+
+    @pytest.mark.parametrize("spacing", [0.1, 0.125, 0.3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 13, 20])
+    def test_pair_groups_match_float_grouping(self, n, spacing):
+        # the integer keys of pair_groups give what grouping the float
+        # offsets of pair_offsets gives, bit for bit: np.unique of |d| and
+        # of the (|z_s|, |d|) columns, with their order and inverses; and
+        # the synthesis expanded from the geometries is the per-pair one
+        sc = reference_scenario(n_antennas=n, spacing=spacing)
+        z_s, d = pair_offsets(sc)
+        abs_d, group, geometry, of_pair = pair_groups(sc)
+        want_d, want_group = np.unique(np.abs(d), return_inverse=True)
+        want_geometry, want_of_pair = np.unique(
+            np.abs([z_s, d]), axis=1, return_inverse=True)
+        assert np.array_equal(abs_d, want_d)
+        assert np.array_equal(group, want_group)
+        assert np.array_equal(geometry, want_geometry)
+        assert np.array_equal(of_pair, want_of_pair.ravel())
+        t = sample_times(sc, sc.range)
+        for w in (WaveformRef.constant(), WaveformRef.sinc(sc.bandwidth)):
+            gain, delay = gain_and_delay_arrays(sc, z_s, d, sc.range)
+            shared, row = np.unique(delay, return_inverse=True)
+            want = gain[:, None] * waveform_value(w, t, shared)[row]
+            assert np.array_equal(spa_received_signal(sc, t, w), want)
 
     def test_gain_and_delay_match_oracle(self):
         # every pair, on and off the plate, against the closed form written

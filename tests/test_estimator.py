@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +13,6 @@ from nfradar import (
     add_awgn,
     ambiguity,
     crb,
-    default_crb_step,
     estimate_range,
     half_power_width,
     synthesize,
@@ -299,7 +300,7 @@ class TestObjective:
         # to the pairs are bit for bit the per-pair gains, off-plate zeros
         # included
         sc = reference_scenario(**overrides)
-        groups = estimator._pair_groups(sc)
+        groups = em_spa.pair_groups(sc)
         if not overrides:
             assert groups[2].shape == (2, 49)
         z_s, d = pair_offsets(sc)
@@ -478,39 +479,56 @@ class TestCrb:
             crb(ref_sc, 4.0, snr=0.0)
         with pytest.raises(ValueError, match="snr normalization"):
             crb(ref_sc, 4.0, snr_normalization="median")
-        with pytest.raises(ValueError, match="step must be positive"):
-            crb(ref_sc, 4.0, step=0.0)
 
-    def test_huge_step_refused(self, ref_sc, monkeypatch):
-        # a step at or past c/(2B) = 1.499 m reaches the first null of the
-        # main lobe; refused before any node is allocated (a 400 km step
-        # at 1000 km asked for about a million Chebyshev nodes and died in
-        # numpy's allocator)
-        def refused(*args):
-            raise AssertionError("envelope nodes built for a refused step")
+    def test_flat_stencil_refused(self, ref_sc, monkeypatch):
+        # a stencil whose second difference does not clear the curvature
+        # floor is refused rather than returning a huge or infinite bound
+        monkeypatch.setattr(estimator, "_CURVATURE_FLOOR", np.inf)
+        with pytest.raises(ValueError,
+                           match=r"non-concave stencil at R = 4\.0 m"):
+            crb(ref_sc, 4.0)
 
-        monkeypatch.setattr(estimator, "_envelope_coefficients", refused)
-        sc = reference_scenario(range=1e6)
-        with pytest.raises(ValueError, match=r"step 400000\.0 m does not "
-                                             "resolve the main lobe"):
-            crb(sc, 1e6, step=4e5)
-        lobe = 299792458.0 / (2.0 * ref_sc.bandwidth)
-        for step in (lobe, np.inf):
-            with pytest.raises(ValueError, match=r"c/\(2B\)"):
-                crb(ref_sc, 4.0, step=step)
-        below = np.nextafter(lobe, 0.0)
-        assert estimator.crb_stencil(ref_sc, 4.0, below)[1] == below
+    def test_wide_lattice_refused(self):
+        # 128 antennas at 1 km spacing offset pairs by up to 63.5 km: the
+        # delay lattice would be 42,418 bands of 17 nodes, 738 MB of
+        # envelope coefficients. Refused before any node is built (under
+        # 1 MB traced)
+        sc = reference_scenario(n_antennas=128, spacing=1000.0)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=re.escape(
+                    "need a crb delay lattice of 42418 bands, more than "
+                    f"{estimator._MAX_CRB_BANDS}")):
+                crb(sc, 4.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
-    def test_degenerate_step_rejected(self, ref_sc):
-        # 1 nm step: objective change is below float resolution, the
-        # stencil is flat and must be refused rather than returning inf
-        with pytest.raises(ValueError, match="non-concave stencil"):
-            crb(ref_sc, 4.0, step=1e-9)
+    def test_lattice_budget_inclusive(self, monkeypatch):
+        # the 1 GHz reference scene takes 4 bands: allowed at a budget of
+        # 4, refused at 3
+        sc = reference_scenario(bandwidth=1e9)
+        monkeypatch.setattr(estimator, "_MAX_CRB_BANDS", 4)
+        assert crb(sc, 4.0).curvature > 0
+        monkeypatch.setattr(estimator, "_MAX_CRB_BANDS", 3)
+        with pytest.raises(ValueError, match="of 4 bands, more than 3"):
+            crb(sc, 4.0)
 
-    def test_default_step(self, ref_sc):
-        lam = ref_sc.wavelength
-        assert default_crb_step(ref_sc) == \
-            min(lam / 4.0, 299792458.0 / (80.0 * ref_sc.bandwidth))
+    @pytest.mark.parametrize("overrides", [
+        {}, {"bandwidth": 1e9},
+        {"carrier_freq": 5e9, "min_range_wavelengths": 10.0},
+        {"carrier_freq": 1e9, "min_range_wavelengths": 1.0}])
+    def test_stencil_step(self, overrides):
+        # h = min(lambda/4, c/(80B)): lambda/4 = 0.97 mm at 77 GHz, c/(80B)
+        # = 37.5 mm at 100 MHz and 3.7 mm at 1 GHz, lambda/4 = 15 mm at
+        # 5 GHz and 75 mm at 1 GHz
+        sc = reference_scenario(**overrides)
+        stencil, h = estimator.crb_stencil(sc, [3.0, 4.0])
+        assert h == min(sc.wavelength / 4.0,
+                        299792458.0 / (80.0 * sc.bandwidth))
+        assert np.array_equal(stencil, [[3.0 - h, 3.0, 3.0 + h],
+                                        [4.0 - h, 4.0, 4.0 + h]])
 
     @pytest.mark.parametrize("overrides", [
         {"n_antennas": 1}, {"n_antennas": 4}, {}, {"plate_height": 0.5}])
@@ -520,17 +538,17 @@ class TestCrb:
         # signal powers the traces' sample powers
         sc = reference_scenario(**overrides)
         ranges = np.array([3.3, 4.0])
-        stencil, step = estimator.crb_stencil(sc, ranges)
+        stencil, h = estimator.crb_stencil(sc, ranges)
         received = [synthesize(sc, true_range=R) for R in ranges]
         for coherence in ("coherent", "incoherent"):
-            j, total = estimator._stencil_objective(sc, stencil, step,
+            j, total = estimator._stencil_objective(sc, stencil, h,
                                                     coherence, "total")
             for i, rx in enumerate(received):
                 for k in range(3):
                     slow = objective_loop(rx, sc, float(stencil[i, k]), True,
                                           coherence == "coherent")
                     assert j[i, k] == pytest.approx(slow, rel=1e-12)
-        _, per_pair = estimator._stencil_objective(sc, stencil, step,
+        _, per_pair = estimator._stencil_objective(sc, stencil, h,
                                                    "coherent", "per_pair")
         for i, rx in enumerate(received):
             power = np.abs(rx.traces) ** 2
@@ -542,8 +560,8 @@ class TestCrb:
     def test_array_matches_scalar(self, ref_sc, coherence):
         # one call over a 2-8 m line crossing a _RANGE_CHUNK boundary gives
         # each range the bound of a call at that range alone: the
-        # envelope's Chebyshev nodes depend on the scene and step only, not
-        # on the ranges that share a call
+        # envelope's Chebyshev nodes depend on the scene only, not on the
+        # ranges that share a call
         ranges = np.linspace(2.0, 8.0, _RANGE_CHUNK + 3)
         line = crb(ref_sc, ranges, coherence=coherence,
                    snr_normalization="per_pair")
@@ -567,28 +585,33 @@ class TestCrb:
         ranges = [2.0, 4.0, 7.5]
         for coherence in ("coherent", "incoherent"):
             got = crb(sc, ranges, coherence=coherence).curvature
+            h = estimator.crb_stencil(sc, 4.0)[1]
             for R, curvature in zip(ranges, got):
-                want = stencil_curvature(sc, R, default_crb_step(sc),
-                                         coherence == "coherent")
+                want = stencil_curvature(sc, R, h, coherence == "coherent")
                 assert curvature == pytest.approx(float(want), rel=2e-9)
 
-    def test_non_concave_names_first_range(self, ref_sc):
-        # at a 30 nm step the second difference is 10x the curvature floor
-        # at 3 m but below it at 6 m and beyond; the line fails as a
-        # whole, naming the first such range, in the chunk after the first
+    def test_non_concave_names_first_range(self, ref_sc, monkeypatch):
+        # the coherent second difference relative to J is 1.1e-3 at 3 m,
+        # 6.3e-5 at 6 m and 2.1e-5 at 8 m: under a 2e-4 floor the line
+        # fails as a whole, naming the first refused range, in the chunk
+        # after the first
+        monkeypatch.setattr(estimator, "_CURVATURE_FLOOR", 2e-4)
         ranges = np.r_[np.full(_RANGE_CHUNK + 1, 3.0), 6.0, 8.0]
         with pytest.raises(ValueError,
                            match=r"non-concave stencil at R = 6\.0 m"):
-            crb(ref_sc, ranges, step=3e-8)
-        crb(ref_sc, ranges[:-2], step=3e-8)
+            crb(ref_sc, ranges)
+        crb(ref_sc, ranges[:-2])
 
     def test_array_validation(self, ref_sc):
         with pytest.raises(ValueError, match="1-D array"):
             crb(ref_sc, np.full((2, 2), 4.0))
         with pytest.raises(ValueError, match="unknown coherence"):
             crb(ref_sc, 4.0, coherence="semi")
-        with pytest.raises(ValueError, match="0.3 m below validity floor"):
-            crb(ref_sc, [4.0, 0.301, 0.2], step=0.001)
+        # the first refused hypothesis is 0.301 - h = 0.300027 m, h the
+        # lambda/4 step
+        with pytest.raises(ValueError,
+                           match=r"0\.300027 m below validity floor"):
+            crb(ref_sc, [4.0, 0.301, 0.2])
 
     def test_one_gain_block_per_range_chunk(self, ref_sc, monkeypatch):
         # Fresnel work per hypothesis is the y factor of the 13 distinct
