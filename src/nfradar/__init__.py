@@ -14,8 +14,8 @@ from .scenario import (FREE_SPACE_IMPEDANCE, SPEED_OF_LIGHT, Scenario,
 from .special_fn import fresnel, fresnel_conj
 from .em_exact import exact_received_signal
 from .em_spa import spa_received_signal, xi
-from .signal import (SignalSet, WaveformRef, add_awgn, sample_times,
-                     synthesize, waveform_value)
+from .signal import (SignalSet, add_awgn, sample_times, synthesize,
+                     waveform_value)
 from .estimator import (AmbiguityCurve, CrbResult, ModelKind, ambiguity,
                         crb, estimate_range, half_power_width)
 
@@ -25,7 +25,7 @@ __all__ = [
     "fresnel", "fresnel_conj",
     "exact_received_signal",
     "spa_received_signal", "xi",
-    "SignalSet", "WaveformRef", "add_awgn", "sample_times",
+    "SignalSet", "add_awgn", "sample_times",
     "synthesize", "waveform_value",
     "AmbiguityCurve", "CrbResult", "ModelKind", "ambiguity", "crb",
     "estimate_range", "half_power_width",

@@ -29,7 +29,7 @@ from .em_spa import spa_received_signal
 from .estimator import (ModelKind, ambiguity, crb, crb_stencil,
                         half_power_width)
 from .scenario import Scenario, reference_scenario
-from .signal import WaveformRef, add_awgn, synthesize
+from .signal import add_awgn, synthesize
 
 EXPERIMENTS = ("validate-spa", "ambiguity", "crb")
 SWEEPABLE = ("bandwidth", "carrier_freq", "range")
@@ -363,17 +363,16 @@ def _check_scenes(cfg: ExperimentConfig) -> None:
 def run_validate_spa(cfg: ExperimentConfig):
     """Exact-vs-closed-form comparison, one row per pair.
 
-    Uses the constant waveform and the configured carrier lowered to the
-    validation carrier (_validation_scene). Where the specular point is
-    off the plate the closed form is exactly 0, and the spa_db, amp_err_db
-    and phase_err_deg cells stay empty.
+    Compares the carrier-wave amplitudes (no time axis) at the configured
+    carrier lowered to the validation carrier (_validation_scene). Where
+    the specular point is off the plate the closed form is exactly 0, and
+    the spa_db, amp_err_db and phase_err_deg cells stay empty.
     """
     scenario = _validation_scene(cfg)
-    waveform = WaveformRef.constant()
     columns = ["tx", "rx", "exact_db", "spa_db", "amp_err_db",
                "phase_err_deg"]
-    exact = exact_received_signal(scenario, 0.0, waveform)
-    spa = spa_received_signal(scenario, 0.0, waveform)
+    exact = exact_received_signal(scenario)
+    spa = spa_received_signal(scenario)
     # hypot, not np.abs: numpy's vectorized complex abs can differ in the
     # last bit from its scalar abs, whose bits these CSV cells keep
     exact_db = 20.0 * np.log10(np.hypot(exact.real, exact.imag))

@@ -41,12 +41,13 @@ The sinc as a frequency quadrature. The sinc is band-limited,
 s(t - tau) = 1/2 integral over x in [-1, 1] of e^{j pi B x (t - tau)} dx,
 and its delay factor e^{-j pi B x (r_l + r_l')/c} splits per antenna like
 the carrier's. So at a Gauss-Legendre node x_m, weight w_m, the plate sum
-M(x_m) is the constant waveform's at the phase wavenumber k + pi B x_m / c
-(amplitudes and prefactor stay at the carrier), and the traces are
-sum_m (w_m / 2) e^{j pi B x_m t} M(x_m); the constant waveform is the node
-x = 0, weight 1, with no time factor. The largest pi B |t - tau| sets the
-node count: 51 plate sums on synthesize's +-16/B window, where 44 reach
-the sums' rounding and 40 are 6.9e-11 of the peak off.
+M(x_m) is the carrier wave's at the phase wavenumber k + pi B x_m / c
+(amplitudes and prefactor stay at the carrier), B the scene's bandwidth,
+and the traces are sum_m (w_m / 2) e^{j pi B x_m t} M(x_m); the carrier
+wave (no time axis) is the node x = 0, weight 1, with no time factor. The
+largest pi B |t - tau| sets the node count: 51 plate sums on synthesize's
++-16/B window, where 44 reach the sums' rounding and 40 are 6.9e-11 of
+the peak off.
 
 The plate rule. Each axis takes one Gauss-Legendre rule over the whole
 plate, folded below, as the sinc takes one over its band: M = (K + 1) // 2
@@ -96,7 +97,7 @@ import numpy as np
 
 from .scenario import SPEED_OF_LIGHT, Scenario, antenna_positions
 # not called here: perfbench/tracing.py wraps em_exact.waveform_value by name
-from .signal import WaveformRef, waveform_value  # noqa: F401
+from .signal import parse_times, waveform_value  # noqa: F401
 from .special_fn import NODE_TOL, phase_node_count
 
 # Bound on the values of the per-node arrays in one block of z nodes
@@ -219,14 +220,14 @@ def _plate_sum(R: float, k: float, z_ant: np.ndarray, y_sq, y_w, z, z_w
     return total.reshape(n * n)
 
 
-def _frequency_rule(scenario: Scenario, times: np.ndarray,
-                    waveform: WaveformRef):
+def _frequency_rule(scenario: Scenario, times: np.ndarray | None):
     """(top, offsets, synthesis): plate sums at the wavenumbers k + offsets,
-    the plate rule at k + top, and the (nodes, samples) matrix to the traces;
-    (0, [0], None) for the constant waveform (module docstring)."""
-    if waveform.kind == "constant":
+    the plate rule at k + top, and the (nodes, samples) matrix to the
+    traces at the 1-D times under the scene's sinc; (0, [0], None) for
+    the carrier wave, times None (module docstring)."""
+    if times is None:
         return 0.0, np.zeros(1), None
-    band, R = waveform.bandwidth, scenario.range
+    band, R = scenario.bandwidth, scenario.range
     near = 2.0 * R / SPEED_OF_LIGHT
     hi = scenario.plate_height / 2.0 + antenna_positions(scenario)[-1]
     far = 2.0 * math.hypot(R, scenario.plate_width / 2.0, hi) / SPEED_OF_LIGHT
@@ -243,35 +244,30 @@ def _frequency_rule(scenario: Scenario, times: np.ndarray,
         1j * np.pi * band * np.multiply.outer(x, times))
 
 
-def exact_received_signal(scenario: Scenario, t, waveform: WaveformRef
-                          ) -> np.ndarray:
+def exact_received_signal(scenario: Scenario, t=None) -> np.ndarray:
     """u(t) of all N^2 pairs by direct quadrature of the plate integral.
 
-    t is a scalar or a 1-D array of sample times; the result has shape
-    (N^2,) + shape(t), rows in tx-major order (row i is tx i // N,
-    rx i % N) like SignalSet rows. The plate sum is a Gauss-Legendre
-    product rule over the quarter plate, its node counts set once per call
-    at the band's top wavenumber, and the sinc takes M plate sums (module
-    docstring). Times that are not finite, a sinc's times more than 256/B
-    from the plate's delays, and a plate that needs more than 2,048 nodes
-    along an axis (plate_node_counts) are refused.
+    t is a finite scalar or 1-D array of sample times (parse_times), or
+    None for the carrier wave; the result has shape (N^2,) + shape(t),
+    rows in tx-major order (row i is tx i // N, rx i % N) like SignalSet
+    rows. The plate sum is a Gauss-Legendre product rule over the quarter
+    plate, its node counts set once per call at the band's top wavenumber,
+    and the scene's sinc takes M plate sums (module docstring). Times more
+    than 256/B from the plate's delays, and a plate that needs more than
+    2,048 nodes along an axis (plate_node_counts), are refused.
 
     Convergence contract: the node counts hold the truncation error of
     each axis below NODE_TOL of the integrand's scale, so adding nodes
     along either axis moves no pair by more than 1e-12 of the scene's
     largest pair, or by the rounding of the phases k r where that is
-    larger (up to 4.4e-12 at 77 GHz on the reference plate). Summation is blockwise with a fixed block size, so
-    results are bitwise reproducible run to run.
+    larger (up to 4.4e-12 at 77 GHz on the reference plate). Summation is
+    blockwise with a fixed block size, so results are bitwise reproducible
+    run to run.
     """
-    times = np.asarray(t, dtype=float)
-    if times.ndim > 1:
-        raise ValueError("t must be a scalar or a 1-D array of times")
-    times = np.atleast_1d(times)
-    if not np.all(np.isfinite(times)):
-        raise ValueError("sample times must be finite")
+    times = parse_times(t)
     n = scenario.n_antennas
     z_ant = antenna_positions(scenario)
-    top, offsets, synthesis = _frequency_rule(scenario, times, waveform)
+    top, offsets, synthesis = _frequency_rule(scenario, times)
     k = scenario.wavenumber
     (y, y_w), (z, z_w) = _plate_rule(scenario, k + top)
     total = np.stack([_plate_sum(scenario.range, k + dk, z_ant, y * y, y_w,
@@ -283,5 +279,5 @@ def exact_received_signal(scenario: Scenario, t, waveform: WaveformRef
     total = ((half + half[::-1, ::-1]) / 2).reshape(n * n, -1)
     prefactor = (-2 * k * k * scenario.free_space_impedance
                  * scenario.antenna_gain_factor / (4 * np.pi) ** 2)
-    out = prefactor * np.broadcast_to(total, (n * n, times.size))
-    return out[:, 0] if np.ndim(t) == 0 else out
+    # np.shape(None) is (): the carrier wave has no time axis
+    return (prefactor * total).reshape((n * n,) + np.shape(t))

@@ -25,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from .scenario import SPEED_OF_LIGHT, Scenario
-from .signal import WaveformRef, waveform_value
+from .signal import parse_times, waveform_value
 from .special_fn import fresnel_conj
 
 
@@ -114,23 +114,22 @@ def gain_and_delay_arrays(scenario: Scenario, z_s, d, R
     return gain, 2.0 * r_s / SPEED_OF_LIGHT
 
 
-def spa_received_signal(scenario: Scenario, t, waveform: WaveformRef
-                        ) -> np.ndarray:
+def spa_received_signal(scenario: Scenario, t=None) -> np.ndarray:
     """u(t) of all N^2 pairs from the closed form at the scenario range:
-    each pair's gain times the waveform at its delayed time, the gains
+    each pair's gain times the scene's sinc at its delayed time, the gains
     taken once per (|z_s|, |d|) geometry (pair_groups). The one
     closed-form synthesis; signal.synthesize calls it.
 
-    t is a scalar or a 1-D array of sample times; the result has shape
+    t is a finite scalar or 1-D array of sample times (parse_times), or
+    None for the carrier wave, the bare pair gains; the result has shape
     (N^2,) + shape(t), rows in tx-major order, like exact_received_signal.
     """
-    times = np.asarray(t, dtype=float)
-    if times.ndim > 1:
-        raise ValueError("t must be a scalar or a 1-D array of times")
+    times = parse_times(t)
     _, _, geometry, of_pair = pair_groups(scenario)
     gain, delay = gain_and_delay_arrays(scenario, *geometry, scenario.range)
+    if times is None:
+        return gain[of_pair]
     # geometries with equal |d| share a delay bit for bit: one waveform each
     shared, row = np.unique(delay, return_inverse=True)
-    env = waveform_value(waveform, np.atleast_1d(times), shared)[row]
-    return (gain[:, None] * env)[of_pair].reshape(of_pair.shape
-                                                  + times.shape)
+    env = waveform_value(scenario.bandwidth, times, shared)[row]
+    return (gain[:, None] * env)[of_pair].reshape(of_pair.shape + np.shape(t))

@@ -24,14 +24,14 @@ that reason.
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 from dataclasses import dataclass
 
 import numpy as np
 
 from .scenario import SPEED_OF_LIGHT, Scenario
-from .signal import (SignalSet, WaveformRef, sample_times, synthesize,
-                     waveform_value)
+from .signal import SignalSet, sample_times, synthesize, waveform_value
 from .em_spa import gain_and_delay_arrays, pair_groups
 from .special_fn import (chebyshev_basis, chebyshev_node_count,
                          chebyshev_nodes)
@@ -91,8 +91,8 @@ class AmbiguityCurve:
             raise ValueError("grid and values must be 1-D and equal length")
         if self.grid.size > 1 and not np.all(np.diff(self.grid) > 0):
             raise ValueError("grid must be strictly increasing")
-        if np.any(self.values < 0) or np.any(self.values > 1 + 1e-12):
-            raise ValueError("values must lie in [0, 1]")
+        if not np.all((self.values >= 0) & (self.values <= 1 + 1e-12)):
+            raise ValueError("values must be finite and lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -133,6 +133,18 @@ def _gains(scenario: Scenario, groups, rh: np.ndarray, r_s: np.ndarray,
     if kind is ModelKind.FULL_INFORMATION:
         return gain_and_delay_arrays(scenario, *groups[2], rh)[0]
     return np.exp(-2j * scenario.wavenumber * r_s)
+
+
+def _scaled(x: np.ndarray, axis=None) -> np.ndarray:
+    """Complex x times 2^-e, exactly, e the np.frexp exponent of its largest
+    real or imaginary magnitude over axis (all of x for None). J has degree
+    2 in the traces and 0 in each hypothesis' gains, so this moves no bit
+    of a normalized curve but keeps J in range at any scene or noise scale."""
+    e = np.frexp(np.maximum(np.abs(x.real), np.abs(x.imag)).max(
+        axis=axis, keepdims=True, initial=0.0))[1]
+    out = np.ldexp(x.real, -e).astype(complex)
+    out.imag = np.ldexp(x.imag, -e)
+    return out
 
 
 def _reduce(ip: np.ndarray, energy: np.ndarray, coherence: str
@@ -176,7 +188,7 @@ def _envelope_coefficients(scenario: Scenario, t: np.ndarray,
     x, to_coef = chebyshev_nodes(
         chebyshev_node_count(np.pi * scenario.bandwidth * h.max()))
     nodes = mid[:, None] + h[:, None] * x
-    coef = to_coef @ waveform_value(WaveformRef.sinc(scenario.bandwidth), t,
+    coef = to_coef @ waveform_value(scenario.bandwidth, t,
                                     nodes.ravel()).reshape(
                                         nodes.shape + t.shape)
     return coef, coef @ coef.transpose(0, 2, 1)
@@ -283,10 +295,20 @@ def _objective_on_grid(received: SignalSet, scenario: Scenario,
                 a, b = first[u], first[u + 1]
                 prod = basis[u].T @ coef_corr[:, 2 * (a - base):2 * (b - base)]
                 corr[a:b] = (prod[:, :b - a] + 1j * prod[:, b - a:]).T
-        gain = _gains(scenario, groups, rh, r_s, kind)[rows[rep]]
+        gain = _scaled(_gains(scenario, groups, rh, r_s, kind)[rows[rep]],
+                       axis=0)
         energy = count * np.abs(gain) ** 2 * env_sq[group[rep]]
         out[start:stop] = _reduce(np.conj(gain) * corr, energy, coherence)
     return out
+
+
+def _amplitude(received: SignalSet, scenario: Scenario, grid,
+               kind: ModelKind, coherence: str) -> np.ndarray:
+    """sqrt(max(J, 0)) over the grid, J of the received traces scaled by a
+    power of two (_scaled): finite for finite traces of any scale."""
+    scaled = dataclasses.replace(received, traces=_scaled(received.traces))
+    raw = _objective_on_grid(scaled, scenario, grid, kind, coherence)
+    return np.sqrt(np.maximum(raw, 0.0))
 
 
 def ambiguity(scenario: Scenario, true_range: float, grid,
@@ -302,8 +324,7 @@ def ambiguity(scenario: Scenario, true_range: float, grid,
         raise ValueError("grid does not cover the true range")
     if received is None:
         received = synthesize(scenario, true_range=true_range, backend="spa")
-    raw = _objective_on_grid(received, scenario, grid, kind, coherence)
-    amplitude = np.sqrt(np.maximum(raw, 0.0))
+    amplitude = _amplitude(received, scenario, grid, kind, coherence)
     peak = amplitude.max()
     if peak == 0.0:
         raise ValueError("objective identically zero over the grid")
@@ -318,8 +339,7 @@ def estimate_range(received: SignalSet, scenario: Scenario, grid,
     an edge peak is returned unrefined. The grid must be 1-D and strictly
     increasing, so that the parabola's three points are neighbours."""
     grid = _as_grid(grid)
-    raw = _objective_on_grid(received, scenario, grid, kind, coherence)
-    amp = np.sqrt(np.maximum(raw, 0.0))
+    amp = _amplitude(received, scenario, grid, kind, coherence)
     i = int(np.argmax(amp))  # first max: tie toward smaller range
     if i == 0 or i == grid.size - 1:
         return float(grid[i])

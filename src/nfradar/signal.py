@@ -1,4 +1,5 @@
-"""Waveforms, sampled multistatic signal synthesis, and noise injection.
+"""The transmit sinc, sampled multistatic signal synthesis, and noise
+injection.
 
 Signals are complex baseband: the carrier phase exp(-j 2 k r_s) lives in
 the pair gain while the waveform is evaluated at the true delay, so nothing
@@ -22,40 +23,14 @@ DEFAULT_OVERSAMPLING = 4.0
 DEFAULT_WINDOW_HALFSPAN = 16.0
 
 
-@dataclass(frozen=True)
-class WaveformRef:
-    """Transmit waveform: a unit sinc of bandwidth B, or the constant 1.
+def waveform_value(bandwidth: float, t, delay) -> np.ndarray:
+    """The unit sinc s(t) = sin(pi B t) / (pi B t), s(0) = 1, of bandwidth
+    B at t - tau for every delay tau at every time t: t of shape (..., n)
+    and delay of shape (..., m) give shape (..., m, n), leading axes
+    broadcast.
 
-    The sinc kind is s(t) = sin(pi B t) / (pi B t) with s(0) = 1; the
-    constant kind is what the narrowband model validation transmits.
-    """
-
-    kind: str
-    bandwidth: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("sinc", "constant"):
-            raise ValueError(f"unknown waveform kind {self.kind!r}")
-        if self.kind == "sinc":
-            if self.bandwidth is None or self.bandwidth <= 0:
-                raise ValueError("sinc waveform requires bandwidth > 0")
-
-    @classmethod
-    def sinc(cls, bandwidth: float) -> "WaveformRef":
-        return cls(kind="sinc", bandwidth=bandwidth)
-
-    @classmethod
-    def constant(cls) -> "WaveformRef":
-        return cls(kind="constant")
-
-
-def waveform_value(w: WaveformRef, t, delay) -> np.ndarray:
-    """w(t - tau) for every delay tau at every time t: t of shape (..., n)
-    and delay of shape (..., m) give shape (..., m, n), the leading axes
-    broadcast. The constant kind is ones of that shape.
-
-    The sinc kind takes one sine and cosine per time and per delay, none
-    per sample. With the phases a = pi B (t - t_ref) and
+    It takes one sine and cosine per time and per delay, none per sample.
+    With the phases a = pi B (t - t_ref) and
     b = pi B (tau - t_ref), t_ref the middle time of each row of t (so the
     phases, and their rounding, stay small near a centred peak), the
     numerator sin(pi B (t - tau)) = sin a cos b - cos a sin b is one rank-2
@@ -69,10 +44,10 @@ def waveform_value(w: WaveformRef, t, delay) -> np.ndarray:
     """
     t = np.asarray(t, dtype=float)
     delay = np.asarray(delay, dtype=float)
-    if w.kind == "constant" or t.shape[-1] == 0:  # ones, or no samples
+    if t.shape[-1] == 0:  # no samples
         return np.ones(np.broadcast_shapes(t.shape[:-1], delay.shape[:-1])
                        + delay.shape[-1:] + t.shape[-1:])
-    scale = np.pi * w.bandwidth
+    scale = np.pi * bandwidth
     t_ref = t[..., t.shape[-1] // 2, None]
     a = scale * (t - t_ref)
     b = scale * (delay - t_ref)
@@ -130,32 +105,42 @@ def sample_times(scenario: Scenario, R) -> np.ndarray:
     return start[..., None] + np.arange(n) / rate
 
 
+def parse_times(t) -> np.ndarray | None:
+    """A backend's sample times t, a finite scalar or 1-D array, as a 1-D
+    float array; None, the carrier wave with no time axis, stays None."""
+    if t is None:
+        return None
+    times = np.asarray(t, dtype=float)
+    if times.ndim > 1:
+        raise ValueError("t must be a scalar or a 1-D array of times")
+    if not np.all(np.isfinite(times)):
+        raise ValueError("sample times must be finite")
+    return np.atleast_1d(times)
+
+
 def synthesize(scenario: Scenario, true_range: float | None = None,
-               backend: str = "spa",
-               waveform: WaveformRef | None = None) -> SignalSet:
+               backend: str = "spa") -> SignalSet:
     """Noise-free SignalSet at plate standoff true_range, on the time base
-    sample_times(scenario, true_range).
+    sample_times(scenario, true_range), under the unit sinc of the
+    scenario bandwidth.
 
     backend "spa" is the closed form; "exact" integrates the physical-optics
     field at any carrier (on the reference scene, one core: 0.03-0.05 s
-    at 10 GHz and 0.7 s at 77 GHz).
-    waveform defaults to the unit sinc of the scenario bandwidth. A
-    true_range the Scenario refuses as its range is refused.
+    at 10 GHz and 0.7 s at 77 GHz). A true_range the Scenario refuses as
+    its range is refused.
     """
     if backend not in ("spa", "exact"):
         raise ValueError(f"unknown backend {backend!r}")
     R = scenario.range if true_range is None else float(true_range)
     work = dataclasses.replace(scenario, range=R)
-    if waveform is None:
-        waveform = WaveformRef.sinc(scenario.bandwidth)
     t = sample_times(scenario, R)
 
     if backend == "spa":
         from .em_spa import spa_received_signal
-        traces = spa_received_signal(work, t, waveform)
+        traces = spa_received_signal(work, t)
     else:
         from .em_exact import exact_received_signal
-        traces = exact_received_signal(work, t, waveform)
+        traces = exact_received_signal(work, t)
 
     return SignalSet(sample_rate=DEFAULT_OVERSAMPLING * scenario.bandwidth,
                      t_start=float(t[0]), n_samples=t.size,

@@ -473,6 +473,14 @@ class TestRunners:
                   "--set", "sweep.bandwidth=1e8", "--out", str(out)])
         assert not out.exists()
 
+    def test_ambiguity_gain_scale_free(self):
+        # a 2^600 gain factor once overflowed J into 411 NaN value cells;
+        # its rows are now the unit factor's
+        base = ("experiment.model=full", "grid.min=3.9", "grid.max=4.1")
+        big = base + (f"scenario.antenna_gain_factor={2.0 ** 600!r}",)
+        assert run_ambiguity(parse_config(overrides=big)) == \
+            run_ambiguity(parse_config(overrides=base))
+
     def test_ambiguity_noise_uses_seed(self):
         base = ("grid.min=3.9", "grid.max=4.1", "grid.step=0.01",
                 "noise.noise_power=1e-4")

@@ -6,7 +6,6 @@ import pytest
 
 from nfradar import em_exact
 from nfradar import (
-    WaveformRef,
     exact_received_signal,
     reference_scenario,
     synthesize,
@@ -17,7 +16,6 @@ from nfradar.special_fn import phase_node_count
 
 from oracles import exact_line, exact_pair, pair_integrand
 
-CONST = WaveformRef.constant()
 # 2 GHz keeps the brute-force oracle cheap: about 18,000 plate nodes
 SMALL = dict(carrier_freq=2e9, min_range_wavelengths=20.0)
 
@@ -32,7 +30,7 @@ def phase_deg(a, b):
 
 
 def plate_term(scenario, tx_z, rx_z, y, z):
-    """(path r_tx + r_rx, g e^{j psi} under the constant waveform) of the
+    """(path r_tx + r_rx, g e^{j psi} of the carrier wave) of the
     pair (tx_z, rx_z) at the plate point (y, z), from the per-antenna
     factors the quadrature sums."""
     r, a, b = em_exact._antenna_factors(scenario.range, scenario.wavenumber,
@@ -154,19 +152,20 @@ class TestExactReceivedSignal:
         # others are within 2.2e-14
         sc = reference_scenario(**{**SMALL, **overrides})
         if sampled:
-            w = WaveformRef.sinc(sc.bandwidth)
             windows = [2.0 * sc.range / SPEED_OF_LIGHT
                        + np.linspace(-h, h, 17) / sc.bandwidth
                        for h in (8.0, 40.0)]
         else:
-            w, windows = CONST, [0.0]
+            windows = [None]  # the carrier wave
         n = sc.n_antennas
         z = [(l - (n - 1) / 2.0) * sc.spacing for l in range(n)]
         for t in windows:
-            got = exact_received_signal(sc, t, w)
+            got = exact_received_signal(sc, t)
             assert got.shape == (n * n,) + np.shape(t)
             for p in range(n * n):
-                want = exact_pair(sc, z[p // n], z[p % n], t, w.bandwidth)
+                want = (exact_pair(sc, z[p // n], z[p % n], t, sc.bandwidth)
+                        if sampled else
+                        exact_pair(sc, z[p // n], z[p % n], 0.0))
                 if sc.plate_width == 0.0:
                     assert np.all(got[p] == 0.0) and np.all(want == 0.0)
                     continue
@@ -249,7 +248,7 @@ class TestExactReceivedSignal:
         # the reference plate is summed over its quarter: 52 z x 13 y
         # folded nodes at 10 GHz and 299 x 49 at 77 GHz, in blocks of
         # whole z rows of at most _BLOCK_NODES values (antennas x y
-        # nodes). The constant waveform is one plate sum; the sinc on
+        # nodes). The carrier wave is one plate sum; the sinc on
         # synthesize's +-16/B window takes 51, at the counts of the band's
         # top wavenumber (52 x 14 at 10 GHz)
         shapes = []
@@ -267,10 +266,10 @@ class TestExactReceivedSignal:
                     for b in [rows] * full + ([tail] if tail else [])]
 
         monkeypatch.setattr(em_exact, "_antenna_factors", recording)
-        exact_received_signal(ref_sc_10ghz, 0.0, CONST)
+        exact_received_signal(ref_sc_10ghz)
         assert shapes == blocks(52, 13) == [(13, 52, 13)]
         shapes.clear()
-        exact_received_signal(reference_scenario(), 0.0, CONST)
+        exact_received_signal(reference_scenario())
         assert shapes == blocks(299, 49)
         assert max(np.prod(s) for s in shapes) <= em_exact._BLOCK_NODES
         shapes.clear()
@@ -300,14 +299,14 @@ class TestExactReceivedSignal:
         # phases k r, about 6,500 rad per antenna, whose floor of
         # 2.3-4.4e-12 stays flat from one to 597 added z nodes
         sc = reference_scenario(**overrides)
-        u = exact_received_signal(sc, 0.0, CONST)
+        u = exact_received_signal(sc)
         counts = em_exact.plate_node_counts(sc)
         for axis in (0, 1):
             more = list(counts)
             more[axis] += counts[axis] // 4 + 1
             monkeypatch.setattr(em_exact, "plate_node_counts",
                                 lambda scenario, k=None: tuple(more))
-            denser = exact_received_signal(sc, 0.0, CONST)
+            denser = exact_received_signal(sc)
             assert np.max(np.abs(u - denser)) <= tol * np.max(np.abs(u))
 
     @pytest.mark.parametrize("overrides, plate, axis", [
@@ -326,15 +325,14 @@ class TestExactReceivedSignal:
         # naming the range, the plate and the axis, before any node or
         # factor array is built (under 1 MB traced)
         sc = reference_scenario(**overrides, min_range_wavelengths=0.0)
-        for w in (CONST, WaveformRef.sinc(sc.bandwidth)):
+        for t in (None, 2.0 * sc.range / SPEED_OF_LIGHT):
             tracemalloc.start()
             try:
                 with pytest.raises(ValueError, match=re.escape(
                         f"the {plate} m needs more than "
                         f"{em_exact._MAX_AXIS_NODES} quadrature nodes "
                         f"along {axis}")):
-                    exact_received_signal(sc, 2.0 * sc.range / SPEED_OF_LIGHT,
-                                          w)
+                    exact_received_signal(sc, t)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
@@ -364,7 +362,7 @@ class TestExactReceivedSignal:
             assert got == want
 
     def test_sinc_counts_at_band_top(self, monkeypatch):
-        # the sinc is a quadrature over its band of constant-waveform plate
+        # the sinc is a quadrature over its band of carrier-wave plate
         # sums at the wavenumbers k + pi B x / c, so the node counts are
         # set once, at the band's top k + pi B / c (14 y and 28 z nodes
         # here, where the carrier alone gives 14 and 27), and a delayed
@@ -403,8 +401,7 @@ class TestExactReceivedSignal:
                            rtol=1e-15, atol=0)
         assert ks[-1] < top
         _, offsets, _ = em_exact._frequency_rule(
-            reference_scenario(), sample_times(reference_scenario(), 4.0),
-            WaveformRef.sinc(1e8))
+            reference_scenario(), sample_times(reference_scenario(), 4.0))
         assert offsets.size == 51
 
     @pytest.mark.parametrize("n", [4, 13])
@@ -414,11 +411,10 @@ class TestExactReceivedSignal:
         # z, so their signals agree to the bit
         sc = reference_scenario(n_antennas=n, **SMALL)
         if sampled:
-            w = WaveformRef.sinc(sc.bandwidth)
             t = 2.0 * sc.range / 299792458.0 + np.array([-3e-9, 0.0, 4e-9])
         else:
-            w, t = CONST, 0.0
-        u = exact_received_signal(sc, t, w).reshape((n, n) + np.shape(t))
+            t = None  # the carrier wave
+        u = exact_received_signal(sc, t).reshape((n, n) + np.shape(t))
         assert np.array_equal(u, u[::-1, ::-1])
 
     def test_sample_times_bitwise(self):
@@ -426,53 +422,44 @@ class TestExactReceivedSignal:
         # alone within 1e-14 of the trace peak (each call's frequency rule
         # covers its own times), and repeats its own bits
         sc = reference_scenario(n_antennas=3, **SMALL)
-        w = WaveformRef.sinc(sc.bandwidth)
         t = 2.0 * sc.range / 299792458.0 + np.array([-3e-9, 0.0, 4e-9])
-        u = exact_received_signal(sc, t, w)
-        assert np.array_equal(u, exact_received_signal(sc, t, w))
+        u = exact_received_signal(sc, t)
+        assert np.array_equal(u, exact_received_signal(sc, t))
         peak = np.max(np.abs(u))
         for j, tj in enumerate(t):
-            alone = exact_received_signal(sc, tj, w)
+            alone = exact_received_signal(sc, tj)
             assert np.max(np.abs(u[:, j] - alone)) <= 1e-14 * peak
-        const = exact_received_signal(sc, t, CONST)
-        assert np.array_equal(const, np.repeat(
-            exact_received_signal(sc, 0.0, CONST)[:, None], 3, axis=1))
 
     def test_empty_times(self):
         sc = reference_scenario(n_antennas=3, **SMALL)
-        for w in (CONST, WaveformRef.sinc(sc.bandwidth)):
-            assert exact_received_signal(sc, np.empty(0), w).shape == (9, 0)
+        assert exact_received_signal(sc, np.empty(0)).shape == (9, 0)
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_refuses_non_finite_times(self, bad):
         # the sinc used to return NaN traces for these, with warnings
         sc = reference_scenario(n_antennas=1, **SMALL)
-        for w in (CONST, WaveformRef.sinc(sc.bandwidth)):
-            with pytest.raises(ValueError, match="must be finite"):
-                exact_received_signal(sc, np.array([0.0, bad]), w)
+        with pytest.raises(ValueError, match="must be finite"):
+            exact_received_signal(sc, np.array([0.0, bad]))
 
     def test_refuses_far_times(self):
         # the frequency rule takes about pi/2 nodes per 1/B between a time
         # and the plate's delays (462 just inside the bound), so under the
         # sinc a time more than 256/B from them is refused and named
-        # (synthesize's window is +-16/B); the constant waveform does not
-        # depend on the time
+        # (synthesize's window is +-16/B)
         sc = reference_scenario(n_antennas=1, **SMALL)
-        w = WaveformRef.sinc(sc.bandwidth)
         near = 2.0 * sc.range / SPEED_OF_LIGHT
         far = 2.0 * np.hypot(4.0, np.hypot(0.4, 0.875)) / SPEED_OF_LIGHT
         for t in (near - 257.0 / sc.bandwidth, far + 257.0 / sc.bandwidth):
             with pytest.raises(ValueError, match=re.escape(repr(float(t)))):
-                exact_received_signal(sc, np.array([near, t]), w)
-            assert np.all(np.isfinite(exact_received_signal(sc, t, CONST)))
+                exact_received_signal(sc, np.array([near, t]))
         inside = np.array([near - 255.0 / sc.bandwidth,
                            far + 255.0 / sc.bandwidth])
-        assert np.all(np.isfinite(exact_received_signal(sc, inside, w)))
+        assert np.all(np.isfinite(exact_received_signal(sc, inside)))
 
     def test_rejects_2d_times(self):
         sc = reference_scenario(n_antennas=1, **SMALL)
         with pytest.raises(ValueError, match="1-D"):
-            exact_received_signal(sc, np.zeros((2, 2)), CONST)
+            exact_received_signal(sc, np.zeros((2, 2)))
 
     @pytest.mark.parametrize("key", ["plate_width", "plate_height"])
     def test_degenerate_plate_is_zero(self, key):
@@ -481,14 +468,14 @@ class TestExactReceivedSignal:
         sc = reference_scenario(**{key: 0.0})
         assert em_exact.plate_node_counts(sc) == (0, 0)
         with np.errstate(all="raise"):
-            assert np.all(exact_received_signal(sc, 0.0, CONST) == 0.0)
+            assert np.all(exact_received_signal(sc) == 0.0)
 
     def test_zero_drive_is_zero(self, ref_sc_10ghz):
         sc = reference_scenario(carrier_freq=10e9, antenna_gain_factor=0.0)
-        assert np.all(exact_received_signal(sc, 0.0, CONST) == 0.0)
+        assert np.all(exact_received_signal(sc) == 0.0)
 
     def test_reciprocity(self, ref_sc_10ghz):
-        u = exact_received_signal(ref_sc_10ghz, 0.0, CONST).reshape(13, 13)
+        u = exact_received_signal(ref_sc_10ghz).reshape(13, 13)
         assert amp_db(u[0, 5], u[5, 0]) <= 0.1
         assert phase_deg(u[0, 5], u[5, 0]) <= 1.0
         assert np.max(amp_db(u, u.T)) <= 0.1
@@ -500,13 +487,12 @@ class TestExactReceivedSignal:
         # synthesize's times move by no more than 1e-14 of the peak (5e-15
         # here; with 8 nodes fewer than the rule they are 9.5e-13 off)
         sc = reference_scenario(**{**SMALL, **BRANCH})
-        w = WaveformRef.sinc(sc.bandwidth)
         t = sample_times(sc, sc.range)
         wider = np.append(t, t[0] - 7.9 / sc.bandwidth)
-        assert [em_exact._frequency_rule(sc, x, w)[1].size
+        assert [em_exact._frequency_rule(sc, x)[1].size
                 for x in (t, wider)] == [50, 66]
-        u = exact_received_signal(sc, t, w)
-        more = exact_received_signal(sc, wider, w)[:, :-1]
+        u = exact_received_signal(sc, t)
+        more = exact_received_signal(sc, wider)[:, :-1]
         assert np.max(np.abs(u - more)) <= 1e-14 * np.max(np.abs(u))
 
     def test_sinc_at_77ghz(self):
@@ -521,7 +507,7 @@ class TestExactReceivedSignal:
         sc = reference_scenario(plate_width=0.1, plate_height=0.25)
         t = sample_times(sc, sc.range)[::4]
         assert t.size == 32
-        got = exact_received_signal(sc, t, WaveformRef.sinc(sc.bandwidth))
+        got = exact_received_signal(sc, t)
         peak = np.max(np.abs(got))
         z = antenna_positions(sc)
         for p in (0, 84, 141):
@@ -535,11 +521,11 @@ class TestExactReceivedSignal:
         sc_on = reference_scenario(carrier_freq=24e9)
         sc_off = reference_scenario(carrier_freq=24e9, plate_height=0.875)
         assert antenna_positions(sc_on)[0] == -0.75  # row 0: pair (0, 0)
-        u_on = exact_received_signal(sc_on, 0.0, CONST)[0]
-        u_off = exact_received_signal(sc_off, 0.0, CONST)[0]
+        u_on = exact_received_signal(sc_on)[0]
+        u_off = exact_received_signal(sc_off)[0]
         assert 20 * np.log10(abs(u_on) / abs(u_off)) >= 20.0
 
     def test_deterministic(self, ref_sc_10ghz):
-        u1 = exact_received_signal(ref_sc_10ghz, 0.0, CONST)
-        u2 = exact_received_signal(ref_sc_10ghz, 0.0, CONST)
+        u1 = exact_received_signal(ref_sc_10ghz)
+        u2 = exact_received_signal(ref_sc_10ghz)
         assert np.array_equal(u1, u2)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from nfradar import (
-    WaveformRef,
     spa_received_signal,
     reference_scenario,
     xi,
@@ -36,9 +35,9 @@ def pair_positions(sc):
 
 
 def spa_gains(sc):
-    """Gains of all pairs through spa_received_signal: the constant
-    waveform makes it the bare pair gain."""
-    return spa_received_signal(sc, 0.0, WaveformRef.constant())
+    """Gains of all pairs through spa_received_signal: the carrier wave
+    (no time axis) is the bare pair gain."""
+    return spa_received_signal(sc)
 
 
 class TestSpecularGeometry:
@@ -256,46 +255,39 @@ class TestLongFormEquivalence:
 class TestSpaReceivedSignal:
     def test_peak_sample_is_full_gain(self, ref_sc):
         gain, delay = (v[I_CENTER] for v in arrays(ref_sc))
-        w = WaveformRef.sinc(ref_sc.bandwidth)
-        assert spa_received_signal(ref_sc, delay, w)[I_CENTER] == gain
+        assert spa_received_signal(ref_sc, delay)[I_CENTER] == gain
 
     def test_waveform_null(self, ref_sc):
         gain, delay = (v[I_CENTER] for v in arrays(ref_sc))
-        w = WaveformRef.sinc(ref_sc.bandwidth)
         t_null = delay + 1.0 / ref_sc.bandwidth
-        assert abs(spa_received_signal(ref_sc, t_null, w)[I_CENTER]) < \
+        assert abs(spa_received_signal(ref_sc, t_null)[I_CENTER]) < \
             1e-12 * abs(gain)
 
     def test_zero_drive_all_zero(self):
         sc = reference_scenario(antenna_gain_factor=0.0)
-        w = WaveformRef.sinc(sc.bandwidth)
         t = np.linspace(26e-9, 28e-9, 16)
-        assert np.all(spa_received_signal(sc, t, w) == 0.0)
+        assert np.all(spa_received_signal(sc, t) == 0.0)
 
     def test_array_matches_scalars(self, ref_sc):
-        w = WaveformRef.sinc(ref_sc.bandwidth)
         t = np.array([26.5e-9, 26.7e-9, 27.0e-9])
-        vec = spa_received_signal(ref_sc, t, w)
+        vec = spa_received_signal(ref_sc, t)
         assert vec.shape == (169, 3)
         for ti, vi in zip(t, vec.T):
-            assert np.array_equal(spa_received_signal(ref_sc, float(ti), w),
-                                  vi)
+            assert np.array_equal(spa_received_signal(ref_sc, float(ti)), vi)
 
     def test_rows_are_pair_traces(self, ref_sc):
         # row i is pair (i // N, i % N): its gain times the waveform at
         # its own delay
-        w = WaveformRef.sinc(ref_sc.bandwidth)
         gain, delay = arrays(ref_sc)
         t = np.array([26.5e-9, 27.0e-9])
-        vec = spa_received_signal(ref_sc, t, w)
+        vec = spa_received_signal(ref_sc, t)
         for i in (I_CENTER, I_OUTER, I_EDGE_MONO):
             assert np.array_equal(
                 vec[i], gain[i] * np.sinc(ref_sc.bandwidth * (t - delay[i])))
 
     def test_rejects_2d_times(self, ref_sc):
         with pytest.raises(ValueError, match="1-D"):
-            spa_received_signal(ref_sc, np.zeros((2, 2)),
-                                WaveformRef.constant())
+            spa_received_signal(ref_sc, np.zeros((2, 2)))
 
 
 class TestVectorHelpers:
@@ -348,11 +340,11 @@ class TestVectorHelpers:
         assert np.array_equal(geometry, want_geometry)
         assert np.array_equal(of_pair, want_of_pair.ravel())
         t = sample_times(sc, sc.range)
-        for w in (WaveformRef.constant(), WaveformRef.sinc(sc.bandwidth)):
-            gain, delay = gain_and_delay_arrays(sc, z_s, d, sc.range)
-            shared, row = np.unique(delay, return_inverse=True)
-            want = gain[:, None] * waveform_value(w, t, shared)[row]
-            assert np.array_equal(spa_received_signal(sc, t, w), want)
+        gain, delay = gain_and_delay_arrays(sc, z_s, d, sc.range)
+        shared, row = np.unique(delay, return_inverse=True)
+        want = gain[:, None] * waveform_value(sc.bandwidth, t, shared)[row]
+        assert np.array_equal(spa_received_signal(sc, t), want)
+        assert np.array_equal(spa_received_signal(sc), gain)
 
     def test_gain_and_delay_match_oracle(self):
         # every pair, on and off the plate, against the closed form written

@@ -366,9 +366,39 @@ class TestAmbiguity:
         with pytest.raises(ValueError, match="lie in"):
             AmbiguityCurve(grid=np.array([1.0, 2.0]),
                            values=np.array([0.5, 1.5]))
+        with pytest.raises(ValueError, match="finite"):
+            AmbiguityCurve(grid=np.array([1.0, 2.0]),
+                           values=np.array([np.nan, 1.0]))
         with pytest.raises(ValueError, match="equal length"):
             AmbiguityCurve(grid=np.array([1.0, 2.0]),
                            values=np.array([0.5]))
+
+
+    def test_gain_scale_moves_no_bit(self, ref_sc):
+        # J has degree 2 in the traces and 0 in each hypothesis' gains, and
+        # both are scaled by powers of two: at a 2^600 gain factor, whose J
+        # once overflowed into NaN cells, the curve and the estimate are
+        # the unit factor's, bit for bit
+        big = reference_scenario(antenna_gain_factor=2.0 ** 600)
+        grid = 4.0 + ref_sc.wavelength / 8.0 * np.arange(-205, 206)
+        for kind in (PARTIAL, FULL):
+            want = ambiguity(ref_sc, 4.0, grid, kind).values
+            assert np.array_equal(ambiguity(big, 4.0, grid, kind).values,
+                                  want)
+            assert estimate_range(synthesize(big), big, grid, kind) == \
+                estimate_range(synthesize(ref_sc), ref_sc, grid, kind)
+
+    @pytest.mark.parametrize("coherence", ["coherent", "incoherent"])
+    def test_huge_noise_finite(self, ref_sc, received, coherence):
+        # noise power 1e308 once overflowed J into NaN cells
+        grid = 4.0 + ref_sc.wavelength / 8.0 * np.arange(-205, 206)
+        noisy = add_awgn(received, 1e308, seed=0)
+        curve = ambiguity(ref_sc, 4.0, grid, FULL, coherence,
+                          received=noisy)
+        assert np.all(np.isfinite(curve.values))
+        assert curve.values.max() == 1.0
+        assert grid[0] <= estimate_range(noisy, ref_sc, grid, FULL,
+                                         coherence) <= grid[-1]
 
 
 class TestEstimateRange:

@@ -1,12 +1,15 @@
+import inspect
+
 import numpy as np
 import pytest
 
+import nfradar
 from nfradar import (
     SPEED_OF_LIGHT,
     SignalSet,
-    WaveformRef,
     add_awgn,
     exact_received_signal,
+    spa_received_signal,
     synthesize,
     reference_scenario,
     sample_times,
@@ -22,9 +25,8 @@ OUTER_DELAY = 2.7150150315155204e-08   # 2 * sqrt(16.5625) / c
 
 class TestWaveform:
     def test_sinc_values(self):
-        w = WaveformRef.sinc(100e6)
         t = np.array([-1e-8, 0.0, 5e-9, 1e-8])
-        got = waveform_value(w, t, np.zeros(1))
+        got = waveform_value(100e6, t, np.zeros(1))
         assert got.shape == (1, 4)
         assert got[0, 1] == 1.0
         assert got[0, 0] == pytest.approx(0.0, abs=1e-16)
@@ -33,25 +35,18 @@ class TestWaveform:
         assert got[0, 2] == pytest.approx(2.0 / np.pi, rel=1e-15)
 
     def test_sinc_even(self):
-        w = WaveformRef.sinc(100e6)
         t = np.array([-7.5e-9, -3e-9, -1e-9, 0.0, 1e-9, 3e-9, 7.5e-9])
-        got = waveform_value(w, t, np.zeros(1))[0]
+        got = waveform_value(100e6, t, np.zeros(1))[0]
         assert np.array_equal(got, got[::-1])
 
     def test_shapes_broadcast(self):
         # t (..., n) and delay (..., m) give (..., m, n), leading axes
-        # broadcast, for both kinds
+        # broadcast
         t = np.zeros((4, 1, 5))
         delay = np.zeros((3, 2))
-        for w in (WaveformRef.sinc(1e8), WaveformRef.constant()):
-            assert waveform_value(w, t, delay).shape == (4, 3, 2, 5)
-            assert waveform_value(w, t[0, 0], delay).shape == (3, 2, 5)
-            assert waveform_value(w, np.empty(0), delay).shape == (3, 2, 0)
-
-    def test_constant(self):
-        w = WaveformRef.constant()
-        got = waveform_value(w, np.linspace(-1, 1, 5), np.array([123.0]))
-        assert got.shape == (1, 5) and np.all(got == 1.0)
+        assert waveform_value(1e8, t, delay).shape == (4, 3, 2, 5)
+        assert waveform_value(1e8, t[0, 0], delay).shape == (3, 2, 5)
+        assert waveform_value(1e8, np.empty(0), delay).shape == (3, 2, 0)
 
     @pytest.mark.parametrize("true_range", [2.0, 4.0, 8.0])
     def test_sinc_matches_np_sinc_on_objective_blocks(self, ref_sc,
@@ -59,7 +54,6 @@ class TestWaveform:
         # the objective's blocks: the time base at the true range against
         # each delay group's delays on lambda/8 grid chunks at either end
         # of the default 2-8 m grid and around the truth
-        w = WaveformRef.sinc(ref_sc.bandwidth)
         t = sample_times(ref_sc, true_range)
         abs_d = np.unique(np.abs(pair_offsets(ref_sc)[1]))
         step = ref_sc.wavelength / 8.0
@@ -68,36 +62,27 @@ class TestWaveform:
             delay = 2.0 * np.sqrt(rh ** 2 + abs_d[:, None] ** 2) \
                 / SPEED_OF_LIGHT
             want = np.sinc(ref_sc.bandwidth * (t - delay[..., None]))
-            got = waveform_value(w, t, delay)
+            got = waveform_value(ref_sc.bandwidth, t, delay)
             assert np.max(np.abs(got - want)) <= 1e-14
 
     def test_delay_on_a_sample(self, ref_sc):
-        w = WaveformRef.sinc(ref_sc.bandwidth)
         t = sample_times(ref_sc, 4.0)
-        got = waveform_value(w, t, t[[0, 17, 64, 127]])
+        got = waveform_value(ref_sc.bandwidth, t, t[[0, 17, 64, 127]])
         assert np.array_equal(got[[0, 1, 2, 3], [0, 17, 64, 127]],
                               np.ones(4))
 
     def test_delay_near_a_sample(self, ref_sc):
         # within 1e-6/B of a sample the numerator cancels; those samples
         # come from np.sinc
-        w = WaveformRef.sinc(ref_sc.bandwidth)
         t = sample_times(ref_sc, 4.0)
         offsets = np.array([-1e-6, -3e-8, 1e-9, 4e-7]) / ref_sc.bandwidth
         delay = t[[3, 40, 64, 120]] + offsets
-        got = waveform_value(w, t, delay)[[0, 1, 2, 3], [3, 40, 64, 120]]
+        got = waveform_value(ref_sc.bandwidth, t, delay)[[0, 1, 2, 3],
+                                                         [3, 40, 64, 120]]
         want = np.sinc(ref_sc.bandwidth * (t[[3, 40, 64, 120]] - delay))
         assert np.all(np.abs(got - want) <= 1e-15 * want)
         assert got[0] == pytest.approx(1.0 - (np.pi * 1e-6) ** 2 / 6,
                                        abs=1e-15)
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="unknown waveform kind"):
-            WaveformRef(kind="chirp")
-        with pytest.raises(ValueError, match="bandwidth"):
-            WaveformRef(kind="sinc")
-        with pytest.raises(ValueError, match="bandwidth"):
-            WaveformRef.sinc(0.0)
 
 
 class TestSignalSet:
@@ -232,14 +217,16 @@ class TestSynthesize:
         assert s.traces.shape == (169, 128)
         assert np.all(np.isfinite(s.traces))
         assert np.argmax(np.abs(s.traces[84])) == 64
-        assert np.array_equal(s.traces, exact_received_signal(
-            sc, s.times, WaveformRef.sinc(sc.bandwidth)))
+        assert np.array_equal(s.traces, exact_received_signal(sc, s.times))
 
-    @pytest.mark.parametrize("true_range", [None, 4.3])
-    def test_exact_sinc_traces_match_oracle(self, true_range):
+    @pytest.mark.parametrize("true_range, bandwidth", [
+        (None, 100e6), (4.3, 100e6), (None, 200e6), (4.3, 200e6),
+    ], ids=["None", "4.3", "None-200MHz", "4.3-200MHz"])
+    def test_exact_sinc_traces_match_oracle(self, true_range, bandwidth):
         # every sample of every pair against the brute-force plate sum, on
-        # a 2 GHz scene small enough for the per-pair oracle
-        small = dict(n_antennas=3, carrier_freq=2e9,
+        # a 2 GHz scene small enough for the per-pair oracle: the sinc is
+        # the scene's, at its bandwidth
+        small = dict(n_antennas=3, carrier_freq=2e9, bandwidth=bandwidth,
                      min_range_wavelengths=20.0)
         sc = reference_scenario(**small)
         s = synthesize(sc, true_range=true_range, backend="exact")
@@ -252,16 +239,57 @@ class TestSynthesize:
             assert np.max(np.abs(s.traces[p] - want)) <= \
                 1e-12 * np.max(np.abs(want))
 
+    def test_spa_sinc_follows_scene(self):
+        # closed-form synthesis at a 200 MHz scene is each pair's gain
+        # times the 200 MHz sinc at its delay, on the 800 MHz time base,
+        # bit for bit
+        sc = reference_scenario(bandwidth=200e6)
+        s = synthesize(sc)
+        assert s.sample_rate == 800e6
+        assert np.array_equal(s.times, sample_times(sc, sc.range))
+        gain, delay = gain_and_delay_arrays(sc, *pair_offsets(sc), sc.range)
+        assert np.array_equal(
+            s.traces, gain[:, None] * waveform_value(2e8, s.times, delay))
+
+    def test_no_waveform_parameter(self):
+        # the scene's bandwidth is the one route to the sinc
+        assert "WaveformRef" not in nfradar.__all__
+        assert not hasattr(nfradar, "WaveformRef")
+        assert list(inspect.signature(synthesize).parameters) == [
+            "scenario", "true_range", "backend"]
+
+    def test_carrier_wave_shape(self, ref_sc_10ghz):
+        # t None is the carrier wave in both backends: one amplitude per
+        # pair, no time axis
+        for backend in (exact_received_signal, spa_received_signal):
+            assert backend(ref_sc_10ghz).shape == (169,)
+            assert backend(ref_sc_10ghz, None).shape == (169,)
+
+    @pytest.mark.parametrize("t, message", [
+        (np.zeros((2, 2)), "1-D"),
+        (np.array([np.nan, 2.6e-8]), "must be finite"),
+        (np.array([2.6e-8, np.inf]), "must be finite"),
+        (-np.inf, "must be finite"),
+    ])
+    def test_backends_refuse_same_times(self, t, message):
+        # one parse of t for both backends (parse_times): the closed form
+        # once returned NaN rows for non-finite times
+        sc = reference_scenario(n_antennas=1, carrier_freq=2e9,
+                                min_range_wavelengths=20.0)
+        errors = []
+        for backend in (exact_received_signal, spa_received_signal):
+            with pytest.raises(ValueError, match=message) as err:
+                backend(sc, t)
+            errors.append(str(err.value))
+        assert errors[0] == errors[1]
+
     def test_backend_consistency(self, ref_sc_10ghz):
-        # constant waveform makes the exact integral time-independent;
+        # the carrier wave makes the exact integral time-independent;
         # per-pair gains from both backends must agree to the
         # stationary-phase accuracy
         sc = ref_sc_10ghz
-        w = WaveformRef.constant()
-        s_exact = synthesize(sc, backend="exact", waveform=w)
-        s_spa = synthesize(sc, backend="spa", waveform=w)
-        a = s_exact.traces[:, 0]
-        b = s_spa.traces[:, 0]
+        a = exact_received_signal(sc)
+        b = spa_received_signal(sc)
         amp_db = 20 * np.abs(np.log10(np.abs(a) / np.abs(b)))
         dphi = np.angle(a) - np.angle(b)
         dphi = np.degrees(np.abs((dphi + np.pi) % (2 * np.pi) - np.pi))
