@@ -97,7 +97,7 @@ import numpy as np
 
 from .scenario import SPEED_OF_LIGHT, Scenario, antenna_positions
 # not called here: perfbench/tracing.py wraps em_exact.waveform_value by name
-from .signal import parse_times, waveform_value  # noqa: F401
+from .signal import parse_times, plate_delays, waveform_value  # noqa: F401
 from .special_fn import NODE_TOL, phase_node_count
 
 # Bound on the values of the per-node arrays in one block of z nodes
@@ -111,9 +111,6 @@ _BLOCK_NODES = 1 << 14
 # a dense n x n eigenproblem, 0.9 s and about 60 MB at 2,048 on a 2-core
 # Xeon VM. The reference plate at 77 GHz takes 597 along z.
 _MAX_AXIS_NODES = 2048
-# Bound on a sinc's time from the plate's delays in 1/B (synthesize's window
-# is +-16/B): the frequency rule takes pi/2 plate sums per 1/B, 462 here
-_TIME_REACH = 256.0
 # ln of 1/NODE_TOL: the decay exponent a rule's nodes must reach
 _DIGITS = -math.log(NODE_TOL)
 
@@ -227,14 +224,9 @@ def _frequency_rule(scenario: Scenario, times: np.ndarray | None):
     the carrier wave, times None (module docstring)."""
     if times is None:
         return 0.0, np.zeros(1), None
-    band, R = scenario.bandwidth, scenario.range
-    near = 2.0 * R / SPEED_OF_LIGHT
-    hi = scenario.plate_height / 2.0 + antenna_positions(scenario)[-1]
-    far = 2.0 * math.hypot(R, scenario.plate_width / 2.0, hi) / SPEED_OF_LIGHT
+    band = scenario.bandwidth
+    near, far = plate_delays(scenario)
     lag = np.maximum(times - near, far - times)  # largest |t - tau|
-    if np.any(lag > far - near + _TIME_REACH / band):
-        raise ValueError(f"sample time {float(times[np.argmax(lag)])!r} s is "
-                         f"more than {_TIME_REACH:g}/B off the plate's delays")
     # K Chebyshev points interpolate e^{j pi B (t - tau) x} within NODE_TOL;
     # M Gauss-Legendre nodes are exact to degree 2M - 1 (Trefethen, Thm 19.3)
     points = phase_node_count(2.0 * np.pi * band * np.max(lag, initial=0.0))
@@ -264,7 +256,7 @@ def exact_received_signal(scenario: Scenario, t=None) -> np.ndarray:
     blockwise with a fixed block size, so results are bitwise reproducible
     run to run.
     """
-    times = parse_times(t)
+    times = parse_times(scenario, t)
     n = scenario.n_antennas
     z_ant = antenna_positions(scenario)
     top, offsets, synthesis = _frequency_rule(scenario, times)

@@ -120,11 +120,12 @@ def spa_received_signal(scenario: Scenario, t=None) -> np.ndarray:
     taken once per (|z_s|, |d|) geometry (pair_groups). The one
     closed-form synthesis; signal.synthesize calls it.
 
-    t is a finite scalar or 1-D array of sample times (parse_times), or
-    None for the carrier wave, the bare pair gains; the result has shape
-    (N^2,) + shape(t), rows in tx-major order, like exact_received_signal.
+    t is a finite scalar or 1-D array of sample times within 256/B of the
+    plate's delays (parse_times), or None for the carrier wave, the bare
+    pair gains; the result has shape (N^2,) + shape(t), rows in tx-major
+    order, like exact_received_signal.
     """
-    times = parse_times(t)
+    times = parse_times(scenario, t)
     _, _, geometry, of_pair = pair_groups(scenario)
     gain, delay = gain_and_delay_arrays(scenario, *geometry, scenario.range)
     if times is None:

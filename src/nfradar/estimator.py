@@ -261,8 +261,8 @@ def _objective_on_grid(received: SignalSet, scenario: Scenario,
                               for a, b in zip(first[:-1], first[1:])])
     # the nodes and times relative to the middle time t_ref: a node
     # written as t_ref + (mid - t_ref) + h x keeps the rounding of
-    # mid - t_ref, as a delay does in waveform_value; formed as mid + h x
-    # it would carry the rounding of mid, eps 2R/c
+    # mid - t_ref; formed as mid + h x it would carry the rounding of mid,
+    # eps 2R/c
     t = received.times
     t_ref = t[t.size // 2]
     t_rel = t - t_ref

@@ -11,59 +11,31 @@ with no inter-transmitter interference term.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .scenario import SPEED_OF_LIGHT, Scenario
+from .scenario import SPEED_OF_LIGHT, Scenario, antenna_positions
 
 DEFAULT_OVERSAMPLING = 4.0
 # window half-span around the nominal delay, in units of 1/B; +-16/B keeps
 # the side lobes the ML objective uses while staying compact
 DEFAULT_WINDOW_HALFSPAN = 16.0
+# Bound on a backend's sample time from the plate's delays, in 1/B: the
+# exact backend's frequency rule takes pi/2 plate sums per 1/B, 462 here
+_TIME_REACH = 256.0
 
 
 def waveform_value(bandwidth: float, t, delay) -> np.ndarray:
     """The unit sinc s(t) = sin(pi B t) / (pi B t), s(0) = 1, of bandwidth
     B at t - tau for every delay tau at every time t: t of shape (..., n)
     and delay of shape (..., m) give shape (..., m, n), leading axes
-    broadcast.
-
-    It takes one sine and cosine per time and per delay, none per sample.
-    With the phases a = pi B (t - t_ref) and
-    b = pi B (tau - t_ref), t_ref the middle time of each row of t (so the
-    phases, and their rounding, stay small near a centred peak), the
-    numerator sin(pi B (t - tau)) = sin a cos b - cos a sin b is one rank-2
-    matrix product, divided by x = a - b = pi B (t - tau); numerator and
-    denominator share the rounded phases. Where |x| < 1 the numerator
-    cancels, and np.sinc(x / pi) gives those samples, so a delay on a
-    sample gives exactly 1. On the time bases of sample_times the result
-    is within 1e-14 of np.sinc(B (t - tau)), absolute. Repeated calls give
-    the same bits, but a sample's bits may depend on the shapes of the
-    call: the matrix product picks its kernel by shape.
-    """
+    broadcast. Elementwise np.sinc(B (t - tau)), so a sample's bits do not
+    depend on the shapes of the call."""
     t = np.asarray(t, dtype=float)
     delay = np.asarray(delay, dtype=float)
-    if t.shape[-1] == 0:  # no samples
-        return np.ones(np.broadcast_shapes(t.shape[:-1], delay.shape[:-1])
-                       + delay.shape[-1:] + t.shape[-1:])
-    scale = np.pi * bandwidth
-    t_ref = t[..., t.shape[-1] // 2, None]
-    a = scale * (t - t_ref)
-    b = scale * (delay - t_ref)
-    # x before the product: in this order the allocator reuses the freed
-    # x block; the reverse order took 11,300 minor page faults per
-    # ambiguity-77g bench run instead of 1,000
-    x = a[..., None, :] - b[..., None]
-    out = np.matmul(np.stack([np.cos(b), -np.sin(b)], axis=-1),
-                    np.stack([np.sin(a), np.cos(a)], axis=-2))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out /= x
-    # sinc is even, bit for bit, so |x| serves the fallback too
-    np.abs(x, out=x)
-    near = x < 1.0
-    out[near] = np.sinc(x[near] / np.pi)
-    return out
+    return np.sinc(bandwidth * (t[..., None, :] - delay[..., None]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,27 +43,26 @@ class SignalSet:
     """Sampled complex traces, one per ordered (tx, rx) pair.
 
     All traces share the uniform time base t_start + n / sample_rate,
-    n = 0 .. n_samples-1. traces has shape (pairs, n_samples), rows in
+    n = 0 .. samples-1. traces has shape (pairs, samples), rows in
     tx-major order: for an N-element array row i is tx i // N, rx i % N.
     Identity comparison only (the array field makes elementwise == a trap).
     """
 
     sample_rate: float
     t_start: float
-    n_samples: int
     traces: np.ndarray
 
     def __post_init__(self) -> None:
         if self.sample_rate <= 0:
             raise ValueError("sample_rate must be positive")
-        if self.traces.ndim != 2 or self.traces.shape[1] != self.n_samples:
-            raise ValueError(
-                f"traces shape {self.traces.shape} does not match "
-                f"(pairs, {self.n_samples})")
+        if self.traces.ndim != 2:
+            raise ValueError(f"traces shape {self.traces.shape} does not "
+                             "match (pairs, samples)")
 
     @property
     def times(self) -> np.ndarray:
-        return self.t_start + np.arange(self.n_samples) / self.sample_rate
+        return (self.t_start
+                + np.arange(self.traces.shape[1]) / self.sample_rate)
 
 
 def sample_times(scenario: Scenario, R) -> np.ndarray:
@@ -105,9 +76,20 @@ def sample_times(scenario: Scenario, R) -> np.ndarray:
     return start[..., None] + np.arange(n) / rate
 
 
-def parse_times(t) -> np.ndarray | None:
+def plate_delays(scenario: Scenario) -> tuple[float, float]:
+    """(near, far): bounds on the round-trip delays of the plate's points
+    from the antennas, 2R/c and 2 hypot(R, D_y/2, D_z/2 + max z_l)/c."""
+    R = scenario.range
+    hi = scenario.plate_height / 2.0 + antenna_positions(scenario)[-1]
+    return (2.0 * R / SPEED_OF_LIGHT, 2.0 * math.hypot(
+        R, scenario.plate_width / 2.0, hi) / SPEED_OF_LIGHT)
+
+
+def parse_times(scenario: Scenario, t) -> np.ndarray | None:
     """A backend's sample times t, a finite scalar or 1-D array, as a 1-D
-    float array; None, the carrier wave with no time axis, stays None."""
+    float array; None, the carrier wave with no time axis, stays None.
+    Times more than _TIME_REACH/B off the plate's delays (plate_delays)
+    are refused."""
     if t is None:
         return None
     times = np.asarray(t, dtype=float)
@@ -115,7 +97,13 @@ def parse_times(t) -> np.ndarray | None:
         raise ValueError("t must be a scalar or a 1-D array of times")
     if not np.all(np.isfinite(times)):
         raise ValueError("sample times must be finite")
-    return np.atleast_1d(times)
+    times = np.atleast_1d(times)
+    near, far = plate_delays(scenario)
+    off = np.maximum(near - times, times - far)
+    if np.any(off > _TIME_REACH / scenario.bandwidth):
+        raise ValueError(f"sample time {float(times[np.argmax(off)])!r} s is "
+                         f"more than {_TIME_REACH:g}/B off the plate's delays")
+    return times
 
 
 def synthesize(scenario: Scenario, true_range: float | None = None,
@@ -143,7 +131,7 @@ def synthesize(scenario: Scenario, true_range: float | None = None,
         traces = exact_received_signal(work, t)
 
     return SignalSet(sample_rate=DEFAULT_OVERSAMPLING * scenario.bandwidth,
-                     t_start=float(t[0]), n_samples=t.size,
+                     t_start=float(t[0]),
                      traces=np.ascontiguousarray(traces, dtype=complex))
 
 

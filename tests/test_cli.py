@@ -415,6 +415,23 @@ class TestRunners:
         # a 77 GHz run would land elsewhere entirely
         assert len(rows) == 1
 
+    @pytest.mark.parametrize("gain", [1e-320, 1e300])
+    def test_validate_spa_ratio_cells_gain_free(self, gain):
+        # both backends are linear in the gain factor: the error cells are
+        # the unit-gain ones bit for bit (at 1e-320 the amplitudes were
+        # subnormal, and every phase cell read +-45 degrees), and the dB
+        # cells are the unit-gain ones shifted by 20 log10 g, finite
+        unit = run_validate_spa(parse_config(experiment="validate-spa"))[1]
+        cfg = parse_config(experiment="validate-spa", overrides=(
+            f"scenario.antenna_gain_factor={gain!r}",))
+        rows = run_validate_spa(cfg)[1]
+        assert [row[4:] for row in rows] == [row[4:] for row in unit]
+        shift = 20.0 * math.log10(gain)
+        for row, base in zip(rows, unit):
+            assert row[:2] == base[:2]
+            assert row[2:4] == (base[2] + shift, base[3] + shift)
+            assert all(math.isfinite(v) for v in row[2:])
+
     def test_validate_spa_off_plate_cells_empty(self, tmp_path):
         # at plate_height 0.5 the specular point of 72 pairs is off the
         # plate: the closed form is exactly 0 there and its three cells

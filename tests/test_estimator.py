@@ -70,7 +70,7 @@ class TestModelSignals:
         t = base.times
         template = (np.exp(-2j * sc.wavenumber * 4.2)
                     * np.sinc(sc.bandwidth * (t - 2 * 4.2 / 299792458.0)))
-        received = SignalSet(base.sample_rate, base.t_start, base.n_samples,
+        received = SignalSet(base.sample_rate, base.t_start,
                              template[None, :])
         j = objective(received, sc, [4.19, 4.2, 4.21])
         assert j[1] == pytest.approx(np.sum(np.abs(template) ** 2),

@@ -1,9 +1,15 @@
 """The benchmark's traced run wraps package functions at the module
 attributes their callers look up (perfbench/tracing.py). A rename of any
 of those names breaks the benchmark; this check makes it fail here first.
+So does an output that the benchmark's own checks (perfbench/reference.py)
+would refuse.
 """
 
 from pathlib import Path
+
+import pytest
+
+from nfradar.cli import main
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -42,3 +48,24 @@ def test_envelope_counter_counts_samples(monkeypatch, tmp_path):
     run = tracer.per_run()[0]
     assert run["estimator.envelope.calls"] == 1
     assert run["estimator.envelope.samples"] == 9 * 128
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+@pytest.mark.parametrize("name", ["ambiguity-77g", "crb-sweep",
+                                  "validate-10g"])
+def test_workload_outputs_pass_reference_checks(monkeypatch, tmp_path,
+                                                name, seed):
+    # the benchmark checks each workload's CSV against its own loop
+    # reference (1e-9 relative); an output drift past that fails here
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import reference
+    import workloads
+
+    assert name in workloads.NAMES
+    out = tmp_path / f"{name}.csv"
+    assert main(workloads.cli_args(name, seed) + ["--out", str(out)]) == 0
+    text = out.read_text("ascii")
+    assert reference.check_finite(text) == []
+    items, failures = reference.CHECKS[name](text, seed)
+    assert failures == []
+    assert items > 0

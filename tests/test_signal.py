@@ -63,7 +63,24 @@ class TestWaveform:
                 / SPEED_OF_LIGHT
             want = np.sinc(ref_sc.bandwidth * (t - delay[..., None]))
             got = waveform_value(ref_sc.bandwidth, t, delay)
-            assert np.max(np.abs(got - want)) <= 1e-14
+            assert np.array_equal(got, want)
+
+    def test_sample_bits_independent_of_call_shape(self, ref_sc):
+        # elementwise: one delay alone gives the bits it gets among 13,
+        # and a 1-D time base the bits of the same times broadcast
+        t = sample_times(ref_sc, 4.0)
+        abs_d = np.unique(np.abs(pair_offsets(ref_sc)[1]))
+        delay = 2.0 * np.sqrt(4.0 ** 2 + abs_d ** 2) / SPEED_OF_LIGHT
+        assert delay.size == 13
+        block = waveform_value(ref_sc.bandwidth, t, delay)
+        for i in (0, 6, 12):
+            assert np.array_equal(
+                waveform_value(ref_sc.bandwidth, t, delay[i:i + 1])[0],
+                block[i])
+        wide = waveform_value(ref_sc.bandwidth, np.broadcast_to(t, (3, 128)),
+                              delay)
+        assert wide.shape == (3, 13, 128)
+        assert all(np.array_equal(row, block) for row in wide)
 
     def test_delay_on_a_sample(self, ref_sc):
         t = sample_times(ref_sc, 4.0)
@@ -72,8 +89,8 @@ class TestWaveform:
                               np.ones(4))
 
     def test_delay_near_a_sample(self, ref_sc):
-        # within 1e-6/B of a sample the numerator cancels; those samples
-        # come from np.sinc
+        # within 1e-6/B of a sample the sinc is 1 - (pi B dt)^2 / 6 to
+        # rounding
         t = sample_times(ref_sc, 4.0)
         offsets = np.array([-1e-6, -3e-8, 1e-9, 4e-7]) / ref_sc.bandwidth
         delay = t[[3, 40, 64, 120]] + offsets
@@ -88,17 +105,17 @@ class TestWaveform:
 class TestSignalSet:
     def test_shape_validation(self):
         with pytest.raises(ValueError, match="does not match"):
-            SignalSet(sample_rate=1.0, t_start=0.0, n_samples=4,
-                      traces=np.zeros((1, 3), dtype=complex))
+            SignalSet(sample_rate=1.0, t_start=0.0,
+                      traces=np.zeros((1, 3, 1), dtype=complex))
         with pytest.raises(ValueError, match="does not match"):
-            SignalSet(sample_rate=1.0, t_start=0.0, n_samples=3,
+            SignalSet(sample_rate=1.0, t_start=0.0,
                       traces=np.zeros(3, dtype=complex))
         with pytest.raises(ValueError, match="sample_rate"):
-            SignalSet(sample_rate=0.0, t_start=0.0, n_samples=3,
+            SignalSet(sample_rate=0.0, t_start=0.0,
                       traces=np.zeros((1, 3), dtype=complex))
 
     def test_times(self):
-        s = SignalSet(sample_rate=2.0, t_start=1.0, n_samples=3,
+        s = SignalSet(sample_rate=2.0, t_start=1.0,
                       traces=np.zeros((1, 3), dtype=complex))
         assert np.array_equal(s.times, [1.0, 1.5, 2.0])
 
@@ -125,7 +142,7 @@ class TestSynthesize:
     def test_shapes_and_defaults(self, ref_sc):
         s = synthesize(ref_sc)
         assert s.sample_rate == 4.0 * ref_sc.bandwidth
-        assert s.traces.shape == (169, s.n_samples)
+        assert s.traces.shape == (169, 128)
         assert s.traces.dtype == np.complex128
 
     def test_peak_near_round_trip(self, ref_sc):
@@ -270,10 +287,13 @@ class TestSynthesize:
         (np.array([np.nan, 2.6e-8]), "must be finite"),
         (np.array([2.6e-8, np.inf]), "must be finite"),
         (-np.inf, "must be finite"),
+        (1e300, "1e\\+300 s is more than 256/B off the plate's delays"),
+        (1e-3, "0.001 s is more than 256/B off the plate's delays"),
     ])
     def test_backends_refuse_same_times(self, t, message):
         # one parse of t for both backends (parse_times): the closed form
-        # once returned NaN rows for non-finite times
+        # once returned NaN rows for non-finite times and for t = 1e300,
+        # whose sinc phase pi B t overflows
         sc = reference_scenario(n_antennas=1, carrier_freq=2e9,
                                 min_range_wavelengths=20.0)
         errors = []
@@ -321,7 +341,7 @@ class TestAwgn:
 
     def test_variance(self):
         # >= 1e5 complex samples, sample variance within 2%
-        base = SignalSet(1.0, 0.0, 1024, np.zeros((100, 1024), dtype=complex))
+        base = SignalSet(1.0, 0.0, np.zeros((100, 1024), dtype=complex))
         noisy = add_awgn(base, 0.25, seed=99)
         n = noisy.traces.ravel()
         assert n.size >= 1e5
@@ -334,8 +354,8 @@ class TestAwgn:
     def test_noise_independent_of_trace_count(self, ref_sc):
         # child streams are spawned per trace: the first trace's noise
         # must not depend on how many other traces exist
-        a = SignalSet(1.0, 0.0, 64, np.zeros((1, 64), dtype=complex))
-        b = SignalSet(1.0, 0.0, 64, np.zeros((2, 64), dtype=complex))
+        a = SignalSet(1.0, 0.0, np.zeros((1, 64), dtype=complex))
+        b = SignalSet(1.0, 0.0, np.zeros((2, 64), dtype=complex))
         na = add_awgn(a, 1.0, seed=5)
         nb = add_awgn(b, 1.0, seed=5)
         assert np.array_equal(na.traces[0], nb.traces[0])
@@ -346,6 +366,6 @@ class TestAwgn:
         # PCG64 child of SeedSequence(seed), n real then n imaginary draws
         traces = (rng.standard_normal((pairs, 128))
                   + 1j * rng.standard_normal((pairs, 128)))
-        s = SignalSet(1.0, 0.0, 128, traces)
+        s = SignalSet(1.0, 0.0, traces)
         got = add_awgn(s, 1e6, seed=11).traces
         assert np.array_equal(got, awgn_loop(traces, 1e6, seed=11))
