@@ -47,7 +47,9 @@ and the traces are sum_m (w_m / 2) e^{j pi B x_m t} M(x_m); the carrier
 wave (no time axis) is the node x = 0, weight 1, with no time factor. The
 largest pi B |t - tau| sets the node count: 51 plate sums on synthesize's
 +-16/B window, where 44 reach the sums' rounding and 40 are 6.9e-11 of
-the peak off.
+the peak off. Only e^{-jkr} changes with the wavenumber, so the geometry
+of each block of plate nodes (r, r^2, R rho^2 / r) is computed once for
+all 51 sums.
 
 The plate rule. Each axis takes one Gauss-Legendre rule over the whole
 plate, folded below, as the sinc takes one over its band: M = (K + 1) // 2
@@ -98,7 +100,7 @@ import numpy as np
 from .scenario import SPEED_OF_LIGHT, Scenario, antenna_positions
 # not called here: perfbench/tracing.py wraps em_exact.waveform_value by name
 from .signal import parse_times, plate_delays, waveform_value  # noqa: F401
-from .special_fn import NODE_TOL, phase_node_count
+from .special_fn import NODE_TOL, gauss_legendre, phase_node_count
 
 # Bound on the values of the per-node arrays in one block of z nodes
 # (nodes x antennas x y nodes); a block holds at least one node. The
@@ -107,22 +109,33 @@ from .special_fn import NODE_TOL, phase_node_count
 # keep the arrays in cache: on a 2-core Xeon VM, 2^16 took 1.4-1.7x as
 # long at 10 GHz.
 _BLOCK_NODES = 1 << 14
-# Bound on the Gauss-Legendre nodes of one plate axis: leggauss(n) solves
-# a dense n x n eigenproblem, 0.9 s and about 60 MB at 2,048 on a 2-core
-# Xeon VM. The reference plate at 77 GHz takes 597 along z.
+# Bound on the Gauss-Legendre nodes of one plate axis, set by the plate
+# sum: at 2,048 nodes on both axes one plate sum takes 1.1 s on one core
+# of a 2-core Xeon VM, and exact sinc synthesis takes 51 of them, while
+# gauss_legendre(2,048) takes 0.13 s and 25 MB of temporaries. The
+# reference plate at 77 GHz takes 597 along z.
 _MAX_AXIS_NODES = 2048
 # ln of 1/NODE_TOL: the decay exponent a rule's nodes must reach
 _DIGITS = -math.log(NODE_TOL)
 
 
-def _antenna_factors(R: float, k: float, z_ant: np.ndarray, y_sq, z):
-    """(r, A, B) of each antenna at z_ant (leading axis) on the plate
-    points (y^2, z), broadcast: A = e^{-jkr}/r^2, B = R rho^2 e^{-jkr}/r^3."""
+def _antenna_geometry(R: float, z_ant: np.ndarray, y_sq, z):
+    """(r, r^2, R rho^2 / r) of each antenna at z_ant (leading axis) on
+    the plate points (y^2, z), broadcast: what the factors take from the
+    geometry, the same at every wavenumber."""
     shape = (-1,) + (1,) * np.ndim(z)
     rho_sq = R * R + (z - np.reshape(z_ant, shape)) ** 2
     r = np.sqrt(rho_sq + y_sq)
-    a = np.exp(-1j * k * r) / (r * r)
-    return r, a, a * (R * rho_sq / r)
+    return r, r * r, R * rho_sq / r
+
+
+def _antenna_factors(k: float, geometry):
+    """(A, B) at the phase wavenumber k from the geometry (r, r^2,
+    R rho^2 / r) of _antenna_geometry: A = e^{-jkr}/r^2,
+    B = R rho^2 e^{-jkr}/r^3."""
+    r, r_sq, scale = geometry
+    a = np.exp(-1j * k * r) / r_sq
+    return a, a * scale
 
 
 def _fold(nodes: np.ndarray, weights: np.ndarray
@@ -186,42 +199,48 @@ def plate_node_counts(scenario: Scenario, k: float | None = None
 
 
 def _plate_rule(scenario: Scenario, k: float):
-    """((y, y_w), (z, z_w)): the folded Gauss-Legendre nodes and weights of
-    both plate axes at the phase wavenumber k (plate_node_counts)."""
+    """((y, y_w), (z, z_w)): the folded nodes and weights of both plate
+    axes' gauss_legendre rules at the phase wavenumber k
+    (plate_node_counts)."""
     halves = (scenario.plate_width / 2.0, scenario.plate_height / 2.0)
     rules = []
     for half, count in zip(halves, plate_node_counts(scenario, k)):
         if not count:
             rules.append((np.empty(0), np.empty(0)))
             continue
-        x, w = np.polynomial.legendre.leggauss(count)
+        x, w = gauss_legendre(count)
         rules.append(_fold(half * x, half * w))
     return rules
 
 
-def _plate_sum(R: float, k: float, z_ant: np.ndarray, y_sq, y_w, z, z_w
-               ) -> np.ndarray:
-    """The half-plate pair sums M at the phase wavenumber k, (N^2,): the
-    factors at the folded nodes (y^2 = y_sq, z) with the weights y_w, z_w,
-    summed as A W B^T in blocks of whole z nodes of at most _BLOCK_NODES
-    values."""
+def _plate_sums(R: float, wavenumbers, z_ant: np.ndarray, y_sq, y_w, z,
+                z_w) -> np.ndarray:
+    """The half-plate pair sums M at each phase wavenumber,
+    (N^2, wavenumbers): the factors at the folded nodes (y^2 = y_sq, z)
+    with the weights y_w, z_w, summed as A W B^T in blocks of whole z
+    nodes of at most _BLOCK_NODES values. A block's geometry is computed
+    once for all wavenumbers, and every wavenumber's sum runs over the
+    blocks in the same order."""
     n = z_ant.size
     rows = max(_BLOCK_NODES // max(n * y_sq.size, 1), 1)
-    total = np.zeros((n, n), dtype=complex)
+    total = np.zeros((len(wavenumbers), n, n), dtype=complex)
     for lo in range(0, z.size, rows):
         block = slice(lo, lo + rows)
-        _, a, b = _antenna_factors(R, k, z_ant, y_sq, z[block, None])
-        b *= y_w
-        b *= z_w[block, None]
-        total += a.reshape(n, -1) @ b.reshape(n, -1).T
-    return total.reshape(n * n)
+        geometry = _antenna_geometry(R, z_ant, y_sq, z[block, None])
+        for k, sums in zip(wavenumbers, total):
+            a, b = _antenna_factors(k, geometry)
+            b *= y_w
+            b *= z_w[block, None]
+            sums += a.reshape(n, -1) @ b.reshape(n, -1).T
+    return total.reshape(-1, n * n).T
 
 
 def _frequency_rule(scenario: Scenario, times: np.ndarray | None):
     """(top, offsets, synthesis): plate sums at the wavenumbers k + offsets,
     the plate rule at k + top, and the (nodes, samples) matrix to the
-    traces at the 1-D times under the scene's sinc; (0, [0], None) for
-    the carrier wave, times None (module docstring)."""
+    traces at the 1-D times under the scene's sinc, from one
+    gauss_legendre rule over the band; (0, [0], None) for the carrier
+    wave, times None (module docstring)."""
     if times is None:
         return 0.0, np.zeros(1), None
     band = scenario.bandwidth
@@ -230,7 +249,7 @@ def _frequency_rule(scenario: Scenario, times: np.ndarray | None):
     # K Chebyshev points interpolate e^{j pi B (t - tau) x} within NODE_TOL;
     # M Gauss-Legendre nodes are exact to degree 2M - 1 (Trefethen, Thm 19.3)
     points = phase_node_count(2.0 * np.pi * band * np.max(lag, initial=0.0))
-    x, w = np.polynomial.legendre.leggauss((points + 1) // 2 + 1)
+    x, w = gauss_legendre((points + 1) // 2 + 1)
     top = np.pi * band / SPEED_OF_LIGHT
     return top, top * x, w[:, None] / 2.0 * np.exp(
         1j * np.pi * band * np.multiply.outer(x, times))
@@ -262,8 +281,8 @@ def exact_received_signal(scenario: Scenario, t=None) -> np.ndarray:
     top, offsets, synthesis = _frequency_rule(scenario, times)
     k = scenario.wavenumber
     (y, y_w), (z, z_w) = _plate_rule(scenario, k + top)
-    total = np.stack([_plate_sum(scenario.range, k + dk, z_ant, y * y, y_w,
-                                 z, z_w) for dk in offsets.tolist()], 1)
+    total = _plate_sums(scenario.range, [k + dk for dk in offsets.tolist()],
+                        z_ant, y * y, y_w, z, z_w)
     if synthesis is not None:
         total = total @ synthesis
     # the z < 0 half by the mirror identity

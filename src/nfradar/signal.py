@@ -113,9 +113,9 @@ def synthesize(scenario: Scenario, true_range: float | None = None,
     scenario bandwidth.
 
     backend "spa" is the closed form; "exact" integrates the physical-optics
-    field at any carrier (on the reference scene, one core: 0.03-0.05 s
-    at 10 GHz and 0.7 s at 77 GHz). A true_range the Scenario refuses as
-    its range is refused.
+    field at any carrier (on the reference scene, one core: 0.02-0.035 s
+    at 10 GHz and 0.35-0.55 s at 77 GHz). A true_range the Scenario
+    refuses as its range is refused.
     """
     if backend not in ("spa", "exact"):
         raise ValueError(f"unknown backend {backend!r}")

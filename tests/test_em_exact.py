@@ -33,8 +33,10 @@ def plate_term(scenario, tx_z, rx_z, y, z):
     """(path r_tx + r_rx, g e^{j psi} of the carrier wave) of the
     pair (tx_z, rx_z) at the plate point (y, z), from the per-antenna
     factors the quadrature sums."""
-    r, a, b = em_exact._antenna_factors(scenario.range, scenario.wavenumber,
-                                        np.array([tx_z, rx_z]), y * y, z)
+    geometry = em_exact._antenna_geometry(
+        scenario.range, np.array([tx_z, rx_z]), y * y, z)
+    a, b = em_exact._antenna_factors(scenario.wavenumber, geometry)
+    r = geometry[0]
     return r[0] + r[1], a[0] * b[1]
 
 
@@ -250,13 +252,20 @@ class TestExactReceivedSignal:
         # whole z rows of at most _BLOCK_NODES values (antennas x y
         # nodes). The carrier wave is one plate sum; the sinc on
         # synthesize's +-16/B window takes 51, at the counts of the band's
-        # top wavenumber (52 x 14 at 10 GHz)
-        shapes = []
+        # top wavenumber (52 x 14 at 10 GHz), each block's geometry once
+        # and its factors once per frequency node
+        shapes, factor_shapes = [], []
+        geometry = em_exact._antenna_geometry
         factors = em_exact._antenna_factors
 
         def recording(*args):
-            out = factors(*args)
+            out = geometry(*args)
             shapes.append(out[0].shape)
+            return out
+
+        def recording_factors(*args):
+            out = factors(*args)
+            factor_shapes.append(out[0].shape)
             return out
 
         def blocks(n_rows, y_nodes):
@@ -265,16 +274,20 @@ class TestExactReceivedSignal:
             return [(13, b, y_nodes)
                     for b in [rows] * full + ([tail] if tail else [])]
 
-        monkeypatch.setattr(em_exact, "_antenna_factors", recording)
+        monkeypatch.setattr(em_exact, "_antenna_geometry", recording)
+        monkeypatch.setattr(em_exact, "_antenna_factors", recording_factors)
         exact_received_signal(ref_sc_10ghz)
-        assert shapes == blocks(52, 13) == [(13, 52, 13)]
+        assert shapes == factor_shapes == blocks(52, 13) == [(13, 52, 13)]
         shapes.clear()
+        factor_shapes.clear()
         exact_received_signal(reference_scenario())
-        assert shapes == blocks(299, 49)
+        assert shapes == factor_shapes == blocks(299, 49)
         assert max(np.prod(s) for s in shapes) <= em_exact._BLOCK_NODES
         shapes.clear()
+        factor_shapes.clear()
         synthesize(ref_sc_10ghz, backend="exact")
-        assert shapes == 51 * blocks(52, 14)
+        assert shapes == blocks(52, 14)
+        assert factor_shapes == [s for s in blocks(52, 14) for _ in range(51)]
 
     @pytest.mark.parametrize("overrides, tol", [
         ({"carrier_freq": 10e9}, 1e-12), ({"carrier_freq": 24e9}, 1e-12),
@@ -318,12 +331,13 @@ class TestExactReceivedSignal:
     ], ids=["branch-y", "branch-z", "phase-y", "phase-z"])
     def test_refuses_plate_over_budget(self, overrides, plate, axis):
         # at R = 1 mm before the reference plate the branch points of r
-        # would ask for 7,830 y and 17,127 z nodes, and leggauss(17,127)
-        # for a dense 2.3 GB matrix; on a 2 mm wide plate only z is over
-        # the budget. A 4.8 m wide plate's phase span takes about 2,090 y
-        # nodes, and a 100 m tall plate's far more. Each plate is refused,
-        # naming the range, the plate and the axis, before any node or
-        # factor array is built (under 1 MB traced)
+        # would ask for 7,830 y and 17,127 z nodes, and gauss_legendre
+        # for 0.59 GB (8,564 x 8,564) matrices at each Newton step of the
+        # z rule; on a 2 mm wide plate only z is over the budget. A 4.8 m
+        # wide plate's phase span takes about 2,090 y nodes, and a 100 m
+        # tall plate's far more. Each plate is refused, naming the range,
+        # the plate and the axis, before any node or factor array is built
+        # (under 1 MB traced)
         sc = reference_scenario(**overrides, min_range_wavelengths=0.0)
         for t in (None, 2.0 * sc.range / SPEED_OF_LIGHT):
             tracemalloc.start()
@@ -369,8 +383,9 @@ class TestExactReceivedSignal:
         # waveform is never evaluated
         sc = reference_scenario(n_antennas=3, **SMALL)
         top = sc.wavenumber + np.pi * sc.bandwidth / SPEED_OF_LIGHT
-        counts, calls = [], []
+        counts, blocks, ks = [], [], []
         count = em_exact.plate_node_counts
+        geometry = em_exact._antenna_geometry
         factors = em_exact._antenna_factors
 
         def counting(scenario, k=None):
@@ -379,23 +394,28 @@ class TestExactReceivedSignal:
             return out
 
         def recording(*args):
-            calls.append((args[1], np.size(args[3]), np.size(args[4])))
-            return factors(*args)
+            blocks.append((np.size(args[2]), np.size(args[3])))
+            return geometry(*args)
+
+        def recording_factors(k, *args):
+            ks.append(k)
+            return factors(k, *args)
 
         def refused(*args):
             raise AssertionError("exact synthesis evaluated a waveform")
 
         monkeypatch.setattr(em_exact, "plate_node_counts", counting)
-        monkeypatch.setattr(em_exact, "_antenna_factors", recording)
+        monkeypatch.setattr(em_exact, "_antenna_geometry", recording)
+        monkeypatch.setattr(em_exact, "_antenna_factors", recording_factors)
         monkeypatch.setattr(em_exact, "waveform_value", refused)
         synthesize(sc, backend="exact")
         assert counts == [(pytest.approx(top, rel=1e-15), (14, 28))]
         assert count(sc) == (14, 27)
-        # one block of all 14 z rows x 7 y nodes per frequency node, at 50
-        # nodes symmetric about the carrier (51 for 13 antennas, whose
-        # delays spread wider)
-        ks = np.array([k for k, _, _ in calls])
-        assert {(y, z) for _, y, z in calls} == {(7, 14)}
+        # one block of all 14 z rows x 7 y nodes, its factors at 50
+        # frequency nodes symmetric about the carrier (51 for 13 antennas,
+        # whose delays spread wider)
+        ks = np.array(ks)
+        assert blocks == [(7, 14)]
         assert ks.size == 50 and np.all(np.diff(ks) > 0)
         assert np.allclose(ks + ks[::-1], 2 * sc.wavenumber,
                            rtol=1e-15, atol=0)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from nfradar import fresnel, fresnel_conj
 from nfradar.special_fn import (NODE_TOL, chebyshev_basis,
                                 chebyshev_node_count, chebyshev_nodes,
-                                phase_node_count)
+                                gauss_legendre, phase_node_count)
 
 from oracles import fresnel_reference
 
@@ -129,6 +129,26 @@ def test_runtime_imports_no_scipy(tmp_path):
     assert result.stdout.splitlines()[-1] == "[]"
 
 
+def test_exact_backend_imports_no_numpy_polynomial(tmp_path):
+    # the exact backend's Gauss-Legendre rules are gauss_legendre's:
+    # validate-spa and exact sinc synthesis at 10 GHz must not load
+    # numpy.polynomial (its leggauss added 0.41 MB of peak RSS)
+    code = (
+        "import sys\n"
+        "import nfradar.cli\n"
+        "from nfradar import reference_scenario, synthesize\n"
+        "nfradar.cli.main(['validate-spa', '--out', "
+        f"{str(tmp_path / 'out.csv')!r}])\n"
+        "synthesize(reference_scenario(carrier_freq=1e10), "
+        "backend='exact')\n"
+        "print('numpy.polynomial' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.splitlines()[-1] == "False"
+
+
 def test_coefficients_match_fresh_fit():
     # the committed literals are what the generator writes today
     pytest.importorskip("mpmath")
@@ -166,3 +186,75 @@ def test_phase_node_count(s):
     if s > 50:
         assert k < 0.7 * chebyshev_node_count(s)
     assert phase_node_count(0.0) == 1
+
+
+def mp_legendre_rule(n, nodes):
+    """The roots of P_n nearest the float nodes, each refined by two
+    Newton steps on the three-term recurrence at 40 digits, and their
+    weights 2 / ((1 - x^2) P_n'(x)^2), as floats."""
+    mpmath = pytest.importorskip("mpmath")
+    x_out, w_out = [], []
+    with mpmath.workdps(40):
+        for x0 in nodes:
+            x = mpmath.mpf(float(x0))
+            for _ in range(2):
+                p0, p1 = mpmath.mpf(1), x
+                for k in range(2, n + 1):
+                    p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+                dp = n * (x * p1 - p0) / (x * x - 1)
+                x -= p1 / dp
+            x_out.append(float(x))
+            w_out.append(float(2 / ((1 - x * x) * dp * dp)))
+    return np.array(x_out), np.array(w_out)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 13, 26, 51, 52, 103, 299, 597])
+def test_gauss_legendre_against_mpmath(n):
+    # the nodes within 5e-16 and the weights within 2e-13 relative of the
+    # 40-digit roots (leggauss's end weights are 4.4e-12 off at n = 103
+    # and 1.4e-9 at n = 597); every node of the upper half up to 103,
+    # beyond it every eighth and the eight nearest the end, where the
+    # first guess is worst and the weights smallest
+    x, w = gauss_legendre(n)
+    assert x.shape == w.shape == (n,)
+    assert np.all(np.diff(x) > 0.0)
+    upper = np.arange(n // 2, n)
+    if n > 103:
+        upper = np.union1d(upper[::8], upper[-8:])
+    want_x, want_w = mp_legendre_rule(n, x[upper])
+    assert np.max(np.abs(x[upper] - want_x)) <= 5e-16
+    assert np.max(np.abs(w[upper] / want_w - 1.0)) <= 2e-13
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 13, 26, 51, 52, 103, 299, 597])
+def test_gauss_legendre_symmetric_and_exact(n):
+    # the rule is bitwise mirror-symmetric with the middle node of an odd
+    # rule exactly 0, and integrates x^(2p) exactly for 2p <= 2n - 2: the
+    # moments are sums of positive terms, so weights within 2e-13 and
+    # nodes within 5e-16 keep them within 1e-12 (leggauss: 4.4e-11 at
+    # n = 597)
+    x, w = gauss_legendre(n)
+    assert np.array_equal(x, -x[::-1])
+    assert np.array_equal(w, w[::-1])
+    if n % 2:
+        assert x[n // 2] == 0.0
+    p = np.arange(n)
+    moments = (x[:, None] ** (2 * p)).T @ w
+    assert np.max(np.abs(moments * (2 * p + 1) / 2.0 - 1.0)) <= 1e-12
+
+
+def test_gauss_legendre_at_axis_budget():
+    # the exact backend's largest rule, 2,048 nodes on a plate axis: the
+    # end node, its neighbour, one node mid-way and the node nearest 0
+    n = 2048
+    x, w = gauss_legendre(n)
+    at = np.array([n - 1, n - 2, 3 * n // 4, n // 2])
+    want_x, want_w = mp_legendre_rule(n, x[at])
+    assert np.max(np.abs(x[at] - want_x)) <= 5e-16
+    assert np.max(np.abs(w[at] / want_w - 1.0)) <= 2e-13
+    assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+
+
+def test_gauss_legendre_rejects_empty_rule():
+    with pytest.raises(ValueError, match="n >= 1"):
+        gauss_legendre(0)
