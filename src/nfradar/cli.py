@@ -192,11 +192,6 @@ def parse_config(path: str | None = None,
                    if word in fields)
         raise ValueError(f"scenario.{key} = {cp.get('scenario', key)!r}: "
                          f"{err}") from None
-    # Scenario accepts these at 0 for library use; no experiment does
-    for key in ("plate_width", "plate_height", "antenna_gain_factor"):
-        if getattr(scenario, key) == 0:
-            raise ValueError(
-                f"scenario.{key} = 0 gives an identically zero return")
 
     sweep = []
     for key in cp.options("sweep"):
@@ -387,8 +382,8 @@ def run_validate_spa(cfg: ExperimentConfig):
                 np.angle(spa / exact, deg=True).tolist())
     rows = []
     for i, (db, *spa_cells) in enumerate(cells):
-        # spa_db is -inf off the plate; parse_config rejects the other
-        # zero-return scenes
+        # spa_db is -inf off the plate; Scenario refuses the scenes that
+        # return nothing
         if spa_cells[0] == -math.inf:
             spa_cells = ("", "", "")
         rows.append((*divmod(i, scenario.n_antennas), db, *spa_cells))

@@ -31,11 +31,16 @@ specular-limit unit test asserts it.
 Per-antenna factors. With rho_l^2 = R^2 + (z - z_l)^2 the integrand splits
 into one factor per antenna,
 
-    g e^{j psi} = s(t - (r_l + r_l')/c) A_l B_l',
-    A_l = e^{-jk r_l} / r_l^2,   B_l = R rho_l^2 e^{-jk r_l} / r_l^3,
+    g e^{j psi} = s(t - (r_l + r_l')/c) e^{-2jkR} A_l B_l',
+    A_l = e^{-jk (r_l - R)} / r_l^2,
+    B_l = R rho_l^2 e^{-jk (r_l - R)} / r_l^3,
 
 so r, A and B are computed once per antenna, and at a fixed delay the
-plate sum is the matrix product A W B^T with the quadrature weights W.
+plate sum is e^{-2jkR} times the matrix product A W B^T with the
+quadrature weights W. The path excess r_l - R = (y^2 + (z - z_l)^2) /
+(r_l + R) comes from the small terms, with no cancellation, so the
+phases the factors round are k (r_l - R), at most 540 rad on the
+reference plate at 77 GHz, not k r_l, 6,490 to 7,000 rad.
 
 The sinc as a frequency quadrature. The sinc is band-limited,
 s(t - tau) = 1/2 integral over x in [-1, 1] of e^{j pi B x (t - tau)} dx,
@@ -71,16 +76,13 @@ at the band's top wavenumber k + pi B / c (plate_node_counts):
   like 39 (D/2) / R as R shrinks, so a plate that needs more than
   _MAX_AXIS_NODES along an axis is refused.
 On the reference plate that is 26 x 103 nodes (13 x 52 folded) at 10 GHz
-and 97 x 597 (49 x 299) at 77 GHz. Every pair is within 1.7e-13, 1.1e-12
-and 4.9e-12 of the scene's largest pair from a converged 200 x 800,
-300 x 1,500 and 600 x 2,000 node rule at 10, 24 and 77 GHz; at 77 GHz that
-is the rounding of the phases k r, about 6,500 rad per antenna. The
-midpoint sum at 10 points per wavelength that this rule replaced was
-3.2e-4, 2.0e-4 and 1.2e-4 off. Being exact to degree 2M - 1, the rule
-takes about half the K points an interpolating rule would, the factor
-of two that Gauss quadrature keeps for integrands analytic in a large
-ellipse (Trefethen, Is Gauss quadrature better than Clenshaw-Curtis?,
-SIAM Review 50, 2008).
+and 97 x 597 (49 x 299) at 77 GHz. Every pair is within 4.1e-14, 8.8e-14
+and 1.9e-13 of the scene's largest pair from a converged 200 x 800,
+300 x 1,500 and 600 x 2,000 node rule at 10, 24 and 77 GHz. Being exact
+to degree 2M - 1, the rule takes about half the K points an
+interpolating rule would, the factor of two that Gauss quadrature keeps
+for integrands analytic in a large ellipse (Trefethen, Is Gauss
+quadrature better than Clenshaw-Curtis?, SIAM Review 50, 2008).
 
 Quarter plate. The integrand depends on y only through y^2, so only the
 y >= 0 half of the symmetric y nodes is evaluated. The elements and the
@@ -112,7 +114,7 @@ _BLOCK_NODES = 1 << 14
 # Bound on the Gauss-Legendre nodes of one plate axis, set by the plate
 # sum: at 2,048 nodes on both axes one plate sum takes 1.1 s on one core
 # of a 2-core Xeon VM, and exact sinc synthesis takes 51 of them, while
-# gauss_legendre(2,048) takes 0.13 s and 25 MB of temporaries. The
+# gauss_legendre(2,048) takes 0.13 s and 17 MB of temporaries. The
 # reference plate at 77 GHz takes 597 along z.
 _MAX_AXIS_NODES = 2048
 # ln of 1/NODE_TOL: the decay exponent a rule's nodes must reach
@@ -120,21 +122,24 @@ _DIGITS = -math.log(NODE_TOL)
 
 
 def _antenna_geometry(R: float, z_ant: np.ndarray, y_sq, z):
-    """(r, r^2, R rho^2 / r) of each antenna at z_ant (leading axis) on
-    the plate points (y^2, z), broadcast: what the factors take from the
-    geometry, the same at every wavenumber."""
+    """(r - R, r^2, R rho^2 / r) of each antenna at z_ant (leading axis)
+    on the plate points (y^2, z), broadcast: what the factors take from
+    the geometry, the same at every wavenumber. The path excess is
+    (y^2 + (z - z_l)^2) / (r + R) (module docstring)."""
     shape = (-1,) + (1,) * np.ndim(z)
-    rho_sq = R * R + (z - np.reshape(z_ant, shape)) ** 2
-    r = np.sqrt(rho_sq + y_sq)
-    return r, r * r, R * rho_sq / r
+    dz_sq = (z - np.reshape(z_ant, shape)) ** 2
+    off_sq = dz_sq + y_sq
+    r_sq = off_sq + R * R
+    r = np.sqrt(r_sq)
+    return off_sq / (r + R), r_sq, R * (R * R + dz_sq) / r
 
 
 def _antenna_factors(k: float, geometry):
-    """(A, B) at the phase wavenumber k from the geometry (r, r^2,
-    R rho^2 / r) of _antenna_geometry: A = e^{-jkr}/r^2,
-    B = R rho^2 e^{-jkr}/r^3."""
-    r, r_sq, scale = geometry
-    a = np.exp(-1j * k * r) / r_sq
+    """(A, B) at the phase wavenumber k from the geometry (r - R, r^2,
+    R rho^2 / r) of _antenna_geometry: A = e^{-jk(r - R)}/r^2,
+    B = R rho^2 e^{-jk(r - R)}/r^3."""
+    excess, r_sq, scale = geometry
+    a = np.exp(-1j * k * excess) / r_sq
     return a, a * scale
 
 
@@ -169,17 +174,14 @@ def _axis_count(span: float, decay: float) -> int:
 def plate_node_counts(scenario: Scenario, k: float | None = None
                       ) -> tuple[int, int]:
     """(M_y, M_z): the Gauss-Legendre nodes of the plate rule along y and
-    z at the phase wavenumber k (the carrier's by default); (0, 0) for a
-    plate of zero area. A plate that needs more than _MAX_AXIS_NODES
-    along an axis is refused with a ValueError, before any node is
-    computed."""
+    z at the phase wavenumber k (the carrier's by default). A plate that
+    needs more than _MAX_AXIS_NODES along an axis is refused with a
+    ValueError, before any node is computed."""
     if k is None:
         k = scenario.wavenumber
     R = scenario.range
     half_y = scenario.plate_width / 2.0
     half_z = scenario.plate_height / 2.0
-    if half_y == 0.0 or half_z == 0.0:
-        return 0, 0
     z_ant = antenna_positions(scenario)
     m = half_z + float(np.max(np.abs(z_ant)))
     zeta = (z_ant + 1j * R) / half_z
@@ -203,26 +205,20 @@ def _plate_rule(scenario: Scenario, k: float):
     axes' gauss_legendre rules at the phase wavenumber k
     (plate_node_counts)."""
     halves = (scenario.plate_width / 2.0, scenario.plate_height / 2.0)
-    rules = []
-    for half, count in zip(halves, plate_node_counts(scenario, k)):
-        if not count:
-            rules.append((np.empty(0), np.empty(0)))
-            continue
-        x, w = gauss_legendre(count)
-        rules.append(_fold(half * x, half * w))
-    return rules
+    return [_fold(half * x, half * w) for half, (x, w) in zip(
+        halves, map(gauss_legendre, plate_node_counts(scenario, k)))]
 
 
 def _plate_sums(R: float, wavenumbers, z_ant: np.ndarray, y_sq, y_w, z,
                 z_w) -> np.ndarray:
-    """The half-plate pair sums M at each phase wavenumber,
+    """The half-plate pair sums M at each phase wavenumber k,
     (N^2, wavenumbers): the factors at the folded nodes (y^2 = y_sq, z)
     with the weights y_w, z_w, summed as A W B^T in blocks of whole z
-    nodes of at most _BLOCK_NODES values. A block's geometry is computed
-    once for all wavenumbers, and every wavenumber's sum runs over the
-    blocks in the same order."""
+    nodes of at most _BLOCK_NODES values, times e^{-2jkR}. A block's
+    geometry is computed once for all wavenumbers, and every wavenumber's
+    sum runs over the blocks in the same order."""
     n = z_ant.size
-    rows = max(_BLOCK_NODES // max(n * y_sq.size, 1), 1)
+    rows = max(_BLOCK_NODES // (n * y_sq.size), 1)
     total = np.zeros((len(wavenumbers), n, n), dtype=complex)
     for lo in range(0, z.size, rows):
         block = slice(lo, lo + rows)
@@ -232,6 +228,7 @@ def _plate_sums(R: float, wavenumbers, z_ant: np.ndarray, y_sq, y_w, z,
             b *= y_w
             b *= z_w[block, None]
             sums += a.reshape(n, -1) @ b.reshape(n, -1).T
+    total *= np.exp(-2j * R * np.array(wavenumbers))[:, None, None]
     return total.reshape(-1, n * n).T
 
 
@@ -270,10 +267,8 @@ def exact_received_signal(scenario: Scenario, t=None) -> np.ndarray:
     Convergence contract: the node counts hold the truncation error of
     each axis below NODE_TOL of the integrand's scale, so adding nodes
     along either axis moves no pair by more than 1e-12 of the scene's
-    largest pair, or by the rounding of the phases k r where that is
-    larger (up to 4.4e-12 at 77 GHz on the reference plate). Summation is
-    blockwise with a fixed block size, so results are bitwise reproducible
-    run to run.
+    largest pair. Summation is blockwise with a fixed block size, so
+    results are bitwise reproducible run to run.
     """
     times = parse_times(scenario, t)
     n = scenario.n_antennas

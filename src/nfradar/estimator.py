@@ -230,11 +230,7 @@ def _objective_on_grid(received: SignalSet, scenario: Scenario,
     Chebyshev coefficients C on its delay interval, a chunk's bands in one
     envelope call, and each hypothesis' basis row T gives corr = T C y and
     ||e||^2 = T G T^T: 12 nodes on a 512-point lambda/8 chunk of the
-    reference scene, 17 at a span of 1/B. Against the per-hypothesis
-    envelope block it replaces, J moved by at most 2.8e-15 of its peak on
-    the default 2-8 m lambda/8 grid, for either model and coherence, and by
-    at most 3.3e-15 on coarse, one-point, 1 GHz, 24 GHz, one-antenna and
-    short-plate grids.
+    reference scene, 17 at a span of 1/B.
     """
     if coherence not in _COHERENCE:
         raise ValueError(f"unknown coherence {coherence!r}")
@@ -372,23 +368,17 @@ def half_power_width(curve: AmbiguityCurve) -> float:
     if i == 0 or i == values.size - 1:
         raise ValueError("global max at grid edge")
     half = 0.5 * vmax
-
-    j = i
-    while j > 0 and values[j - 1] >= half:
-        j -= 1
-    if j == 0 and values[0] >= half:
+    below = np.flatnonzero(values < half)
+    left, right = below[below < i], below[below > i]
+    if not left.size:
         raise ValueError("no half-power crossing left of the peak")
-    left = grid[j - 1] + (half - values[j - 1]) * (grid[j] - grid[j - 1]) \
-        / (values[j] - values[j - 1])
-
-    j = i
-    while j < values.size - 1 and values[j + 1] >= half:
-        j += 1
-    if j == values.size - 1 and values[-1] >= half:
+    if not right.size:
         raise ValueError("no half-power crossing right of the peak")
-    right = grid[j] + (half - values[j]) * (grid[j + 1] - grid[j]) \
+    # each crossing lies between the grid points j and j + 1
+    j = np.array([left[-1], right[0] - 1])
+    cross = grid[j] + (half - values[j]) * (grid[j + 1] - grid[j]) \
         / (values[j + 1] - values[j])
-    return float(right - left)
+    return float(cross[1] - cross[0])
 
 
 def _crb_lattice(scenario: Scenario, h: float) -> tuple[np.ndarray, float]:
@@ -451,8 +441,7 @@ def _stencil_objective(scenario: Scenario, stencil: np.ndarray, h: float,
     correlation is T(x_R_hat) G T(x_R)^T, the energy
     T(x_R_hat) G T(x_R_hat)^T. Against long-double sinc sums
     (tests/oracles.py) the curvature is within 4.7e-10 relative over 2-8 m
-    at 13 and 4 antennas and at 1 GHz bandwidth (5.4e-10 for the
-    per-sample stencil it replaced)."""
+    at 13 and 4 antennas and at 1 GHz bandwidth."""
     groups = pair_groups(scenario)
     abs_d, group, geometry, of_pair = groups
     count = np.bincount(of_pair)[:, None, None]

@@ -23,7 +23,9 @@ FREE_SPACE_IMPEDANCE = 376.730313668
 
 @dataclass(frozen=True)
 class Scenario:
-    """Complete experiment description.
+    """Complete experiment description. Every field is finite and, but for
+    min_range_wavelengths, strictly positive: a plate of zero width or
+    height, or a zero gain factor, returns nothing and is refused.
 
     Parameters
     ----------
@@ -74,10 +76,8 @@ class Scenario:
             value = getattr(self, name)
             if not (isinstance(value, (int, float)) and math.isfinite(value)):
                 raise ValueError(f"{name} must be a finite number")
-            # plate, drive and validity margin may be zero (a zero plate or
-            # drive returns nothing, a zero margin drops the range floor)
-            if name in ("plate_width", "plate_height", "antenna_gain_factor",
-                        "min_range_wavelengths"):
+            # a zero margin drops the range floor
+            if name == "min_range_wavelengths":
                 if value < 0:
                     raise ValueError(f"{name} must be nonnegative")
             elif value <= 0:

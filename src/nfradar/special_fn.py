@@ -275,7 +275,7 @@ def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     at the converged theta. Up to n = 597 the nodes are within 3.4e-16
     and the weights within 9e-14 relative of 40-digit roots (numpy's
     eigenvalue-based leggauss: 1.4e-9 at the end weights of n = 597).
-    n = 2,048 takes 0.13 s and 25 MB of temporaries on one core of a
+    n = 2,048 takes 0.13 s and 17 MB of temporaries on one core of a
     2-core Xeon VM. n < 1 is refused with a ValueError.
     """
     if n < 1:
@@ -297,7 +297,9 @@ def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
         phase = np.multiply.outer(theta, freq)
         theta += (np.cos(phase) @ coef) / (np.sin(phase) @ slope)
     x = np.cos(theta)
-    w = 2.0 / (np.sin(np.multiply.outer(theta, freq)) @ slope) ** 2
+    # the weights in the last step's matrix: no second temporary
+    np.sin(np.multiply.outer(theta, freq, out=phase), out=phase)
+    w = 2.0 / (phase @ slope) ** 2
     if n % 2:
         x[0] = 0.0  # the middle node, a root by symmetry
     return (np.concatenate((-x[n % 2:][::-1], x)),

@@ -170,7 +170,8 @@ class TestParseConfig:
                                      "antenna_gain_factor"])
     def test_zero_return_scene_rejected(self, key, experiment, tmp_path):
         out = tmp_path / "out.csv"
-        with pytest.raises(ValueError, match=f"scenario.{key} = 0"):
+        with pytest.raises(ValueError, match=re.escape(
+                f"scenario.{key} = '0': {key} must be strictly positive")):
             main([experiment, "--set", f"scenario.{key}=0", "--out", str(out)])
         assert not out.exists()
 

@@ -32,12 +32,14 @@ def phase_deg(a, b):
 def plate_term(scenario, tx_z, rx_z, y, z):
     """(path r_tx + r_rx, g e^{j psi} of the carrier wave) of the
     pair (tx_z, rx_z) at the plate point (y, z), from the per-antenna
-    factors the quadrature sums."""
-    geometry = em_exact._antenna_geometry(
-        scenario.range, np.array([tx_z, rx_z]), y * y, z)
-    a, b = em_exact._antenna_factors(scenario.wavenumber, geometry)
-    r = geometry[0]
-    return r[0] + r[1], a[0] * b[1]
+    factors the quadrature sums and their path excesses r - R, with the
+    phase e^{-2jkR} that each plate sum takes once."""
+    R, k = scenario.range, scenario.wavenumber
+    geometry = em_exact._antenna_geometry(R, np.array([tx_z, rx_z]), y * y, z)
+    a, b = em_exact._antenna_factors(k, geometry)
+    excess = geometry[0]
+    return (excess[0] + excess[1] + 2.0 * R,
+            a[0] * b[1] * np.exp(-2j * R * k))
 
 
 class TestIntegrand:
@@ -140,7 +142,8 @@ class TestExactReceivedSignal:
             {"n_antennas": 4, "plate_height": 1.7},
             # specular points of the outer pairs off the plate
             {"n_antennas": 4, "spacing": 0.25, "plate_height": 0.5},
-            {"n_antennas": 4, "plate_width": 0.0},
+            # a 1 mm plate: 4 y nodes, 2 folded
+            {"n_antennas": 4, "plate_width": 1e-3},
             WIDE, BRANCH, TALL, WIDE6, NARROW)
     ], ids=[name + suffix for suffix in ("", "-sinc") for name in (
         "n1", "even-y", "odd-y", "odd-n", "even-z", "off-plate", "no-width",
@@ -168,9 +171,6 @@ class TestExactReceivedSignal:
                 want = (exact_pair(sc, z[p // n], z[p % n], t, sc.bandwidth)
                         if sampled else
                         exact_pair(sc, z[p // n], z[p % n], 0.0))
-                if sc.plate_width == 0.0:
-                    assert np.all(got[p] == 0.0) and np.all(want == 0.0)
-                    continue
                 scale = np.max(np.abs(want))
                 assert np.max(np.abs(got[p] - want)) <= 1e-12 * scale
 
@@ -291,7 +291,7 @@ class TestExactReceivedSignal:
 
     @pytest.mark.parametrize("overrides, tol", [
         ({"carrier_freq": 10e9}, 1e-12), ({"carrier_freq": 24e9}, 1e-12),
-        ({}, 1e-11),
+        ({}, 1e-12),
         ({**SMALL, **BRANCH}, 1e-12), ({**SMALL, **TALL}, 1e-12),
         ({**SMALL, **WIDE6}, 1e-12),
         # test_matches_oracle's other scenes
@@ -308,9 +308,9 @@ class TestExactReceivedSignal:
     def test_node_rule_converged(self, overrides, tol, monkeypatch):
         # a quarter more nodes along y, then along z, moves no pair by
         # more than tol of the scene's largest pair: 1e-12 (the 6 m plate
-        # is the worst, at 8.2e-13), and at 77 GHz the rounding of the
-        # phases k r, about 6,500 rad per antenna, whose floor of
-        # 2.3-4.4e-12 stays flat from one to 597 added z nodes
+        # is the worst, at 8.2e-13). The factors round the phases of the
+        # path excess k (r - R), so at 77 GHz one to 597 added z nodes
+        # move no pair by more than 2.5e-13
         sc = reference_scenario(**overrides)
         u = exact_received_signal(sc)
         counts = em_exact.plate_node_counts(sc)
@@ -481,18 +481,26 @@ class TestExactReceivedSignal:
         with pytest.raises(ValueError, match="1-D"):
             exact_received_signal(sc, np.zeros((2, 2)))
 
-    @pytest.mark.parametrize("key", ["plate_width", "plate_height"])
-    def test_degenerate_plate_is_zero(self, key):
-        # a plate of zero area takes no nodes: exact zeros, with nothing
-        # divided by 0
-        sc = reference_scenario(**{key: 0.0})
-        assert em_exact.plate_node_counts(sc) == (0, 0)
+    @pytest.mark.parametrize("key, counts", [
+        ("plate_width", (3, 103)), ("plate_height", (26, 3))])
+    def test_tiny_plate(self, key, counts):
+        # a 1 um plate side takes the fewest nodes and runs with no
+        # overflow, division by 0 or invalid value; its return is finite
+        # and nonzero
+        sc = reference_scenario(carrier_freq=10e9, **{key: 1e-6})
+        assert em_exact.plate_node_counts(sc) == counts
         with np.errstate(all="raise"):
-            assert np.all(exact_received_signal(sc) == 0.0)
+            u = exact_received_signal(sc)
+            t = synthesize(sc, backend="exact").traces
+        assert np.all(np.isfinite(u)) and np.all(u != 0.0)
+        assert np.all(np.isfinite(t))
 
-    def test_zero_drive_is_zero(self, ref_sc_10ghz):
-        sc = reference_scenario(carrier_freq=10e9, antenna_gain_factor=0.0)
-        assert np.all(exact_received_signal(sc) == 0.0)
+    def test_doubles_with_gain_factor(self, ref_sc_10ghz):
+        # the return is linear in the gain factor g: g -> 2g doubles it,
+        # bit for bit, since a factor of 2 is exact
+        sc = reference_scenario(carrier_freq=10e9, antenna_gain_factor=2.0)
+        assert np.array_equal(exact_received_signal(sc),
+                              2.0 * exact_received_signal(ref_sc_10ghz))
 
     def test_reciprocity(self, ref_sc_10ghz):
         u = exact_received_signal(ref_sc_10ghz).reshape(13, 13)
@@ -522,8 +530,8 @@ class TestExactReceivedSignal:
         # (10, 11), whose specular points are off the plate. The tolerance
         # is relative to the scene's largest trace peak (the three pairs
         # are within 1.6e-13 of it): relative to its own peak the weak
-        # (10, 11) is 7.4e-12 off, which is the rounding of the phases
-        # k r (about 6,500 rad here), not the plate or frequency rule
+        # (10, 11) is 1.5e-12 off, the rounding of the oracle's phases
+        # k (r + r'), about 13,000 rad here
         sc = reference_scenario(plate_width=0.1, plate_height=0.25)
         t = sample_times(sc, sc.range)[::4]
         assert t.size == 32

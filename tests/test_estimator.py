@@ -477,6 +477,28 @@ class TestHalfPowerWidth:
         with pytest.raises(ValueError, match="no half-power crossing"):
             half_power_width(AmbiguityCurve(grid=grid, values=values))
 
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_one_sided_crossing_rejected(self, side):
+        # a curve that falls below half on one side only names the other
+        grid = np.linspace(0.0, 1.0, 11)
+        values = np.full(11, 0.9)
+        values[5] = 1.0
+        if side == "right":
+            values[:2] = 0.1
+        else:
+            values[9:] = 0.1
+        with pytest.raises(ValueError, match=f"crossing {side} of the peak"):
+            half_power_width(AmbiguityCurve(grid=grid, values=values))
+
+    def test_crossings_nearest_the_peak(self):
+        # side lobes above half beyond a dip lie outside the contiguous
+        # region: the crossings are those of the main lobe, 2/3 of a cell
+        # from the peak as in test_interpolated_crossing
+        grid = np.arange(9.0)
+        values = np.array([0.0, 0.8, 0.1, 0.25, 1.0, 0.25, 0.1, 0.8, 0.0])
+        w = half_power_width(AmbiguityCurve(grid=grid, values=values))
+        assert w == pytest.approx(4.0 / 3.0, rel=1e-12)
+
     def test_interpolated_crossing(self):
         # peak 1 at x=2, neighbors at 0.25: crossing interpolates to
         # x = 2 +- 2/3 of a cell

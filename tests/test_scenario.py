@@ -76,8 +76,11 @@ def test_rejects_nonpositive_dimensions():
         ("carrier_freq", -1.0),
         ("range", 0.0),
         ("plate_width", -0.5),
+        ("plate_width", 0.0),
         ("plate_height", -2.0),
+        ("plate_height", 0.0),
         ("antenna_gain_factor", -1.0),
+        ("antenna_gain_factor", 0.0),
         ("free_space_impedance", 0.0),
     ]:
         with pytest.raises((ValueError, TypeError)):
@@ -98,14 +101,6 @@ def test_rejects_invalid_min_range_wavelengths(value, match):
     with pytest.raises(ValueError, match=f"min_range_wavelengths .*{match}"):
         reference_scenario(min_range_wavelengths=value)
     assert reference_scenario(min_range_wavelengths=0.0).range == 4.0
-
-
-def test_degenerate_plate_and_zero_gain_allowed():
-    # zero-area plates and a switched-off transmitter are meaningful
-    # limiting cases, not configuration errors
-    sc = reference_scenario(plate_width=0.0, plate_height=0.0, antenna_gain_factor=0.0)
-    assert sc.plate_width == 0.0
-    assert sc.antenna_gain_factor == 0.0
 
 
 def test_scenario_is_frozen(ref_sc):

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -253,6 +254,20 @@ def test_gauss_legendre_at_axis_budget():
     assert np.max(np.abs(x[at] - want_x)) <= 5e-16
     assert np.max(np.abs(w[at] / want_w - 1.0)) <= 2e-13
     assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+
+
+def test_gauss_legendre_temporaries():
+    # the 2,048-node rule holds at most two (1,024 x 1,025) matrices at
+    # once, a Newton step's phase and its cosine (16.2 MiB traced): the
+    # weights are built in the last step's phase matrix
+    gauss_legendre(2048)
+    tracemalloc.start()
+    try:
+        gauss_legendre(2048)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 17 << 20
 
 
 def test_gauss_legendre_rejects_empty_rule():
