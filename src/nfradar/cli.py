@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import dataclasses
 import functools
 import itertools
@@ -26,8 +27,8 @@ import numpy as np
 from . import __version__
 from .em_exact import exact_received_signal, plate_node_counts
 from .em_spa import spa_received_signal
-from .estimator import (ModelKind, ambiguity, crb, crb_stencil,
-                        half_power_width)
+from .estimator import (ModelKind, _validate_hypothesis, ambiguity, crb,
+                        crb_stencil, half_power_width)
 from .scenario import Scenario, reference_scenario
 from .signal import add_awgn, synthesize
 
@@ -39,6 +40,15 @@ MAX_GRID_POINTS = 1_000_000
 # run over 3.9-4.1 m peaked at 35 / 98 / 192 / 287 MB for N = 13 / 80 /
 # 128 / 160)
 MAX_ANTENNAS = 128
+
+
+@contextlib.contextmanager
+def _named(label: str):
+    """Prefixes label to the message of a ValueError raised inside."""
+    try:
+        yield
+    except ValueError as err:
+        raise ValueError(f"{label}: {err}") from None
 
 
 def _require(test, requirement: str):
@@ -89,25 +99,22 @@ _FIELDS = tuple(
      _require(lambda v: math.isfinite(v) and v >= 0,
               "finite and nonnegative")),
     ("noise", "seed", "0", int, _require(lambda v: v >= 0, "nonnegative")),
-    ("output", "path", "", str, None),
 )
-_SECTIONS = ("scenario", "experiment", "sweep", "grid", "noise", "output")
+_SECTIONS = ("scenario", "experiment", "sweep", "grid", "noise")
 
 
 def _attr(section: str, key: str) -> str:
     """The ExperimentConfig field of a key outside [scenario]."""
-    return f"{section}_{key}" if section in ("grid", "output") else key
+    return f"grid_{key}" if section == "grid" else key
 
 
 def _value(section: str, key: str, text: str, convert, check):
     """section.key's text converted and checked; a ValueError names the
     key."""
-    try:
+    with _named(f"{section}.{key} = {text!r}"):
         value = convert(text)
         if check is not None:
             check(value)
-    except ValueError as err:
-        raise ValueError(f"{section}.{key} = {text!r}: {err}") from None
     return value
 
 
@@ -131,7 +138,6 @@ class ExperimentConfig:
     grid_step: float | None  # None means lambda/8 at the operating carrier
     noise_power: float
     seed: int
-    output_path: str
     model: str
     coherence: str
     snr: float
@@ -144,7 +150,9 @@ def parse_config(path: str | None = None,
                  experiment: str = "ambiguity",
                  text: str | None = None) -> ExperimentConfig:
     """Builds an ExperimentConfig from an optional INI file plus
-    section.key=value override strings (later wins)."""
+    section.key=value override strings (later wins), and builds the
+    experiment's plan (_PLANS) from it, so that a scene, grid or stencil
+    its runner would refuse fails here, with its key named."""
     if experiment not in EXPERIMENTS:
         raise ValueError(f"unknown experiment {experiment!r}")
     cp = configparser.ConfigParser(interpolation=None)
@@ -202,12 +210,6 @@ def parse_config(path: str | None = None,
         sweep.append((key, _value("sweep", key, cp.get("sweep", key),
                                   _sweep_values, _ALL_FINITE)))
     sweep.sort()  # deterministic order regardless of file order
-    swept = ", ".join(f"sweep.{key}" for key, _ in sweep)
-    if experiment == "validate-spa" and sweep:
-        raise ValueError(f"{swept}: validate-spa takes no [sweep]")
-    if experiment == "ambiguity" and len(sweep) > 1:
-        raise ValueError(
-            f"{swept}: ambiguity sweeps one parameter at a time")
 
     cfg = ExperimentConfig(
         scenario=scenario, experiment=experiment, sweep=tuple(sweep),
@@ -217,13 +219,7 @@ def parse_config(path: str | None = None,
         raise ValueError("grid min must be below grid max")
     if cfg.grid_step is not None:
         _grid_size(cfg.grid_min, cfg.grid_max, cfg.grid_step)
-    if experiment == "crb" and cfg.model == "partial":
-        raise ValueError(
-            "experiment.model = partial: crb needs the full model. The "
-            "partial template lacks the received gains' Fresnel phase, so "
-            "its objective peaks off the true range and its curvature "
-            "there is no bound")
-    _check_scenes(cfg)
+    _PLANS[experiment](cfg)
     return cfg
 
 
@@ -264,95 +260,83 @@ def _range_grid(cfg: ExperimentConfig, scenario: Scenario) -> np.ndarray:
     return cfg.grid_min + step * np.arange(n)
 
 
-def _scene(base: Scenario, label: str, **changes) -> Scenario:
-    """base with the given fields changed; a value the Scenario refuses
-    raises a ValueError that names label."""
-    try:
-        return dataclasses.replace(base, **changes)
-    except ValueError as err:
-        raise ValueError(f"{label}: {err}") from None
-
-
 def _validation_scene(cfg: ExperimentConfig) -> Scenario:
-    """validate-spa's scene: the configured one, its carrier lowered to the
-    validation carrier (so experiment.validation_carrier at or above the
-    configured carrier runs at the configured one)."""
-    if cfg.scenario.carrier_freq <= cfg.validation_carrier:
-        return cfg.scenario
-    return _scene(cfg.scenario, "experiment.validation_carrier = "
-                  f"{cfg.validation_carrier!r}",
-                  carrier_freq=cfg.validation_carrier)
+    """validate-spa's plan, its one scene: the configured one, its carrier
+    lowered to the validation carrier (so experiment.validation_carrier at
+    or above the configured carrier runs at the configured one). Refuses a
+    [sweep], and a plate over the exact backend's node budget."""
+    if cfg.sweep:
+        raise ValueError(", ".join(f"sweep.{key}" for key, _ in cfg.sweep)
+                         + ": validate-spa takes no [sweep]")
+    scene = cfg.scenario
+    if scene.carrier_freq > cfg.validation_carrier:
+        with _named("experiment.validation_carrier = "
+                    f"{cfg.validation_carrier!r}"):
+            scene = dataclasses.replace(scene,
+                                        carrier_freq=cfg.validation_carrier)
+    plate_node_counts(scene)
+    return scene
 
 
 def _ambiguity_scenes(cfg: ExperimentConfig):
-    """(param, value, scene) per value of ambiguity's first sweep
-    parameter, or of the scene's own range when nothing is swept."""
-    if cfg.sweep:
-        param, values = cfg.sweep[0]
-    else:
-        param, values = "range", (cfg.scenario.range,)
-    return [(param, value, _scene(cfg.scenario, f"sweep.{param} = {value!r}",
-                                  **{param: value}))
-            for value in values]
+    """ambiguity's plan: (param, value, scene, grid) per value of its one
+    sweep parameter, or of the scene's own range when nothing is swept.
+    Refuses a second sweep parameter, and a range grid that reaches below
+    its scene's validity floor or misses its true range."""
+    if len(cfg.sweep) > 1:
+        raise ValueError(", ".join(f"sweep.{key}" for key, _ in cfg.sweep)
+                         + ": ambiguity sweeps one parameter at a time")
+    param, values = (cfg.sweep[0] if cfg.sweep
+                     else ("range", (cfg.scenario.range,)))
+    plan = []
+    for value in values:
+        label = f"sweep.{param} = {value!r}"
+        with _named(label):
+            scene = dataclasses.replace(cfg.scenario, **{param: value})
+        grid = _range_grid(cfg, scene)
+        at = f" at {label}" if cfg.sweep else ""
+        with _named(f"grid.min = {cfg.grid_min!r} starts the range grid{at}"):
+            _validate_hypothesis(scene, grid[0])
+        if not grid[0] <= scene.range <= grid[-1]:
+            key = f"sweep.{param}" if param == "range" and cfg.sweep \
+                else "scenario.range"
+            raise ValueError(
+                f"{key} = {scene.range!r} lies outside the range grid "
+                f"[{grid[0]:g}, {grid[-1]:g}] m (grid.min, grid.max)")
+        plan.append((param, value, scene, grid))
+    return plan
 
 
 def _crb_lines(cfg: ExperimentConfig):
-    """(carrier, bandwidth, scene) per crb line, in row order."""
+    """crb's plan: (ranges, lines), the ranges sorted and a (carrier,
+    bandwidth, scene) per line in row order. Refuses the partial model,
+    and on every line a stencil that crb_stencil refuses at the smallest
+    range, which bounds every other range's stencil from below."""
+    if cfg.model == "partial":
+        raise ValueError(
+            "experiment.model = partial: crb needs the full model. The "
+            "partial template lacks the received gains' Fresnel phase, so "
+            "its objective peaks off the true range and its curvature "
+            "there is no bound")
     sweep = dict(cfg.sweep)
+    key = "sweep.range" if "range" in sweep else "grid.min"
+    ranges = np.sort(sweep["range"] if "range" in sweep
+                     else _range_grid(cfg, cfg.scenario))
     base = cfg.scenario
     lines = []
     for fc in sorted(sweep.get("carrier_freq", (base.carrier_freq,))):
         for bw in sorted(sweep.get("bandwidth", (base.bandwidth,))):
-            label = ", ".join(
-                f"sweep.{key} = {value!r}"
-                for key, value in (("carrier_freq", fc), ("bandwidth", bw))
-                if key in sweep)
-            lines.append((fc, bw, _scene(base, label, carrier_freq=fc,
-                                         bandwidth=bw)))
-    return lines
-
-
-def _check_scenes(cfg: ExperimentConfig) -> None:
-    """Builds every scene the experiment's runner builds, so that a value
-    the Scenario refuses fails at parse time with its key named. For
-    ambiguity it also builds each scene's range grid and checks that it
-    lies above the validity floor and covers the scene's true range. For
-    crb it builds the range grid when range is not swept, and checks on
-    every line the delay lattice's size and the stencil of the smallest
-    range, which bounds every other range's stencil from below. For
-    validate-spa it checks that the exact backend's plate rule stays
-    within its node budget."""
-    if cfg.experiment == "validate-spa":
-        plate_node_counts(_validation_scene(cfg))
-    elif cfg.experiment == "ambiguity":
-        for param, value, scene in _ambiguity_scenes(cfg):
-            at = f" at sweep.{param} = {value!r}" if cfg.sweep else ""
-            grid = _range_grid(cfg, scene)
-            floor = scene.min_range_wavelengths * scene.wavelength
-            if not (grid[0] > 0 and grid[0] >= floor):
-                raise ValueError(
-                    f"grid.min = {cfg.grid_min!r} lies below the validity "
-                    f"floor {floor:g} m ({scene.min_range_wavelengths:g} "
-                    f"wavelengths){at}")
-            if not grid[0] <= scene.range <= grid[-1]:
-                key = f"sweep.{param}" if param == "range" and cfg.sweep \
-                    else "scenario.range"
-                raise ValueError(
-                    f"{key} = {scene.range!r} lies outside the range grid "
-                    f"[{grid[0]:g}, {grid[-1]:g}] m (grid.min, grid.max)")
-    else:
-        ranges = dict(cfg.sweep).get("range")
-        if ranges is None:
-            _range_grid(cfg, cfg.scenario)
-        key, lowest = (("sweep.range", min(ranges)) if ranges
-                       else ("grid.min", cfg.grid_min))
-        for fc, bw, scene in _crb_lines(cfg):
-            try:
-                crb_stencil(scene, lowest)
-            except ValueError as err:
-                raise ValueError(
-                    f"{key} = {lowest!r}: crb stencil at carrier {fc:g} Hz, "
-                    f"bandwidth {bw:g} Hz: {err}") from None
+            with _named(", ".join(
+                    f"sweep.{name} = {value!r}" for name, value
+                    in (("carrier_freq", fc), ("bandwidth", bw))
+                    if name in sweep)):
+                scene = dataclasses.replace(base, carrier_freq=fc,
+                                            bandwidth=bw)
+            with _named(f"{key} = {float(ranges[0])!r}: crb stencil at "
+                        f"carrier {fc:g} Hz, bandwidth {bw:g} Hz"):
+                crb_stencil(scene, ranges[0])
+            lines.append((fc, bw, scene))
+    return ranges, lines
 
 
 def run_validate_spa(cfg: ExperimentConfig):
@@ -399,8 +383,7 @@ def run_ambiguity(cfg: ExperimentConfig):
     columns = ["row_kind", "sweep_param", "sweep_value", "r_hat", "value",
                "width", "argmax"]
     rows = []
-    for param, value, scenario in _ambiguity_scenes(cfg):
-        grid = _range_grid(cfg, scenario)
+    for param, value, scenario, grid in _ambiguity_scenes(cfg):
         received = synthesize(scenario)
         if cfg.noise_power > 0:
             received = add_awgn(received, cfg.noise_power, cfg.seed)
@@ -423,13 +406,10 @@ def run_ambiguity(cfg: ExperimentConfig):
 def run_crb(cfg: ExperimentConfig):
     """Bound vs range per (carrier, bandwidth) line, one crb call per line;
     rows sorted."""
-    ranges = dict(cfg.sweep).get("range")
-    if ranges is None:
-        ranges = _range_grid(cfg, cfg.scenario)
-    ranges = np.sort(ranges)
+    ranges, lines = _crb_lines(cfg)
     columns = ["carrier_freq", "bandwidth", "range", "crb", "curvature"]
     rows = []
-    for fc, bw, scenario in _crb_lines(cfg):
+    for fc, bw, scenario in lines:
         result = crb(scenario, ranges, snr=cfg.snr,
                      snr_normalization=cfg.snr_normalization,
                      coherence=cfg.coherence)
@@ -439,6 +419,11 @@ def run_crb(cfg: ExperimentConfig):
     return columns, rows
 
 
+_PLANS = {
+    "validate-spa": _validation_scene,
+    "ambiguity": _ambiguity_scenes,
+    "crb": _crb_lines,
+}
 _RUNNERS = {
     "validate-spa": run_validate_spa,
     "ambiguity": run_ambiguity,
@@ -504,7 +489,7 @@ def main(argv=None) -> int:
     cfg = parse_config(path=args.config, overrides=tuple(overrides),
                        experiment=args.experiment)
     columns, rows = _RUNNERS[args.experiment](cfg)
-    out = args.out or cfg.output_path or f"{args.experiment}.csv"
+    out = args.out or f"{args.experiment}.csv"
     write_table(out, columns, rows, cfg)
     print(f"wrote {out} ({len(rows)} rows)")
     return 0

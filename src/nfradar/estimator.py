@@ -503,7 +503,8 @@ def crb(scenario: Scenario, R, snr: float = 1.0,
     mean sample power. Absolute levels therefore depend on that
     convention; shapes across sweeps do not. A stencil that is not
     concave by more than the objective's rounding (_CURVATURE_FLOOR) is
-    refused.
+    refused, and so is a bound that overflows (at an snr near the
+    smallest float, the noise power overflows first).
 
     The received data is the noise-free synthesis at R, correlated in
     closed form without forming a trace. An array of ranges is all or
@@ -537,7 +538,14 @@ def crb(scenario: Scenario, R, snr: float = 1.0,
             " m: the objective's second difference there is not resolved "
             "above its rounding")
     curvature = np.abs(second) / (h * h)
-    bound = signal_power / snr / (2.0 * curvature)
+    with np.errstate(over="ignore"):
+        bound = signal_power / snr / (2.0 * curvature)
+    bad = np.isinf(bound)
+    if bad.any():
+        raise ValueError(
+            f"bound at R = {float(ranges[bad.argmax()])!r} m overflows at "
+            f"snr {snr:g}: the noise power (signal power / snr) or the "
+            "bound exceeds the largest float")
     if np.ndim(R) == 0:
         return CrbResult(range=float(ranges[0]), bound=float(bound[0]),
                          curvature=float(curvature[0]))

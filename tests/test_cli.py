@@ -47,7 +47,6 @@ NON_DEFAULT = {
     ("grid", "step"): "0.001",
     ("noise", "noise_power"): "1e-6",
     ("noise", "seed"): "123456789012",
-    ("output", "path"): "out/run 1.csv",
 }
 
 
@@ -318,6 +317,27 @@ class TestParseConfig:
         with pytest.raises(ValueError, match="min_range_wavelengths"):
             main(["crb", "--set", "scenario.min_range_wavelengths=nan",
                   "--set", "sweep.range=0.01,0.02", "--out", str(out)])
+        assert not out.exists()
+
+    def test_later_crb_line_refused(self, tmp_path):
+        # at 30 wavelengths the floor is 0.117 m at 77 GHz and 1.8 m at
+        # 5 GHz: the second line's stencil at 1 m is refused, naming it
+        out = tmp_path / "out.csv"
+        with pytest.raises(ValueError, match=re.escape(
+                "sweep.range = 1.0: crb stencil at carrier 5e+09 Hz")):
+            main(["crb", "--set", "scenario.min_range_wavelengths=30",
+                  "--set", "sweep.carrier_freq=77e9,5e9",
+                  "--set", "sweep.range=1.0", "--out", str(out)])
+        assert not out.exists()
+
+    def test_overflowing_crb_bound_refused(self, tmp_path):
+        # the noise power signal_power / snr overflows at a subnormal snr;
+        # the crb cell used to read inf
+        out = tmp_path / "out.csv"
+        with pytest.raises(ValueError, match=re.escape(
+                "bound at R = 4.0 m overflows")):
+            main(["crb", "--set", "experiment.snr=1e-320",
+                  "--set", "sweep.range=4.0", "--out", str(out)])
         assert not out.exists()
 
     def test_partial_crb_refused(self):
@@ -623,13 +643,21 @@ class TestMain:
         main(args + ["--seed", "2", "--out", str(out2)])
         assert out1.read_bytes() != out2.read_bytes()
 
-    def test_config_file(self, tmp_path):
+    def test_config_file(self, tmp_path, monkeypatch):
+        # without --out the table is <experiment>.csv
         cfgfile = tmp_path / "exp.ini"
-        cfgfile.write_text(
-            "[grid]\nmin = 3.9\nmax = 4.1\nstep = 0.02\n"
-            "[output]\npath = " + str(tmp_path / "from_cfg.csv") + "\n")
+        cfgfile.write_text("[grid]\nmin = 3.9\nmax = 4.1\nstep = 0.02\n")
+        monkeypatch.chdir(tmp_path)
         assert main(["ambiguity", "--config", str(cfgfile)]) == 0
-        assert (tmp_path / "from_cfg.csv").exists()
+        _, _, data = read_csv(tmp_path / "ambiguity.csv")
+        assert len(data) == 12  # 11 grid points and the summary
+
+    def test_output_section_gone(self, tmp_path):
+        # the table's path is --out alone, so a header replayed with
+        # --config cannot name the table it came from
+        with pytest.raises(ValueError, match="unknown config section "
+                                             "'output'"):
+            parse_config(text="[output]\npath = a.csv\n")
 
     def test_crb_subcommand(self, tmp_path):
         out = tmp_path / "crb.csv"

@@ -540,6 +540,15 @@ class TestCrb:
                            match=r"non-concave stencil at R = 4\.0 m"):
             crb(ref_sc, 4.0)
 
+    def test_overflowing_bound_refused(self, ref_sc):
+        # at a subnormal snr the noise power signal_power / snr overflows,
+        # and the bound was inf: refused, naming the first such range,
+        # without an overflow warning
+        with pytest.raises(ValueError,
+                           match=r"bound at R = 4\.0 m overflows at snr"):
+            crb(ref_sc, [4.0, 2.0], snr=1e-320)
+        assert np.all(np.isfinite(crb(ref_sc, [4.0, 2.0], snr=1e-300).bound))
+
     def test_wide_lattice_refused(self):
         # 128 antennas at 1 km spacing offset pairs by up to 63.5 km: the
         # delay lattice would be 42,418 bands of 17 nodes, 738 MB of
