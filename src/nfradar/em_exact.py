@@ -236,10 +236,10 @@ def _frequency_rule(scenario: Scenario, times: np.ndarray | None):
     """(top, offsets, synthesis): plate sums at the wavenumbers k + offsets,
     the plate rule at k + top, and the (nodes, samples) matrix to the
     traces at the 1-D times under the scene's sinc, from one
-    gauss_legendre rule over the band; (0, [0], None) for the carrier
+    gauss_legendre rule over the band; (0, [0], [[1]]) for the carrier
     wave, times None (module docstring)."""
     if times is None:
-        return 0.0, np.zeros(1), None
+        return 0.0, np.zeros(1), np.ones((1, 1))
     band = scenario.bandwidth
     near, far = plate_delays(scenario)
     lag = np.maximum(times - near, far - times)  # largest |t - tau|
@@ -277,9 +277,7 @@ def exact_received_signal(scenario: Scenario, t=None) -> np.ndarray:
     k = scenario.wavenumber
     (y, y_w), (z, z_w) = _plate_rule(scenario, k + top)
     total = _plate_sums(scenario.range, [k + dk for dk in offsets.tolist()],
-                        z_ant, y * y, y_w, z, z_w)
-    if synthesis is not None:
-        total = total @ synthesis
+                        z_ant, y * y, y_w, z, z_w) @ synthesis
     # the z < 0 half by the mirror identity
     half = total.reshape(n, n, -1)
     total = ((half + half[::-1, ::-1]) / 2).reshape(n * n, -1)

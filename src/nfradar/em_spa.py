@@ -66,17 +66,14 @@ def pair_groups(scenario: Scenario):
     the column of pair p's. Both come from the integer indices, as the
     offsets of pair_offsets do, so they carry its bits: 13 delay groups and
     49 geometries for 169 pairs. A geometry's key |i + j - (N-1)| N + |i - j|
-    orders them, marked in a table of N^2 keys rather than sorted."""
+    orders them."""
     n = scenario.n_antennas
     idx = np.arange(n)
     half = scenario.spacing / 2.0
     diff = np.abs(idx[:, None] - idx).ravel()
     total = np.abs(idx[:, None] + idx - (n - 1)).ravel()
-    key = total * n + diff
-    present = np.zeros(n * n, dtype=bool)
-    present[key] = True
-    of_pair = (np.cumsum(present) - 1)[key]
-    geometry = np.stack(np.divmod(np.flatnonzero(present), n)) * half
+    key, of_pair = np.unique(total * n + diff, return_inverse=True)
+    geometry = np.stack(np.divmod(key, n)) * half
     return idx * half, diff, geometry, of_pair
 
 

@@ -24,9 +24,8 @@ that reason.
 
 from __future__ import annotations
 
-import dataclasses
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -97,9 +96,9 @@ class AmbiguityCurve:
 
 @dataclass(frozen=True)
 class CrbResult:
-    """Variance lower bound at one range, bound = noise / (2 |J''|); from
-    an array of ranges every field is an array of that length. Known
-    defect: half the textbook Cramer-Rao bound in variance (see crb)."""
+    """The variance lower bound noise / (2 |J''|) and the curvature |J''| at
+    one range, or arrays of both over an array of ranges. Known defect: half
+    the textbook Cramer-Rao bound in variance (see crb)."""
 
     range: float
     bound: float
@@ -135,16 +134,17 @@ def _gains(scenario: Scenario, groups, rh: np.ndarray, r_s: np.ndarray,
     return np.exp(-2j * scenario.wavenumber * r_s)
 
 
-def _scaled(x: np.ndarray, axis=None) -> np.ndarray:
-    """Complex x times 2^-e, exactly, e the np.frexp exponent of its largest
-    real or imaginary magnitude over axis (all of x for None). J has degree
-    2 in the traces and 0 in each hypothesis' gains, so this moves no bit
-    of a normalized curve but keeps J in range at any scene or noise scale."""
+def _scale(x: np.ndarray, axis=None) -> np.ndarray:
+    """Multiplies complex x in place by 2^-e, exactly, and returns e, the
+    np.frexp exponent of its largest real or imaginary magnitude over axis (all
+    of x for None): a scaled copy per gain block made crb 5-8% slower (2-core
+    Xeon VM). J has degree 2 in the traces and 0 in each hypothesis' gains, so
+    this keeps J in range and moves no bit of a normalized curve."""
     e = np.frexp(np.maximum(np.abs(x.real), np.abs(x.imag)).max(
         axis=axis, keepdims=True, initial=0.0))[1]
-    out = np.ldexp(x.real, -e).astype(complex)
-    out.imag = np.ldexp(x.imag, -e)
-    return out
+    np.ldexp(x.real, -e, out=x.real)
+    np.ldexp(x.imag, -e, out=x.imag)
+    return e
 
 
 def _reduce(ip: np.ndarray, energy: np.ndarray, coherence: str
@@ -250,11 +250,8 @@ def _objective_on_grid(received: SignalSet, scenario: Scenario,
     rep = order[starts]  # each class's first pair
     count = np.diff(starts, append=order.size)[:, None]
     y = np.add.reduceat(received.traces[order], starts)
-    # group u's classes are first[u]:first[u + 1]; the classes' traces as
-    # rows, per group its classes' real parts, then their imaginary parts
+    # group u's classes are first[u]:first[u + 1]
     first = np.searchsorted(group[rep], np.arange(abs_d.size + 1))
-    stacked = np.concatenate([np.concatenate([y[a:b].real, y[a:b].imag])
-                              for a, b in zip(first[:-1], first[1:])])
     # the nodes and times relative to the middle time t_ref: a node
     # written as t_ref + (mid - t_ref) + h x keeps the rounding of
     # mid - t_ref; formed as mid + h x it would carry the rounding of mid,
@@ -285,14 +282,11 @@ def _objective_on_grid(received: SignalSet, scenario: Scenario,
         env_sq = np.einsum("ujg,ujg->ug", gram[band] @ basis, basis)
         corr = np.empty((rep.size, rh.size), dtype=complex)
         for i, (u0, u1) in enumerate(zip(bands[:-1], bands[1:])):
-            base = first[u0]
-            coef_corr = coef[i] @ stacked[2 * base:2 * first[u1]].T
-            for u in range(u0, u1):
-                a, b = first[u], first[u + 1]
-                prod = basis[u].T @ coef_corr[:, 2 * (a - base):2 * (b - base)]
-                corr[a:b] = (prod[:, :b - a] + 1j * prod[:, b - a:]).T
-        gain = _scaled(_gains(scenario, groups, rh, r_s, kind)[rows[rep]],
-                       axis=0)
+            coef_corr = y[first[u0]:first[u1]] @ coef[i].T
+            for u, a, b in zip(range(u0, u1), first[u0:u1], first[u0 + 1:]):
+                corr[a:b] = coef_corr[a - first[u0]:b - first[u0]] @ basis[u]
+        gain = _gains(scenario, groups, rh, r_s, kind)[rows[rep]]
+        _scale(gain, axis=0)
         energy = count * np.abs(gain) ** 2 * env_sq[group[rep]]
         out[start:stop] = _reduce(np.conj(gain) * corr, energy, coherence)
     return out
@@ -300,10 +294,12 @@ def _objective_on_grid(received: SignalSet, scenario: Scenario,
 
 def _amplitude(received: SignalSet, scenario: Scenario, grid,
                kind: ModelKind, coherence: str) -> np.ndarray:
-    """sqrt(max(J, 0)) over the grid, J of the received traces scaled by a
-    power of two (_scaled): finite for finite traces of any scale."""
-    scaled = dataclasses.replace(received, traces=_scaled(received.traces))
-    raw = _objective_on_grid(scaled, scenario, grid, kind, coherence)
+    """sqrt(max(J, 0)) over the grid, J of the received traces scaled, in a
+    copy, by a power of two (_scale): finite for finite traces of any scale."""
+    traces = received.traces.astype(complex)
+    _scale(traces)
+    raw = _objective_on_grid(replace(received, traces=traces), scenario,
+                             grid, kind, coherence)
     return np.sqrt(np.maximum(raw, 0.0))
 
 
@@ -422,26 +418,26 @@ def crb_stencil(scenario: Scenario, R) -> tuple[np.ndarray, float]:
 
 def _stencil_objective(scenario: Scenario, stencil: np.ndarray, h: float,
                        coherence: str, snr_normalization: str
-                       ) -> tuple[np.ndarray, np.ndarray]:
-    """(J, signal_power) of crb: full-model J at every stencil point (shape
-    of stencil, rows R = stencil[:, 1], spaced by h) against the
-    noise-free synthesis at R, and its signal power per range. Pair p's
-    received trace is g_p(R) e(tau_u(R)), so its correlation with the
-    model at R_hat is conj(g_p(R_hat)) g_p(R) <e(tau_u(R_hat)),
-    e(tau_u(R))>: no trace is formed, and the pairs of one (|z_s|, |d|)
-    geometry are one class. The envelope enters in delay space
-    (_envelope_coefficients). Relative to the middle time 2R/c of the
-    synthesis time base, a stencil delay 2 (r_s(R_hat) - R)/c lies between
-    -2h/c and its value at the lowest range the validity floor allows.
-    That interval carries the Chebyshev nodes (13 on the reference scene),
-    or where wider than 1/B each band of a lattice on it, 1/B wide and
-    overlapping by the stencil's delay spread 4h/c <= 1/(20B), so that a
-    range's three points share a band (4 bands of 17 at 1 GHz bandwidth).
-    The nodes depend on the scene only, never on the ranges of a call. The
-    correlation is T(x_R_hat) G T(x_R)^T, the energy
-    T(x_R_hat) G T(x_R_hat)^T. Against long-double sinc sums
-    (tests/oracles.py) the curvature is within 4.7e-10 relative over 2-8 m
-    at 13 and 4 antennas and at 1 GHz bandwidth."""
+                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(J, signal_power, e) of crb: full-model J at every stencil point (shape
+    of stencil, rows R = stencil[:, 1], spaced by h) against the noise-free
+    synthesis at R, and its signal power per range, both of range i times
+    2^(-2e[i]) exactly: _scale scales the gains at each stencil point, those at
+    R by 2^(-e[i]), and J has degree 0 in the model gains. Pair p's received
+    trace is g_p(R) e(tau_u(R)), so its correlation with the model at R_hat is
+    conj(g_p(R_hat)) g_p(R) <e(tau_u(R_hat)), e(tau_u(R))>: no trace is formed,
+    and the pairs of one (|z_s|, |d|) geometry are one class. The envelope
+    enters in delay space (_envelope_coefficients). Relative to the middle time
+    2R/c of the synthesis time base, a stencil delay 2 (r_s(R_hat) - R)/c lies
+    between -2h/c and its value at the lowest range the validity floor allows.
+    That interval carries the Chebyshev nodes (13 on the reference scene), or
+    where wider than 1/B each band of a lattice on it, 1/B wide and overlapping
+    by the stencil's delay spread 4h/c <= 1/(20B), so that a range's three
+    points share a band (4 bands of 17 at 1 GHz bandwidth). The nodes depend on
+    the scene only, never on the ranges of a call. The correlation is
+    T(x_R_hat) G T(x_R)^T, the energy T(x_R_hat) G T(x_R_hat)^T. Against
+    long-double sinc sums (tests/oracles.py) the curvature is within 4.7e-10
+    relative over 2-8 m at 13 and 4 antennas and at 1 GHz bandwidth."""
     groups = pair_groups(scenario)
     abs_d, group, geometry, of_pair = groups
     count = np.bincount(of_pair)[:, None, None]
@@ -455,6 +451,7 @@ def _stencil_objective(scenario: Scenario, stencil: np.ndarray, h: float,
 
     j = np.empty(stencil.shape)
     signal_power = np.empty(stencil.shape[0])
+    exponent = np.empty(stencil.shape[0], dtype=int)
     chunk = max(min(_RANGE_CHUNK, _CHUNK_CELLS // (3 * count.size)), 1)
     for first in range(0, stencil.shape[0], chunk):
         rh = stencil[first:first + chunk]
@@ -476,6 +473,7 @@ def _stencil_objective(scenario: Scenario, stencil: np.ndarray, h: float,
         env_sq = np.einsum("kurj,kurj->urj", weighted, basis)[of_class]
         corr = np.einsum("kurj,kur->urj", weighted, basis[..., 1])[of_class]
         gain = _gains(scenario, groups, rh, r_s, ModelKind.FULL_INFORMATION)
+        exponent[first:first + chunk] = _scale(gain, axis=0)[0, :, 1]
         power = np.abs(gain) ** 2
         j[first:first + chunk] = _reduce(
             count * np.conj(gain) * gain[..., 1:2] * corr,
@@ -485,7 +483,7 @@ def _stencil_objective(scenario: Scenario, stencil: np.ndarray, h: float,
         signal_power[first:first + chunk] = (
             np.sum(count[..., 0] * centre, axis=0) / group.size
             if snr_normalization == "total" else centre.max(axis=0))
-    return j, signal_power
+    return j, signal_power, exponent
 
 
 def crb(scenario: Scenario, R, snr: float = 1.0,
@@ -500,11 +498,12 @@ def crb(scenario: Scenario, R, snr: float = 1.0,
     curvature, and the bound is noise_power / (2 |J''|) with noise_power
     set by the constant receive SNR convention: "total" references the
     mean sample power over all traces, "per_pair" the strongest pair's
-    mean sample power. Absolute levels therefore depend on that
-    convention; shapes across sweeps do not. A stencil that is not
-    concave by more than the objective's rounding (_CURVATURE_FLOOR) is
-    refused, and so is a bound that overflows (at an snr near the
-    smallest float, the noise power overflows first).
+    mean sample power. Absolute levels therefore depend on that convention;
+    shapes across sweeps do not. J and the signal power carry one power of
+    two per range (_stencil_objective), which the bound cancels and the
+    curvature takes back. Refused: a stencil not concave by more than J's
+    rounding (_CURVATURE_FLOOR), a curvature that is not a normal float
+    (7.85e12 g^2 at 4 m, gain factor g) and an overflowing bound.
 
     The received data is the noise-free synthesis at R, correlated in
     closed form without forming a trace. An array of ranges is all or
@@ -527,8 +526,8 @@ def crb(scenario: Scenario, R, snr: float = 1.0,
         raise ValueError("R must be a scalar or a 1-D array of ranges")
     ranges = np.atleast_1d(np.asarray(R, dtype=float))
     stencil, h = crb_stencil(scenario, ranges)
-    j, signal_power = _stencil_objective(scenario, stencil, h, coherence,
-                                         snr_normalization)
+    j, signal_power, e = _stencil_objective(scenario, stencil, h, coherence,
+                                            snr_normalization)
     j0, j1, j2 = j.T
     second = j0 - 2.0 * j1 + j2
     bad = ~((j1 > j0) & (j1 > j2) & (-second > _CURVATURE_FLOOR * j1))
@@ -537,15 +536,20 @@ def crb(scenario: Scenario, R, snr: float = 1.0,
             f"non-concave stencil at R = {float(ranges[bad.argmax()])!r}"
             " m: the objective's second difference there is not resolved "
             "above its rounding")
-    curvature = np.abs(second) / (h * h)
+    scaled = np.abs(second) / (h * h)
     with np.errstate(over="ignore"):
-        bound = signal_power / snr / (2.0 * curvature)
+        curvature = np.ldexp(scaled, 2 * e)
+        bound = signal_power / (2.0 * scaled) / snr
+    bad = ~np.isfinite(curvature) | (curvature < np.finfo(float).tiny)
+    if bad.any():
+        raise ValueError(
+            f"curvature at R = {float(ranges[bad.argmax()])!r} m is "
+            f"{float(curvature[bad.argmax()]):g}, not a normal float")
     bad = np.isinf(bound)
     if bad.any():
         raise ValueError(
             f"bound at R = {float(ranges[bad.argmax()])!r} m overflows at "
-            f"snr {snr:g}: the noise power (signal power / snr) or the "
-            "bound exceeds the largest float")
+            f"snr {snr:g}: it exceeds the largest float")
     if np.ndim(R) == 0:
         return CrbResult(range=float(ranges[0]), bound=float(bound[0]),
                          curvature=float(curvature[0]))

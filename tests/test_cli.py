@@ -340,6 +340,23 @@ class TestParseConfig:
                   "--set", "sweep.range=4.0", "--out", str(out)])
         assert not out.exists()
 
+    def test_extreme_gain_crb(self, tmp_path):
+        # each range's gains are scaled by a power of two, so a gain factor
+        # of 1e75 gives a finite row where J used to overflow; at 1e300
+        # the curvature itself exceeds the largest float and is refused
+        out = tmp_path / "out.csv"
+        main(["crb", "--set", "scenario.antenna_gain_factor=1e75",
+              "--set", "sweep.range=4.0", "--out", str(out)])
+        _, _, data = read_csv(out)
+        assert len(data) == 1
+        assert all(math.isfinite(float(cell)) for cell in data[0])
+        out.unlink()
+        with pytest.raises(ValueError, match=re.escape(
+                "curvature at R = 4.0 m is inf")):
+            main(["crb", "--set", "scenario.antenna_gain_factor=1e300",
+                  "--set", "sweep.range=4.0", "--out", str(out)])
+        assert not out.exists()
+
     def test_partial_crb_refused(self):
         # the partial template's curvature is no bound; ambiguity still
         # accepts the partial model

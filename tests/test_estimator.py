@@ -549,6 +549,48 @@ class TestCrb:
             crb(ref_sc, [4.0, 2.0], snr=1e-320)
         assert np.all(np.isfinite(crb(ref_sc, [4.0, 2.0], snr=1e-300).bound))
 
+    @pytest.mark.parametrize("power", [300, -300])
+    def test_power_of_two_gain_moves_no_bit(self, power):
+        # each range's gains are scaled by a power of two: at a gain factor
+        # of 2^+-300 the bound keeps every bit of the unit-factor one, and
+        # the curvature is exactly 2^+-600 times it
+        unit = crb(reference_scenario(), [2.0, 4.0])
+        scaled = crb(reference_scenario(antenna_gain_factor=2.0 ** power),
+                     [2.0, 4.0])
+        assert np.array_equal(scaled.bound, unit.bound)
+        assert np.array_equal(scaled.curvature,
+                              np.ldexp(unit.curvature, 2 * power))
+
+    @pytest.mark.parametrize("factor", [1e75, 1e-100])
+    def test_extreme_gain_finite(self, ref_sc, factor):
+        # J of the unscaled gains would over- or underflow here; the bound
+        # does not depend on the gain factor, the curvature goes as its
+        # square (7.85e12 g^2 at 4 m)
+        got = crb(reference_scenario(antenna_gain_factor=factor), 4.0)
+        want = crb(ref_sc, 4.0)
+        assert got.bound == pytest.approx(want.bound, rel=1e-9)
+        assert got.curvature == pytest.approx(want.curvature * factor ** 2,
+                                              rel=1e-9)
+
+    @pytest.mark.parametrize("factor, value", [
+        (1e148, "inf"), (1e300, "inf"), (1e-165, r"7\.8\d*e-318"),
+        (1e-300, "0")])
+    def test_curvature_beyond_floats_refused(self, factor, value):
+        # the curvature 7.85e12 g^2 overflows above g of about 4.8e147, is
+        # subnormal (a few digits at most) below about 5.3e-161 and 0
+        # below about 8e-169: refused, naming the range
+        with pytest.raises(ValueError, match=(
+                rf"curvature at R = 4\.0 m is {value}, not a normal float")):
+            crb(reference_scenario(antenna_gain_factor=factor), 4.0)
+
+    def test_bound_divides_by_curvature_first(self, ref_sc):
+        # at snr 1e-315 the noise power would overflow, but the bound,
+        # 5.3e-9 / 1e-315, is a finite float
+        bound = crb(ref_sc, 2.0, snr=1e-315).bound
+        assert np.isfinite(bound)
+        assert bound == pytest.approx(crb(ref_sc, 2.0).bound / 1e-315,
+                                      rel=1e-12)
+
     def test_wide_lattice_refused(self):
         # 128 antennas at 1 km spacing offset pairs by up to 63.5 km: the
         # delay lattice would be 42,418 bands of 17 nodes, 738 MB of
@@ -594,23 +636,27 @@ class TestCrb:
     @pytest.mark.parametrize("overrides", [
         {"n_antennas": 1}, {"n_antennas": 4}, {}, {"plate_height": 0.5}])
     def test_stencil_objective_matches_loop(self, overrides):
-        # crb correlates the synthesis in closed form; every stencil J
-        # must equal the per-pair loop on the synthesized traces, and the
-        # signal powers the traces' sample powers
+        # crb correlates the synthesis in closed form; every stencil J,
+        # unscaled by its exact power of two, must equal the per-pair loop
+        # on the synthesized traces, and the signal powers the traces'
+        # sample powers
         sc = reference_scenario(**overrides)
         ranges = np.array([3.3, 4.0])
         stencil, h = estimator.crb_stencil(sc, ranges)
         received = [synthesize(sc, true_range=R) for R in ranges]
         for coherence in ("coherent", "incoherent"):
-            j, total = estimator._stencil_objective(sc, stencil, h,
-                                                    coherence, "total")
+            j, total, e = estimator._stencil_objective(sc, stencil, h,
+                                                       coherence, "total")
+            j = np.ldexp(j, 2 * e[:, None])
+            total = np.ldexp(total, 2 * e)
             for i, rx in enumerate(received):
                 for k in range(3):
                     slow = objective_loop(rx, sc, float(stencil[i, k]), True,
                                           coherence == "coherent")
                     assert j[i, k] == pytest.approx(slow, rel=1e-12)
-        _, per_pair = estimator._stencil_objective(sc, stencil, h,
-                                                   "coherent", "per_pair")
+        _, per_pair, e = estimator._stencil_objective(sc, stencil, h,
+                                                      "coherent", "per_pair")
+        per_pair = np.ldexp(per_pair, 2 * e)
         for i, rx in enumerate(received):
             power = np.abs(rx.traces) ** 2
             assert total[i] == pytest.approx(power.mean(), rel=1e-12)
