@@ -102,7 +102,7 @@ import numpy as np
 from .scenario import SPEED_OF_LIGHT, Scenario, antenna_positions
 # not called here: perfbench/tracing.py wraps em_exact.waveform_value by name
 from .signal import parse_times, plate_delays, waveform_value  # noqa: F401
-from .special_fn import NODE_TOL, gauss_legendre, phase_node_count
+from .special_fn import NODE_TOL, cis, gauss_legendre, phase_node_count
 
 # Bound on the values of the per-node arrays in one block of z nodes
 # (nodes x antennas x y nodes); a block holds at least one node. The
@@ -139,7 +139,7 @@ def _antenna_factors(k: float, geometry):
     R rho^2 / r) of _antenna_geometry: A = e^{-jk(r - R)}/r^2,
     B = R rho^2 e^{-jk(r - R)}/r^3."""
     excess, r_sq, scale = geometry
-    a = np.exp(-1j * k * excess) / r_sq
+    a = cis(-k * excess) / r_sq
     return a, a * scale
 
 
@@ -228,7 +228,7 @@ def _plate_sums(R: float, wavenumbers, z_ant: np.ndarray, y_sq, y_w, z,
             b *= y_w
             b *= z_w[block, None]
             sums += a.reshape(n, -1) @ b.reshape(n, -1).T
-    total *= np.exp(-2j * R * np.array(wavenumbers))[:, None, None]
+    total *= cis(-2.0 * R * np.array(wavenumbers))[:, None, None]
     return total.reshape(-1, n * n).T
 
 
@@ -248,8 +248,8 @@ def _frequency_rule(scenario: Scenario, times: np.ndarray | None):
     points = phase_node_count(2.0 * np.pi * band * np.max(lag, initial=0.0))
     x, w = gauss_legendre((points + 1) // 2 + 1)
     top = np.pi * band / SPEED_OF_LIGHT
-    return top, top * x, w[:, None] / 2.0 * np.exp(
-        1j * np.pi * band * np.multiply.outer(x, times))
+    return top, top * x, w[:, None] / 2.0 * cis(
+        np.pi * band * np.multiply.outer(x, times))
 
 
 def exact_received_signal(scenario: Scenario, t=None) -> np.ndarray:

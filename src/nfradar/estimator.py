@@ -33,7 +33,7 @@ from .scenario import SPEED_OF_LIGHT, Scenario
 from .signal import SignalSet, sample_times, synthesize, waveform_value
 from .em_spa import gain_and_delay_arrays, pair_groups
 from .special_fn import (chebyshev_basis, chebyshev_node_count,
-                         chebyshev_nodes)
+                         chebyshev_nodes, cis)
 
 _COHERENCE = ("coherent", "incoherent")
 
@@ -131,7 +131,7 @@ def _gains(scenario: Scenario, groups, rh: np.ndarray, r_s: np.ndarray,
     r_s at rh."""
     if kind is ModelKind.FULL_INFORMATION:
         return gain_and_delay_arrays(scenario, *groups[2], rh)[0]
-    return np.exp(-2j * scenario.wavenumber * r_s)
+    return cis(-2.0 * scenario.wavenumber * r_s)
 
 
 def _scale(x: np.ndarray, axis=None) -> np.ndarray:

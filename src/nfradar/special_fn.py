@@ -1,6 +1,7 @@
-"""Complex Fresnel integral under the pi/2 kernel, the Chebyshev
-interpolation toolkit of the delay-space objectives and of the exact
-backend's node counts, and the exact backend's Gauss-Legendre rules.
+"""The package's one unit phasor cis, the complex Fresnel integral under
+the pi/2 kernel, the Chebyshev interpolation toolkit of the delay-space
+objectives and of the exact backend's node counts, and the exact
+backend's Gauss-Legendre rules.
 
 F(x) = integral of exp(j*pi*t^2/2) dt from 0 to x, i.e. F = C + jS with the
 classic cosine and sine Fresnel integrals. This normalization is the one
@@ -95,6 +96,35 @@ _ABOVE_FAR = np.array((
 _HUGE = 2.0 ** 60
 
 
+def cis(theta):
+    """e^{j theta} for real theta of any shape, complex; a scalar or 0-d
+    theta gives a numpy complex scalar, as a ufunc would.
+
+    With t = tan(theta/2), e^{j theta} = (2/(1 + t^2) - 1) + j t 2/(1 + t^2).
+    numpy's float64 tan is SIMD-dispatched (AVX2/AVX-512), where its sin,
+    cos and complex exp run on scalar libm: on one core of a 2-core
+    AVX-512 Xeon VM with numpy 2.4.6 this takes 7-8 ns per element, sin
+    and cos together 25-36 ns and np.exp(1j theta) 32-40 ns. Without that
+    dispatch (NPY_DISABLE_CPU_FEATURES) the kernel is about even with
+    them: 24 ns against 31 ns. It is within 3.6e-16 of e^{j theta} on
+    |theta| <= 3e4 (np.exp(1j theta): 1.1e-16), far below the rounding
+    of a phase of many radians; theta = 0 gives exactly 1 + 0j, and
+    cis(-theta) is conj(cis(theta)) bit for bit, tan being odd. |tan| of
+    a double stays below about 1e19 (no double lies within 4e-19 of an
+    odd multiple of pi/2), so t^2 cannot overflow."""
+    theta = np.asarray(theta, dtype=float)
+    t = np.multiply(theta, 0.5, out=np.empty(theta.shape))
+    np.tan(t, out=t)
+    out = np.empty(theta.shape, dtype=complex)
+    scale = out.real  # 2/(1 + t^2), then the real part in place
+    np.multiply(t, t, out=scale)
+    scale += 1.0
+    np.divide(2.0, scale, out=scale)
+    np.multiply(t, scale, out=out.imag)
+    scale -= 1.0
+    return out[()]
+
+
 def _horner(table: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Row-wise complex polynomials at real v held as complex: table
     (degree + 1, rows, 1), highest degree first; v (n,) or (rows, n); the
@@ -114,11 +144,7 @@ def _from_auxiliary(x: np.ndarray, scaled: np.ndarray) -> np.ndarray:
     h = (1.0 / np.pi) / x
     np.multiply(scaled.real, h * h / x, out=scaled.real)
     np.multiply(scaled.imag, h, out=scaled.imag)
-    phase = np.empty(x.shape, dtype=complex)
-    theta = (np.pi / 2.0) * (x * x)
-    np.cos(theta, out=phase.real)
-    np.sin(theta, out=phase.imag)
-    scaled *= phase
+    scaled *= cis((np.pi / 2.0) * (x * x))
     return np.subtract(0.5 + 0.5j, scaled, out=scaled)
 
 

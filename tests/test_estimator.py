@@ -17,12 +17,13 @@ from nfradar import (
     half_power_width,
     synthesize,
     reference_scenario,
+    spa_received_signal,
 )
 from nfradar import em_spa, estimator
 from nfradar.em_spa import gain_and_delay_arrays, pair_offsets
 from nfradar.estimator import _GRID_CHUNK, _RANGE_CHUNK, _objective_on_grid
 from nfradar.signal import waveform_value
-from nfradar.special_fn import chebyshev_node_count, fresnel_conj
+from nfradar.special_fn import chebyshev_node_count, cis, fresnel_conj
 
 from oracles import objective_loop, stencil_curvature
 
@@ -583,6 +584,24 @@ class TestCrb:
                 rf"curvature at R = 4\.0 m is {value}, not a normal float")):
             crb(reference_scenario(antenna_gain_factor=factor), 4.0)
 
+    def test_tiny_plate_width_accurate(self, ref_sc):
+        # the y argument Dy / sqrt(lambda r_s) is formed without Dy^2,
+        # which is subnormal below Dy = 1e-154: for a plate this narrow
+        # the gains go as Dy, so the bound does not depend on it and the
+        # curvature goes as its square (9.8e-308 at 1e-161)
+        wide = crb(reference_scenario(plate_width=1e-100), 4.0)
+        got = crb(reference_scenario(plate_width=1e-161), 4.0)
+        assert got.bound == pytest.approx(wide.bound, rel=1e-9)
+        assert got.curvature == pytest.approx(wide.curvature * 1e-122,
+                                              rel=1e-9)
+
+    def test_tiny_plate_width_refused(self):
+        # every gain is finite and nonzero, so the stencil is concave; the
+        # curvature underflows to 0 and is refused as such
+        with pytest.raises(ValueError, match=(
+                r"curvature at R = 4\.0 m is 0, not a normal float")):
+            crb(reference_scenario(plate_width=1e-300), 4.0)
+
     def test_bound_divides_by_curvature_first(self, ref_sc):
         # at snr 1e-315 the noise power would overflow, but the bound,
         # 5.3e-9 / 1e-315, is a finite float
@@ -750,3 +769,21 @@ class TestCrb:
         crb(ref_sc, 4.0)
         crb(reference_scenario(bandwidth=1e9), [2.0, 8.0])
         assert envelope_shapes == [(13, 128), (4 * 17, 128)]
+
+    def test_carrier_once_per_delay_group(self, ref_sc, monkeypatch):
+        # the carrier, 1/r_s, the y factor, the z scale and the delay are
+        # evaluated once per distinct |d|, 13 rows on the reference scene,
+        # not per (|z_s|, |d|) geometry (49) or pair (169): one carrier
+        # call per crb range chunk, one per closed-form synthesis
+        shapes = []
+
+        def cis_recording(theta):
+            shapes.append(np.shape(theta))
+            return cis(theta)
+
+        monkeypatch.setattr(em_spa, "cis", cis_recording)
+        crb(ref_sc, 3.5 + 0.01 * np.arange(_RANGE_CHUNK + 4))
+        assert shapes == [(13, _RANGE_CHUNK, 3), (13, 4, 3)]
+        shapes.clear()
+        spa_received_signal(ref_sc)
+        assert shapes == [(13,)]

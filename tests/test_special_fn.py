@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from nfradar import fresnel, fresnel_conj
 from nfradar.special_fn import (NODE_TOL, chebyshev_basis,
-                                chebyshev_node_count, chebyshev_nodes,
+                                chebyshev_node_count, chebyshev_nodes, cis,
                                 gauss_legendre, phase_node_count)
 
 from oracles import fresnel_reference
@@ -112,6 +112,64 @@ def test_huge_arguments_finite():
     x = np.array([1e20, 1e200, np.finfo(float).max])
     assert np.array_equal(fresnel(x), np.full(3, 0.5 + 0.5j))
     assert np.array_equal(fresnel(-x), np.full(3, -0.5 - 0.5j))
+
+
+def mp_cis_error(theta):
+    """Largest |cis(theta) - e^{j theta}| against mpmath at 50 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    got = cis(theta)
+    with mpmath.workdps(50):
+        return max(float(abs(mpmath.mpc(g) - mpmath.expj(mpmath.mpf(t))))
+                   for t, g in zip(theta.tolist(), got.tolist()))
+
+
+@pytest.mark.filterwarnings("error")
+def test_cis_against_mpmath(rng):
+    # phases up to 3e4 rad: the closed form's carrier phase 2 k r_s
+    # reaches 2.6e4 at 8 m and 77 GHz. np.exp(1j theta) is within 1.1e-16
+    # here, cis within 3.6e-16
+    assert mp_cis_error(rng.uniform(-3e4, 3e4, 2000)) <= 5e-16
+
+
+@pytest.mark.filterwarnings("error")
+def test_cis_near_quarter_turns():
+    # around k pi/2 one part of the phasor is near 0 and tan(theta/2) near
+    # 0, 1 or a pole
+    k = np.arange(-16, 17) * (np.pi / 2.0)
+    near = np.array([-1e-9, -1e-15, 0.0, 1e-15, 1e-9])
+    assert mp_cis_error((k[:, None] + near).ravel()) <= 5e-16
+
+
+@pytest.mark.filterwarnings("error")
+def test_cis_zero_exact():
+    one = cis(0.0)
+    assert one == 1.0 and one.real == 1.0 and one.imag == 0.0
+    assert not np.signbit(one.imag)
+
+
+@pytest.mark.filterwarnings("error")
+def test_cis_conjugate_symmetry_bitwise(rng):
+    theta = np.concatenate([rng.uniform(-3e4, 3e4, 50_000),
+                            rng.uniform(-4.0, 4.0, 50_000)])
+    assert np.array_equal(cis(-theta).view(np.uint64),
+                          np.conj(cis(theta)).view(np.uint64))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("theta", [0.75, np.array(0.75),
+                                   np.linspace(-7.0, 7.0, 6).reshape(2, 3)],
+                         ids=["float", "0-d", "2x3"])
+def test_cis_shape(theta):
+    # the shape of theta, as a ufunc gives: a complex scalar for a float
+    # or a 0-d array
+    got = cis(theta)
+    assert np.shape(got) == np.shape(theta)
+    assert np.asarray(got).dtype == np.complex128
+    if np.ndim(theta) == 0:
+        assert isinstance(got, complex)
+    flat = np.ravel(theta)
+    assert np.array_equal(np.ravel(got), cis(flat))
+    assert np.max(np.abs(np.ravel(got) - np.exp(1j * flat))) <= 5e-16
 
 
 def test_runtime_imports_no_scipy(tmp_path):
