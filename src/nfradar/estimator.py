@@ -181,10 +181,10 @@ def _envelope_coefficients(scenario: Scenario, t: np.ndarray,
     each band [mid - h, mid + h] of delays, from one waveform_value call
     at K first-kind Chebyshev points per band (chebyshev_nodes), K from
     chebyshev_node_count at the widest band. The envelope is an entire
-    function of tau, and e(mid + h x) = T(x) coef, shape (bands, K, n),
-    with the basis row T(x) of chebyshev_basis; gram = coef coef^T, shape
-    (bands, K, K), gives the correlation of two envelopes of one band as
-    T(x) gram T(x')^T."""
+    function of tau, and e(mid + h x) = sum_j T_j(x) coef[:, j], coef of
+    shape (bands, K, n), with T_j(x) of chebyshev_basis on its first axis;
+    gram = coef coef^T, shape (bands, K, K), gives the correlation of two
+    envelopes of one band as sum_ij T_i(x) gram_ij T_j(x')."""
     x, to_coef = chebyshev_nodes(
         chebyshev_node_count(np.pi * scenario.bandwidth * h.max()))
     nodes = mid[:, None] + h[:, None] * x
@@ -228,9 +228,9 @@ def _objective_on_grid(received: SignalSet, scenario: Scenario,
     band of delay groups in a grid chunk (see _CHUNK_SPAN; one band per
     chunk unless the groups' own delay spread is comparable to 1/B) takes
     Chebyshev coefficients C on its delay interval, a chunk's bands in one
-    envelope call, and each hypothesis' basis row T gives corr = T C y and
-    ||e||^2 = T G T^T: 12 nodes on a 512-point lambda/8 chunk of the
-    reference scene, 17 at a span of 1/B.
+    envelope call, and each hypothesis' basis values T = (T_j(x)) give
+    corr = T C y and ||e||^2 = T G T^T: 12 nodes on a 512-point lambda/8
+    chunk of the reference scene, 17 at a span of 1/B.
     """
     if coherence not in _COHERENCE:
         raise ValueError(f"unknown coherence {coherence!r}")
@@ -274,17 +274,20 @@ def _objective_on_grid(received: SignalSet, scenario: Scenario,
         hi = tau[np.subtract(bands[1:], 1), -1]
         mid, h = (hi + lo) / 2.0, (hi - lo) / 2.0
         coef, gram = _envelope_coefficients(scenario, t_rel, mid - t_ref, h)
-        # basis T_j(x) at every (group, hypothesis), shape (groups, K, g)
+        # basis T_j(x) at every (group, hypothesis), shape (K, groups, g);
+        # by_group is its (groups, K, g) view
         band = np.repeat(np.arange(mid.size), np.diff(bands))
         x = np.divide(tau - mid[band, None], h[band, None],
                       out=np.zeros_like(tau), where=h[band, None] > 0)
         basis = chebyshev_basis(x, coef.shape[1])
-        env_sq = np.einsum("ujg,ujg->ug", gram[band] @ basis, basis)
+        by_group = basis.transpose(1, 0, 2)
+        env_sq = np.einsum("ujg,ujg->ug", gram[band] @ by_group, by_group)
         corr = np.empty((rep.size, rh.size), dtype=complex)
         for i, (u0, u1) in enumerate(zip(bands[:-1], bands[1:])):
             coef_corr = y[first[u0]:first[u1]] @ coef[i].T
             for u, a, b in zip(range(u0, u1), first[u0:u1], first[u0 + 1:]):
-                corr[a:b] = coef_corr[a - first[u0]:b - first[u0]] @ basis[u]
+                corr[a:b] = (coef_corr[a - first[u0]:b - first[u0]]
+                             @ basis[:, u])
         gain = _gains(scenario, groups, rh, r_s, kind)[rows[rep]]
         _scale(gain, axis=0)
         energy = count * np.abs(gain) ** 2 * env_sq[group[rep]]

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -135,15 +136,94 @@ def synthesize(scenario: Scenario, true_range: float | None = None,
                      traces=np.ascontiguousarray(traces, dtype=complex))
 
 
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx): the
+# initial constant and multiplier of the pool's and of the output's hash,
+# and the two multipliers of its mix
+_HASH_A = (0x43B0D7E5, 0x931E8875)
+_HASH_B = (0x8B51F9DD, 0x58F38DED)
+_MIX = (0xCA01F9DD, 0x4973F715)
+_POOL_WORDS = 4
+_MASK32 = 0xFFFFFFFF
+# PCG64's 128-bit LCG multiplier, and the mask of its modulus 2^128
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+def _hasher(const: int, mult: int):
+    """SeedSequence's hash of uint32 arrays: each call xors with the
+    running constant, multiplies by its next value (const * mult), and
+    xorshifts by 16 bits."""
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = const * mult & _MASK32
+        value = value * const
+        return value ^ (value >> 16)
+    return hashmix
+
+
+def _mix(x, y):
+    """SeedSequence's mix of two uint32 arrays."""
+    value = x * _MIX[0] - y * _MIX[1]
+    return value ^ (value >> 16)
+
+
+def _pcg64_children(seed: int, count: int) -> list[tuple[int, int]]:
+    """The PCG64 (state, inc) of each of SeedSequence(seed).spawn(count),
+    the same as np.random.PCG64(child).state, with all children hashed at
+    once in uint32 arrays.
+
+    A child's entropy is the seed's 32-bit words, low first, padded with
+    zeros to the pool's 4 words, then its spawn key i (one word, as
+    count < 2^32). PCG64 takes generate_state(4, uint64) of its pool:
+    initstate from words 0-1 and initseq from words 2-3, high word first,
+    and seeds as inc = 2 initseq + 1, state = (inc + initstate) M + inc
+    mod 2^128."""
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be a nonnegative integer, got {seed}")
+    words = [seed & _MASK32]
+    while seed := seed >> 32:
+        words.append(seed & _MASK32)
+    words += [0] * (_POOL_WORDS - len(words))
+    entropy = np.empty((len(words) + 1, count), dtype=np.uint32)
+    entropy[:-1] = np.array(words, dtype=np.uint32)[:, None]
+    entropy[-1] = np.arange(count)
+
+    hashmix = _hasher(*_HASH_A)
+    pool = [hashmix(word) for word in entropy[:_POOL_WORDS]]
+    for src in range(_POOL_WORDS):
+        for dst in range(_POOL_WORDS):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_WORDS:]:
+        for dst in range(_POOL_WORDS):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    hash_out = _hasher(*_HASH_B)
+    out = np.array([hash_out(pool[i % _POOL_WORDS])
+                    for i in range(2 * _POOL_WORDS)])
+    # little-endian pairs of uint32 words are the uint64 words
+    out = out[0::2].astype(np.uint64) | out[1::2].astype(np.uint64) << 32
+    children = []
+    for s_hi, s_lo, q_hi, q_lo in out.T.tolist():
+        inc = ((q_hi << 64 | q_lo) << 1 | 1) & _MASK128
+        state = ((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc
+        children.append((state & _MASK128, inc))
+    return children
+
+
 def add_awgn(signals: SignalSet, noise_power: float, seed: int) -> SignalSet:
     """Adds circular complex Gaussian noise, variance noise_power per
     complex sample (noise_power/2 per quadrature component).
 
-    Per-trace child seeds are spawned from the root seed, so a run that
-    processes traces in parallel and a serial run produce bitwise-identical
-    noise. Trace i's child stream gives 2n standard normals in one draw:
-    the first n scaled are its real noise, the last n its imaginary noise,
-    the same bits as two draws of n.
+    Trace i's noise is the PCG64 stream of the i-th child of
+    np.random.SeedSequence(seed).spawn(pairs), so a run that processes
+    traces in parallel and a serial run produce bitwise-identical noise.
+    All children's seeds are hashed at once (_pcg64_children), and one
+    PCG64 generator is set to each child's state in turn. Trace i's
+    stream gives 2n standard normals in one draw: the first n scaled are
+    its real noise, the last n its imaginary noise, the same bits as two
+    draws of n. seed must be a nonnegative integer.
     """
     if noise_power < 0:
         raise ValueError("noise_power must be nonnegative")
@@ -151,8 +231,13 @@ def add_awgn(signals: SignalSet, noise_power: float, seed: int) -> SignalSet:
         return dataclasses.replace(signals, traces=signals.traces.copy())
     pairs, n = signals.traces.shape
     draws = np.empty((pairs, 2 * n))
-    for row, child in zip(draws, np.random.SeedSequence(seed).spawn(pairs)):
-        np.random.Generator(np.random.PCG64(child)).standard_normal(out=row)
+    bit_generator = np.random.PCG64(0)
+    normal = np.random.Generator(bit_generator).standard_normal
+    for row, (state, inc) in zip(draws, _pcg64_children(seed, pairs)):
+        bit_generator.state = {"bit_generator": "PCG64",
+                               "state": {"state": state, "inc": inc},
+                               "has_uint32": 0, "uinteger": 0}
+        normal(out=row)
     draws *= np.sqrt(noise_power / 2.0)
     noisy = signals.traces.copy()
     noisy.real += draws[:, :n]

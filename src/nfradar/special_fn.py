@@ -16,8 +16,9 @@ against mpmath and writes them below.
 Chebyshev interpolation (Trefethen, Approximation Theory and Approximation
 Practice, 2013, ch. 7-8): a smooth f on [-1, 1] is taken at the K
 first-kind points x_i = cos(pi (i + 1/2) / K) (chebyshev_nodes), its
-coefficients are C = to_coef f(x), and f(x) = T(x) C with the basis rows
-T_j(x), j < K (chebyshev_basis); chebyshev_node_count sets K from a
+coefficients are C = to_coef f(x), and f(x) = sum_j T_j(x) C_j with the
+basis T_j(x), j < K, on a first axis (chebyshev_basis), so that T_j at
+every point is one contiguous array; chebyshev_node_count sets K from a
 bound on the K-th derivative, phase_node_count from a Bernstein ellipse.
 
 Gauss-Legendre rules (gauss_legendre) come from Newton's method on the
@@ -263,17 +264,20 @@ def chebyshev_nodes(k: int) -> tuple[np.ndarray, np.ndarray]:
     return np.cos(theta), to_coef
 
 
-def chebyshev_basis(x: np.ndarray, k: int) -> np.ndarray:
-    """T_j(x) for j < k by the three-term recurrence, on a new axis
-    before the last: x of shape (..., m) gives (..., k, m)."""
-    basis = np.empty(x.shape[:-1] + (k, x.shape[-1]))
-    basis[..., 0, :] = 1.0
+def chebyshev_basis(x, k: int) -> np.ndarray:
+    """T_j(x) for j < k by the three-term recurrence, on a new first axis:
+    x of any shape gives (k,) + x.shape, each T_j contiguous."""
+    x = np.asarray(x, dtype=float)
+    basis = np.empty((k,) + x.shape)
+    rows = basis.reshape(k, x.size)  # a view: basis is contiguous
+    rows[0] = 1.0
+    x = x.ravel()
     if k > 1:
-        basis[..., 1, :] = x
+        rows[1] = x
     x = 2.0 * x
     for j in range(2, k):
-        np.multiply(x, basis[..., j - 1, :], out=basis[..., j, :])
-        basis[..., j, :] -= basis[..., j - 2, :]
+        np.multiply(x, rows[j - 1], out=rows[j])
+        rows[j] -= rows[j - 2]
     return basis
 
 

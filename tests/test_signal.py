@@ -16,6 +16,7 @@ from nfradar import (
     waveform_value,
 )
 from nfradar.em_spa import gain_and_delay_arrays, pair_offsets
+from nfradar.signal import _pcg64_children
 
 from oracles import awgn_loop, exact_pair, pair_gain
 
@@ -363,9 +364,34 @@ class TestAwgn:
     @pytest.mark.parametrize("pairs", [169, 1])
     def test_matches_two_draws_per_trace(self, pairs, rng):
         # the stream perfbench/reference.py regenerates: per trace, a
-        # PCG64 child of SeedSequence(seed), n real then n imaginary draws
+        # PCG64 child of SeedSequence(seed), n real then n imaginary
+        # draws; seeds of one, three and five 32-bit words
         traces = (rng.standard_normal((pairs, 128))
                   + 1j * rng.standard_normal((pairs, 128)))
         s = SignalSet(1.0, 0.0, traces)
-        got = add_awgn(s, 1e6, seed=11).traces
-        assert np.array_equal(got, awgn_loop(traces, 1e6, seed=11))
+        for seed in (11, 2 ** 64 + 5, 10 ** 40):
+            got = add_awgn(s, 1e6, seed=seed).traces
+            assert np.array_equal(got, awgn_loop(traces, 1e6, seed=seed))
+
+    # one to five 32-bit words; 10^40 has five, more than the pool's
+    # four, so its last word takes the remaining-entropy mix
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("seed", [0, 1, 3, 2 ** 32 - 1, 2 ** 32,
+                                      2 ** 64 + 5, 2 ** 128 - 1, 2 ** 128,
+                                      10 ** 40])
+    @pytest.mark.parametrize("count", [1, 169, 300])
+    def test_child_states_match_numpy(self, seed, count):
+        # the hashed (state, inc) of every child is numpy's own
+        children = np.random.SeedSequence(seed).spawn(count)
+        want = [np.random.PCG64(child).state["state"] for child in children]
+        assert _pcg64_children(seed, count) == [
+            (w["state"], w["inc"]) for w in want]
+
+    @pytest.mark.parametrize("seed, error", [(-1, ValueError),
+                                             (1.5, TypeError)])
+    def test_seed_must_be_nonnegative_integer(self, ref_sc, seed, error):
+        # as SeedSequence refuses them
+        with pytest.raises(error):
+            np.random.SeedSequence(seed)
+        with pytest.raises(error):
+            add_awgn(self._small_set(ref_sc), 1.0, seed=seed)

@@ -247,6 +247,34 @@ def test_phase_node_count(s):
     assert phase_node_count(0.0) == 1
 
 
+
+@pytest.mark.parametrize("shape", [(), (7,), (3, 5)])
+def test_chebyshev_basis_shape(shape):
+    # T_j on a new first axis for any x, each T_j one contiguous array
+    x = np.random.default_rng(2).uniform(-1.0, 1.0, shape)
+    basis = chebyshev_basis(x, 6)
+    assert basis.shape == (6,) + shape
+    assert basis.flags.c_contiguous
+    assert np.all(basis[0] == 1.0) and np.array_equal(basis[1], x)
+
+
+def test_chebyshev_basis_rows_of_2d_x():
+    # the objective's (groups, hypotheses) x: each group's slice carries
+    # the bits of a 1-D call on that group's row
+    x = np.random.default_rng(3).uniform(-1.0, 1.0, (13, 512))
+    basis = chebyshev_basis(x, 12)
+    for u in range(x.shape[0]):
+        assert chebyshev_basis(x[u], 12).tobytes() == basis[:, u].tobytes()
+
+
+@pytest.mark.parametrize("k", [1, 2, 12, 17])
+def test_chebyshev_basis_is_cos_j_arccos(k):
+    x = np.concatenate((np.linspace(-1.0, 1.0, 2001),
+                        np.random.default_rng(4).uniform(-1.0, 1.0, 2000)))
+    j = np.arange(k)[:, None]
+    err = np.abs(chebyshev_basis(x, k) - np.cos(j * np.arccos(x)))
+    assert err.max() <= 1e-14
+
 def mp_legendre_rule(n, nodes):
     """The roots of P_n nearest the float nodes, each refined by two
     Newton steps on the three-term recurrence at 40 digits, and their
