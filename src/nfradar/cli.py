@@ -344,13 +344,15 @@ def run_validate_spa(cfg: ExperimentConfig):
 
     Compares the carrier-wave amplitudes (no time axis) at the configured
     carrier lowered to the validation carrier (_validation_scene), at unit
-    antenna gain factor g: both backends are linear in g, so the error
-    cells do not depend on it and 20 log10 g shifts the dB cells. Where
-    the specular point is off the plate the closed form is exactly 0, and
-    the spa_db, amp_err_db and phase_err_deg cells stay empty.
+    free-space impedance eta and antenna gain factor g: both backends are
+    linear in eta g, so the error cells do not depend on either, and
+    20 log10 eta, then 20 log10 g, shift the dB cells. Where the specular
+    point is off the plate the closed form is exactly 0, and the spa_db,
+    amp_err_db and phase_err_deg cells stay empty.
     """
     scenario = _validation_scene(cfg)
-    unit = dataclasses.replace(scenario, antenna_gain_factor=1.0)
+    unit = dataclasses.replace(scenario, antenna_gain_factor=1.0,
+                               free_space_impedance=1.0)
     columns = ["tx", "rx", "exact_db", "spa_db", "amp_err_db",
                "phase_err_deg"]
     exact = exact_received_signal(unit)
@@ -360,8 +362,9 @@ def run_validate_spa(cfg: ExperimentConfig):
     exact_db = 20.0 * np.log10(np.hypot(exact.real, exact.imag))
     with np.errstate(divide="ignore"):
         spa_db = 20.0 * np.log10(np.hypot(spa.real, spa.imag))
-    shift = 20.0 * math.log10(scenario.antenna_gain_factor)
-    cells = zip((exact_db + shift).tolist(), (spa_db + shift).tolist(),
+    eta = 20.0 * math.log10(scenario.free_space_impedance)
+    g = 20.0 * math.log10(scenario.antenna_gain_factor)
+    cells = zip((exact_db + eta + g).tolist(), (spa_db + eta + g).tolist(),
                 (spa_db - exact_db).tolist(),
                 np.angle(spa / exact, deg=True).tolist())
     rows = []

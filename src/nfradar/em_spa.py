@@ -17,7 +17,8 @@ The two z arguments are the distances from the specular point to the plate
 edges in Fresnel units; both are nonnegative whenever the specular point is
 on the plate. gain_and_delay_arrays is the one implementation of this
 model: the estimator and spa_received_signal (which synthesis calls) both
-evaluate it, over pairs and hypothesized ranges.
+evaluate it, over the pair geometries of pair_groups and hypothesized
+ranges.
 """
 
 from __future__ import annotations
@@ -58,49 +59,48 @@ def pair_offsets(scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
 
 def pair_groups(scenario: Scenario):
     """(abs_d, group, geometry, of_pair): the pairs' delay groups and gain
-    geometries, so that nothing per pair is computed twice.
+    geometries, so that nothing per pair is computed twice. The one
+    grouping of pairs; every caller indexes with it.
 
     A pair's delay depends on |d| alone: abs_d holds the distinct values,
     group[p] the index of pair p's, |i - j| for tx i and rx j. Its gain
     depends on (|z_s|, |d|) alone, bit for bit, because mirroring z_s only
-    swaps the two Fresnel edge terms of a commutative add: geometry holds
-    the distinct (|z_s|, |d|) as two rows in lexicographic order, of_pair[p]
-    the column of pair p's. Both come from the integer indices, as the
-    offsets of pair_offsets do, so they carry its bits: 13 delay groups and
-    49 geometries for 169 pairs. A geometry's key |i + j - (N-1)| N + |i - j|
-    orders them."""
+    swaps the two Fresnel edge terms of a commutative add: geometry is the
+    pair (z_s, of_d) of the distinct geometries' |z_s| and delay groups in
+    lexicographic order of (|z_s|, |d|), of_pair[p] the index of pair p's.
+    Both come from the integer indices, as the offsets of pair_offsets do,
+    so they carry its bits: 13 delay groups and 49 geometries for 169
+    pairs. A geometry's key |i + j - (N-1)| N + |i - j| orders them."""
     n = scenario.n_antennas
     idx = np.arange(n)
     half = scenario.spacing / 2.0
     diff = np.abs(idx[:, None] - idx).ravel()
     total = np.abs(idx[:, None] + idx - (n - 1)).ravel()
     key, of_pair = np.unique(total * n + diff, return_inverse=True)
-    geometry = np.stack(np.divmod(key, n)) * half
-    return idx * half, diff, geometry, of_pair
+    z_index, of_d = np.divmod(key, n)
+    return idx * half, diff, (z_index * half, of_d), of_pair
 
 
-def gain_and_delay_arrays(scenario: Scenario, z_s, d, R
+def gain_and_delay_arrays(scenario: Scenario, groups, R
                           ) -> tuple[np.ndarray, np.ndarray]:
-    """Pair gains xi * alpha * exp(-j 2 k r_s) / r_s and delays 2 r_s / c
-    of every pair at every hypothesized standoff R.
+    """Gains xi * alpha * exp(-j 2 k r_s) / r_s of every (|z_s|, |d|)
+    geometry and delays 2 r_s / c of every delay group of groups (the
+    record of pair_groups) at every hypothesized standoff R.
 
-    z_s and d are arrays of equal shape over pairs (pair_offsets gives
-    them 1-D) or one pair's scalars; R has any shape. Both results have
-    shape z_s.shape + R.shape. The gain is exactly 0 where the specular
-    point is off the plate; a point exactly on the edge counts as on-plate.
+    R has any shape; the gains have shape (geometries,) + R.shape, the
+    delays (delay groups,) + R.shape, and pair p's are gain[of_pair[p]]
+    and delay[group[p]]. The gain is exactly 0 where the specular point is
+    off the plate; a point exactly on the edge counts as on-plate.
 
     All but the z edge terms depend on |d| alone: r_s, the y factor, the
     z scale 2R/sqrt(lambda r_s^3), the carrier over r_s and the delay are
-    evaluated once per distinct |d| (13 rows for the reference scene's 49
+    evaluated once per delay group (13 rows for the reference scene's 49
     geometries) and gathered, bit for bit what each pair's own would be.
     """
-    z_s = np.asarray(z_s, dtype=float)
-    d = np.asarray(d, dtype=float)
+    abs_d, _, (z_s, of_d), _ = groups
     R = np.asarray(R, dtype=float)
-    pairs = (...,) + (None,) * R.ndim  # pair axes lead, hypotheses trail
-    abs_d, of_d = np.unique(np.abs(d), return_inverse=True)
-    of_d = of_d.reshape(d.shape)
-    r_s = np.sqrt(R * R + (abs_d * abs_d)[pairs])
+    lead = (slice(None),) + (None,) * R.ndim  # groups lead, hypotheses trail
+    r_s = np.sqrt(R * R + (abs_d * abs_d)[lead])
     wavelength = scenario.wavelength
     half = scenario.plate_height / 2.0
     # sqrt(Dy^2/(lambda r_s)) with Dy = m 2^e taken as sqrt(m^2/(lambda
@@ -112,18 +112,18 @@ def gain_and_delay_arrays(scenario: Scenario, z_s, d, R
                         / r_s)
     # z: both edge distances scaled by 2R/sqrt(lambda r^3), in one call
     scale = 2.0 * R / np.sqrt(wavelength * r_s ** 3)
-    edges = np.stack([half - z_s, half + z_s])[(slice(None),) + pairs]
+    edges = np.stack([half - z_s, half + z_s])[(slice(None),) + lead]
     z_terms = fresnel_conj(edges * scale[of_d])
-    gain = (per_d[of_d] * (z_terms[0] + z_terms[1])
-            * (np.abs(z_s) <= half)[pairs])
-    return gain, (2.0 * r_s / SPEED_OF_LIGHT)[of_d]
+    gain = per_d[of_d] * (z_terms[0] + z_terms[1]) * (z_s <= half)[lead]
+    return gain, 2.0 * r_s / SPEED_OF_LIGHT
 
 
 def spa_received_signal(scenario: Scenario, t=None) -> np.ndarray:
     """u(t) of all N^2 pairs from the closed form at the scenario range:
-    each pair's gain times the scene's sinc at its delayed time, the gains
-    taken once per (|z_s|, |d|) geometry (pair_groups). The one
-    closed-form synthesis; signal.synthesize calls it.
+    each pair's gain times the scene's sinc at its delay, the gains taken
+    once per (|z_s|, |d|) geometry and the waveforms once per delay group
+    (pair_groups). The one closed-form synthesis; signal.synthesize calls
+    it.
 
     t is a finite scalar or 1-D array of sample times within 256/B of the
     plate's delays (parse_times), or None for the carrier wave, the bare
@@ -131,11 +131,9 @@ def spa_received_signal(scenario: Scenario, t=None) -> np.ndarray:
     order, like exact_received_signal.
     """
     times = parse_times(scenario, t)
-    _, _, geometry, of_pair = pair_groups(scenario)
-    gain, delay = gain_and_delay_arrays(scenario, *geometry, scenario.range)
+    _, _, (_, of_d), of_pair = groups = pair_groups(scenario)
+    gain, delay = gain_and_delay_arrays(scenario, groups, scenario.range)
     if times is None:
         return gain[of_pair]
-    # geometries with equal |d| share a delay bit for bit: one waveform each
-    shared, row = np.unique(delay, return_inverse=True)
-    env = waveform_value(scenario.bandwidth, times, shared)[row]
+    env = waveform_value(scenario.bandwidth, times, delay)[of_d]
     return (gain[:, None] * env)[of_pair].reshape(of_pair.shape + np.shape(t))

@@ -122,18 +122,6 @@ def _validate_hypothesis(scenario: Scenario, r_hat) -> None:
             f"({scenario.min_range_wavelengths:g} wavelengths)")
 
 
-def _gains(scenario: Scenario, groups, rh: np.ndarray, r_s: np.ndarray,
-           kind: ModelKind) -> np.ndarray:
-    """The model gains at hypotheses rh, shape (rows,) + rh.shape: one row
-    per (|z_s|, |d|) geometry for the full model (pair p's row is
-    groups[3][p]), one per delay group for the partial one, whose gain is
-    the carrier phase exp(-j 2 k r_s) alone; r_s holds the delay groups'
-    r_s at rh."""
-    if kind is ModelKind.FULL_INFORMATION:
-        return gain_and_delay_arrays(scenario, *groups[2], rh)[0]
-    return cis(-2.0 * scenario.wavenumber * r_s)
-
-
 def _scale(x: np.ndarray, axis=None) -> np.ndarray:
     """Multiplies complex x in place by 2^-e, exactly, and returns e, the
     np.frexp exponent of its largest real or imaginary magnitude over axis (all
@@ -238,9 +226,12 @@ def _objective_on_grid(received: SignalSet, scenario: Scenario,
     _validate_hypothesis(scenario, grid)
     groups = pair_groups(scenario)
     abs_d, group = groups[:2]
-    # pair p's row in _gains' result; pairs with equal rows have equal
-    # templates
-    rows = groups[3] if kind is ModelKind.FULL_INFORMATION else group
+    full = kind is ModelKind.FULL_INFORMATION
+    # pair p's row of the model gains: one per (|z_s|, |d|) geometry for
+    # the full model, one per delay group for the partial one, whose gain
+    # is the carrier phase exp(-j 2 k r_s) alone. Pairs with equal rows
+    # have equal templates
+    rows = groups[3] if full else group
     # template classes: a class's pairs lie in one delay group, so the
     # pairs sorted by (group, class) give each class one contiguous run,
     # and each group's classes are one contiguous run of classes
@@ -288,7 +279,8 @@ def _objective_on_grid(received: SignalSet, scenario: Scenario,
             for u, a, b in zip(range(u0, u1), first[u0:u1], first[u0 + 1:]):
                 corr[a:b] = (coef_corr[a - first[u0]:b - first[u0]]
                              @ basis[:, u])
-        gain = _gains(scenario, groups, rh, r_s, kind)[rows[rep]]
+        gain = (gain_and_delay_arrays(scenario, groups, rh)[0] if full
+                else cis(-2.0 * scenario.wavenumber * r_s))[rows[rep]]
         _scale(gain, axis=0)
         energy = count * np.abs(gain) ** 2 * env_sq[group[rep]]
         out[start:stop] = _reduce(np.conj(gain) * corr, energy, coherence)
@@ -442,9 +434,8 @@ def _stencil_objective(scenario: Scenario, stencil: np.ndarray, h: float,
     long-double sinc sums (tests/oracles.py) the curvature is within 4.7e-10
     relative over 2-8 m at 13 and 4 antennas and at 1 GHz bandwidth."""
     groups = pair_groups(scenario)
-    abs_d, group, geometry, of_pair = groups
+    abs_d, group, (_, of_class), of_pair = groups
     count = np.bincount(of_pair)[:, None, None]
-    of_class = np.searchsorted(abs_d, geometry[1])  # each one's delay group
     d_sq = abs_d[:, None, None] ** 2
     start, width = _crb_lattice(scenario, h)
     t = sample_times(scenario, 0.0)
@@ -475,7 +466,7 @@ def _stencil_objective(scenario: Scenario, stencil: np.ndarray, h: float,
         basis = basis.reshape((k,) + delay.shape)
         env_sq = np.einsum("kurj,kurj->urj", weighted, basis)[of_class]
         corr = np.einsum("kurj,kur->urj", weighted, basis[..., 1])[of_class]
-        gain = _gains(scenario, groups, rh, r_s, ModelKind.FULL_INFORMATION)
+        gain = gain_and_delay_arrays(scenario, groups, rh)[0]
         exponent[first:first + chunk] = _scale(gain, axis=0)[0, :, 1]
         power = np.abs(gain) ** 2
         j[first:first + chunk] = _reduce(

@@ -23,7 +23,7 @@ from nfradar import (
     reference_scenario,
 )
 from nfradar.cli import main, parse_config, run_validate_spa
-from nfradar.em_spa import gain_and_delay_arrays
+from nfradar.em_spa import gain_and_delay_arrays, pair_groups
 
 from oracles import fresnel_reference, quadratic_phase_integral
 
@@ -109,7 +109,8 @@ def test_gain_matches_long_form_integrals(rng):
             continue
         checked += 1
         r_s = np.hypot(R, z[l] - z_s)
-        gain, _ = gain_and_delay_arrays(sc, z_s, z[l] - z_s, R)
+        groups = pair_groups(sc)
+        gain = gain_and_delay_arrays(sc, groups, R)[0][groups[3][l * n + lp]]
         k = sc.wavenumber
         pre = (-2 * k * k * sc.free_space_impedance
                * sc.antenna_gain_factor / (4 * np.pi) ** 2)

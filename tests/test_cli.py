@@ -453,18 +453,27 @@ class TestRunners:
         # a 77 GHz run would land elsewhere entirely
         assert len(rows) == 1
 
-    @pytest.mark.parametrize("gain", [1e-320, 1e300])
-    def test_validate_spa_ratio_cells_gain_free(self, gain):
-        # both backends are linear in the gain factor: the error cells are
-        # the unit-gain ones bit for bit (at 1e-320 the amplitudes were
-        # subnormal, and every phase cell read +-45 degrees), and the dB
-        # cells are the unit-gain ones shifted by 20 log10 g, finite
-        unit = run_validate_spa(parse_config(experiment="validate-spa"))[1]
-        cfg = parse_config(experiment="validate-spa", overrides=(
-            f"scenario.antenna_gain_factor={gain!r}",))
-        rows = run_validate_spa(cfg)[1]
+    @pytest.mark.parametrize("key, value", [
+        pytest.param("antenna_gain_factor", 1e-320, id="1e-320"),
+        pytest.param("antenna_gain_factor", 1e300, id="1e300"),
+        pytest.param("free_space_impedance", 1e-320, id="impedance-1e-320"),
+        pytest.param("free_space_impedance", 1e300, id="impedance-1e300"),
+    ])
+    def test_validate_spa_ratio_cells_gain_free(self, key, value):
+        # both backends are linear in the gain factor g and the impedance
+        # eta: the error cells are the unit ones bit for bit (at 1e-320 the
+        # amplitudes were subnormal, every phase cell read +-45 degrees and
+        # two read nan), and the dB cells are the unit ones shifted by
+        # 20 log10 g or 20 log10 eta, finite
+        def rows_at(v):
+            return run_validate_spa(parse_config(
+                experiment="validate-spa",
+                overrides=(f"scenario.{key}={v!r}",)))[1]
+
+        unit = rows_at(1.0)
+        rows = rows_at(value)
         assert [row[4:] for row in rows] == [row[4:] for row in unit]
-        shift = 20.0 * math.log10(gain)
+        shift = 20.0 * math.log10(value)
         for row, base in zip(rows, unit):
             assert row[:2] == base[:2]
             assert row[2:4] == (base[2] + shift, base[3] + shift)

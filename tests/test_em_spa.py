@@ -21,9 +21,12 @@ OUTER_DELAY = 2.7150150315155204e-08   # 2 * sqrt(16.5625) / c
 
 
 def arrays(sc):
-    """Gains and delays of all pairs at the scenario range."""
-    z_s, d = pair_offsets(sc)
-    return gain_and_delay_arrays(sc, z_s, d, sc.range)
+    """Gains and delays of all pairs at the scenario range, read from the
+    geometries' gains through of_pair and the delay groups' delays through
+    group."""
+    groups = pair_groups(sc)
+    gain, delay = gain_and_delay_arrays(sc, groups, sc.range)
+    return gain[groups[3]], delay[groups[1]]
 
 
 def pair_positions(sc):
@@ -137,12 +140,15 @@ class TestAlpha:
         assert np.any(gain == 0.0)
 
     def test_indicator_edge(self):
-        # specular point exactly on the edge contributes; 1e-12 beyond does not
-        sc = reference_scenario()
-        gain, _ = gain_and_delay_arrays(
-            sc, np.array([-0.875, -0.875 - 1e-12]), np.zeros(2), sc.range)
-        assert gain[0] != 0.0
-        assert gain[1] == 0.0
+        # specular point exactly on the edge contributes; 1e-12 beyond does
+        # not: pair (0, 0) has z_s = -0.75 exactly, and the plate's half
+        # height is 0.75, then 0.75 - 1e-12
+        assert pair_offsets(reference_scenario())[0][I_EDGE_MONO] == -0.75
+        on_edge = reference_scenario(plate_height=1.5)
+        beyond = reference_scenario(plate_height=1.5 - 2e-12)
+        assert beyond.plate_height / 2.0 < 0.75
+        assert arrays(on_edge)[0][I_EDGE_MONO] != 0.0
+        assert arrays(beyond)[0][I_EDGE_MONO] == 0.0
 
     def test_depends_only_on_z_sum(self, ref_sc):
         # (z_l + z_l')/2 fixes z_s, and r_s enters only via the offset
@@ -205,9 +211,13 @@ class TestPairCoefficient:
         # 1/r_s spreading dominates. On the small reference plate the
         # Fresnel ripple near argument 4 can locally beat 1/r, so the
         # guarantee only holds with alpha pinned.
+        # The centre pair is geometry 0, (|z_s|, |d|) = (0, 0)
         sc = reference_scenario(plate_width=3.0, plate_height=6.0)
+        groups = pair_groups(sc)
+        assert groups[3][I_CENTER] == 0
+        assert (groups[2][0][0], groups[0][groups[2][1][0]]) == (0.0, 0.0)
         R = np.array([4.0, 5.0, 6.5, 8.0, 10.0, 12.0])
-        mags = np.abs(gain_and_delay_arrays(sc, 0.0, 0.0, R)[0])
+        mags = np.abs(gain_and_delay_arrays(sc, groups, R)[0][0])
         assert np.all(np.diff(mags) < 0)
 
 
@@ -320,32 +330,35 @@ class TestVectorHelpers:
         for i, (tx_z, rx_z) in enumerate(pair_positions(sc)):
             assert z_s[i] == pytest.approx((tx_z + rx_z) / 2, **near)
             assert d[i] == pytest.approx((tx_z - rx_z) / 2, **near)
-        groups = pair_groups(sc)
-        assert groups[0].size == 13 and groups[2].shape == (2, 49)
+        abs_d, _, (z_abs, of_d), _ = pair_groups(sc)
+        assert abs_d.size == 13 and z_abs.shape == of_d.shape == (49,)
 
     @pytest.mark.parametrize("spacing", [0.1, 0.125, 0.3])
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 13, 20])
     def test_pair_groups_match_float_grouping(self, n, spacing):
         # the integer keys of pair_groups give what grouping the float
         # offsets of pair_offsets gives, bit for bit: np.unique of |d| and
-        # of the (|z_s|, |d|) columns, with their order and inverses; and
-        # the synthesis expanded from the geometries is the per-pair one
+        # of the (|z_s|, |d|) columns, with their order and inverses, each
+        # geometry's |d| read as abs_d[of_d]; a pair's geometry lies in its
+        # delay group; and the synthesis expanded from the geometries' gains
+        # and the groups' waveforms is the per-pair one
         sc = reference_scenario(n_antennas=n, spacing=spacing)
         z_s, d = pair_offsets(sc)
-        abs_d, group, geometry, of_pair = pair_groups(sc)
+        abs_d, group, (z_abs, of_d), of_pair = groups = pair_groups(sc)
         want_d, want_group = np.unique(np.abs(d), return_inverse=True)
         want_geometry, want_of_pair = np.unique(
             np.abs([z_s, d]), axis=1, return_inverse=True)
         assert np.array_equal(abs_d, want_d)
         assert np.array_equal(group, want_group)
-        assert np.array_equal(geometry, want_geometry)
+        assert np.array_equal(np.stack([z_abs, abs_d[of_d]]), want_geometry)
         assert np.array_equal(of_pair, want_of_pair.ravel())
+        assert np.array_equal(of_d[of_pair], group)
         t = sample_times(sc, sc.range)
-        gain, delay = gain_and_delay_arrays(sc, z_s, d, sc.range)
-        shared, row = np.unique(delay, return_inverse=True)
-        want = gain[:, None] * waveform_value(sc.bandwidth, t, shared)[row]
+        gain, delay = gain_and_delay_arrays(sc, groups, sc.range)
+        want = gain[of_pair, None] * waveform_value(sc.bandwidth, t,
+                                                    delay[group])
         assert np.array_equal(spa_received_signal(sc, t), want)
-        assert np.array_equal(spa_received_signal(sc), gain)
+        assert np.array_equal(spa_received_signal(sc), gain[of_pair])
 
     def test_gain_and_delay_match_oracle(self):
         # every pair, on and off the plate, against the closed form written

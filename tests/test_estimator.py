@@ -20,12 +20,12 @@ from nfradar import (
     spa_received_signal,
 )
 from nfradar import em_spa, estimator
-from nfradar.em_spa import gain_and_delay_arrays, pair_offsets
+from nfradar.em_spa import gain_and_delay_arrays, pair_groups, pair_offsets
 from nfradar.estimator import _GRID_CHUNK, _RANGE_CHUNK, _objective_on_grid
 from nfradar.signal import waveform_value
 from nfradar.special_fn import chebyshev_node_count, cis, fresnel_conj
 
-from oracles import objective_loop, stencil_curvature
+from oracles import objective_loop, pair_gain, stencil_curvature
 
 PARTIAL = ModelKind.PARTIAL_INFORMATION
 FULL = ModelKind.FULL_INFORMATION
@@ -298,26 +298,40 @@ class TestObjective:
         {}, {"plate_height": 0.5}, {"n_antennas": 4}, {"spacing": 0.1}])
     def test_gain_geometries_exact(self, overrides):
         # gains evaluated once per distinct (|z_s|, |d|) and indexed back
-        # to the pairs are bit for bit the per-pair gains, off-plate zeros
-        # included
+        # to the pairs are bit for bit the gains evaluated once per pair,
+        # off-plate zeros included, and within 1e-12 of the scalar closed
+        # form; the delays of the delay groups, indexed back, are the
+        # scalar ones bit for bit
         sc = reference_scenario(**overrides)
-        groups = em_spa.pair_groups(sc)
+        abs_d, group, (z_abs, of_d), of_pair = groups = pair_groups(sc)
         if not overrides:
-            assert groups[2].shape == (2, 49)
+            assert z_abs.shape == (49,)
         z_s, d = pair_offsets(sc)
         # the geometries and their order are those of np.unique over columns
-        geometry, of_pair = np.unique(np.abs([z_s, d]), axis=1,
-                                      return_inverse=True)
-        assert np.array_equal(groups[2], geometry)
-        assert np.array_equal(groups[3], of_pair.ravel())
+        geometry, want_of_pair = np.unique(np.abs([z_s, d]), axis=1,
+                                           return_inverse=True)
+        assert np.array_equal(np.stack([z_abs, abs_d[of_d]]), geometry)
+        assert np.array_equal(of_pair, want_of_pair.ravel())
         R = np.array([[2.0, 3.99, 4.0], [4.3, 6.1, 8.0]])
-        want, _ = gain_and_delay_arrays(sc, z_s, d, R)
-        rows = groups[3]
-        # the full model reads no r_s
-        gain = estimator._gains(sc, groups, R, None, FULL)[rows]
-        assert np.array_equal(gain, want)
-        gain = estimator._gains(sc, groups, R[0], None, FULL)[rows]
-        assert np.array_equal(gain, want[:, 0])
+        gain, delay = gain_and_delay_arrays(sc, groups, R)
+        assert gain.shape == (z_abs.size,) + R.shape
+        assert delay.shape == (abs_d.size,) + R.shape
+        # one geometry per pair: the same record with every pair its own
+        per_pair = (abs_d, group, (np.abs(z_s), group),
+                    np.arange(group.size))
+        want = gain_and_delay_arrays(sc, per_pair, R)[0]
+        assert np.array_equal(gain[of_pair], want)
+        # a 1-D R gives the same bits as its row of a 2-D one
+        assert np.array_equal(gain_and_delay_arrays(sc, groups, R[0])[0],
+                              gain[:, 0])
+        n = sc.n_antennas
+        z = [(l - (n - 1) / 2.0) * sc.spacing for l in range(n)]
+        for p in range(n * n):
+            for i, r in np.ndenumerate(R):
+                g, tau, _ = pair_gain(sc, z[p // n], z[p % n], r)
+                assert gain[(of_pair[p],) + i] == pytest.approx(
+                    g, rel=1e-12, abs=0)
+                assert delay[(group[p],) + i] == tau
 
 
 class TestAmbiguity:
@@ -342,6 +356,15 @@ class TestAmbiguity:
     def test_empty_grid(self, ref_sc, received):
         with pytest.raises(ValueError, match="empty grid"):
             ambiguity(ref_sc, 4.0, np.array([]), received=received)
+
+    def test_zero_traces_refused(self, ref_sc, received):
+        # zero received traces correlate to 0 with every model trace: the
+        # curve has no peak to normalize by
+        zero = dataclasses.replace(received,
+                                   traces=np.zeros_like(received.traces))
+        with pytest.raises(ValueError, match=re.escape(
+                "objective identically zero over the grid")):
+            ambiguity(ref_sc, 4.0, np.arange(3.9, 4.1, 0.01), received=zero)
 
     def test_incoherent_much_wider(self, ref_sc, received):
         # incoherent-partial drops every carrier phase relation, leaving a
@@ -774,16 +797,26 @@ class TestCrb:
         # the carrier, 1/r_s, the y factor, the z scale and the delay are
         # evaluated once per distinct |d|, 13 rows on the reference scene,
         # not per (|z_s|, |d|) geometry (49) or pair (169): one carrier
-        # call per crb range chunk, one per closed-form synthesis
-        shapes = []
+        # call per crb range chunk, one per closed-form synthesis, and
+        # synthesis takes one waveform per delay group
+        shapes, delays = [], []
 
         def cis_recording(theta):
             shapes.append(np.shape(theta))
             return cis(theta)
 
+        def waveform_recording(w, t, delay):
+            delays.append(np.array(delay))
+            return waveform_value(w, t, delay)
+
         monkeypatch.setattr(em_spa, "cis", cis_recording)
+        monkeypatch.setattr(em_spa, "waveform_value", waveform_recording)
         crb(ref_sc, 3.5 + 0.01 * np.arange(_RANGE_CHUNK + 4))
         assert shapes == [(13, _RANGE_CHUNK, 3), (13, 4, 3)]
         shapes.clear()
         spa_received_signal(ref_sc)
         assert shapes == [(13,)]
+        assert delays == []
+        synthesize(ref_sc)
+        assert len(delays) == 1
+        assert delays[0].shape == (13,) and np.unique(delays[0]).size == 13

@@ -15,13 +15,21 @@ from nfradar import (
     sample_times,
     waveform_value,
 )
-from nfradar.em_spa import gain_and_delay_arrays, pair_offsets
+from nfradar.em_spa import gain_and_delay_arrays, pair_groups, pair_offsets
 from nfradar.signal import _pcg64_children
 
 from oracles import awgn_loop, exact_pair, pair_gain
 
 CENTER_DELAY = 2.6685127615852163e-08  # 2 * 4 m / c
 OUTER_DELAY = 2.7150150315155204e-08   # 2 * sqrt(16.5625) / c
+
+
+def pair_arrays(sc):
+    """Gains and delays of all pairs at the scenario range: the geometries'
+    gains read through of_pair, the delay groups' delays through group."""
+    groups = pair_groups(sc)
+    gain, delay = gain_and_delay_arrays(sc, groups, sc.range)
+    return gain[groups[3]], delay[groups[1]]
 
 
 class TestWaveform:
@@ -179,8 +187,7 @@ class TestSynthesize:
         # at least 99% of each trace's energy within +-8/B of its delay
         s = synthesize(ref_sc)
         t = s.times
-        z_s, d = pair_offsets(ref_sc)
-        _, delays = gain_and_delay_arrays(ref_sc, z_s, d, ref_sc.range)
+        _, delays = pair_arrays(ref_sc)
         for delay, trace in zip(delays, s.traces):
             mask = np.abs(t - delay) <= 8.0 / ref_sc.bandwidth
             total = np.sum(np.abs(trace) ** 2)
@@ -196,8 +203,7 @@ class TestSynthesize:
         sc = reference_scenario(**overrides)
         s = synthesize(sc)
         t = s.times
-        z_s, d = pair_offsets(sc)
-        gain, delay = gain_and_delay_arrays(sc, z_s, d, sc.range)
+        gain, delay = pair_arrays(sc)
         peak = np.max(np.abs(s.traces))
         n = sc.n_antennas
         for p in range(s.traces.shape[0]):
@@ -265,7 +271,7 @@ class TestSynthesize:
         s = synthesize(sc)
         assert s.sample_rate == 800e6
         assert np.array_equal(s.times, sample_times(sc, sc.range))
-        gain, delay = gain_and_delay_arrays(sc, *pair_offsets(sc), sc.range)
+        gain, delay = pair_arrays(sc)
         assert np.array_equal(
             s.traces, gain[:, None] * waveform_value(2e8, s.times, delay))
 
