@@ -257,7 +257,13 @@ def _range_grid(cfg: ExperimentConfig, scenario: Scenario) -> np.ndarray:
     if step is None:
         step = scenario.wavelength / 8.0
     n = _grid_size(cfg.grid_min, cfg.grid_max, step)
-    return cfg.grid_min + step * np.arange(n)
+    grid = cfg.grid_min + step * np.arange(n)
+    same = np.diff(grid) == 0
+    if same.any():
+        raise ValueError(f"grid.step = {step!r} m is below the float spacing "
+                         "of the range grid at "
+                         f"{float(grid[same.argmax()])!r} m")
+    return grid
 
 
 def _validation_scene(cfg: ExperimentConfig) -> Scenario:
@@ -310,8 +316,7 @@ def _ambiguity_scenes(cfg: ExperimentConfig):
 def _crb_lines(cfg: ExperimentConfig):
     """crb's plan: (ranges, lines), the ranges sorted and a (carrier,
     bandwidth, scene) per line in row order. Refuses the partial model,
-    and on every line a stencil that crb_stencil refuses at the smallest
-    range, which bounds every other range's stencil from below."""
+    and on every line a stencil that crb_stencil refuses at any range."""
     if cfg.model == "partial":
         raise ValueError(
             "experiment.model = partial: crb needs the full model. The "
@@ -319,7 +324,7 @@ def _crb_lines(cfg: ExperimentConfig):
             "its objective peaks off the true range and its curvature "
             "there is no bound")
     sweep = dict(cfg.sweep)
-    key = "sweep.range" if "range" in sweep else "grid.min"
+    key = "sweep.range" if "range" in sweep else "grid.min..grid.max"
     ranges = np.sort(sweep["range"] if "range" in sweep
                      else _range_grid(cfg, cfg.scenario))
     base = cfg.scenario
@@ -332,9 +337,9 @@ def _crb_lines(cfg: ExperimentConfig):
                     if name in sweep)):
                 scene = dataclasses.replace(base, carrier_freq=fc,
                                             bandwidth=bw)
-            with _named(f"{key} = {float(ranges[0])!r}: crb stencil at "
-                        f"carrier {fc:g} Hz, bandwidth {bw:g} Hz"):
-                crb_stencil(scene, ranges[0])
+            with _named(f"{key}: crb stencil at carrier {fc:g} Hz, "
+                        f"bandwidth {bw:g} Hz"):
+                crb_stencil(scene, ranges)
             lines.append((fc, bw, scene))
     return ranges, lines
 

@@ -372,12 +372,21 @@ def half_power_width(curve: AmbiguityCurve) -> float:
     return float(cross[1] - cross[0])
 
 
-def _crb_lattice(scenario: Scenario, h: float) -> tuple[np.ndarray, float]:
-    """(start, width): the delay bands of crb's stencil objective at step h
+def crb_stencil(scenario: Scenario, R) -> tuple[np.ndarray, np.ndarray,
+                                                float]:
+    """(stencil, start, width): the hypotheses R - h, R, R + h of crb along
+    a new last axis, with h = min(lambda/4, c/(80B)), which resolves both
+    the carrier-scale lobes and the bandwidth-limited main lobe (about
+    width/35), and the delay bands of crb's objective on them
     (_stencil_objective), band i covering [start[i], start[i] + width].
+
     Refuses, before any node is built, a scene that needs more than
     _MAX_CRB_BANDS bands: their number grows with the array's largest pair
-    offset times B."""
+    offset times B. Refuses any hypothesis that is not positive and finite
+    or lies below the validity floor, and any range whose float spacing
+    rounds R - h or R + h to R (above about 2^53 h), naming the first."""
+    h = min(scenario.wavelength / 4.0,
+            SPEED_OF_LIGHT / (80.0 * scenario.bandwidth))
     floor = scenario.min_range_wavelengths * scenario.wavelength
     reach = (scenario.n_antennas - 1) * (scenario.spacing / 2.0)
     lo = -2.0 * h / SPEED_OF_LIGHT
@@ -392,30 +401,24 @@ def _crb_lattice(scenario: Scenario, h: float) -> tuple[np.ndarray, float]:
             f"{n_bands} bands, more than {_MAX_CRB_BANDS}: narrow the array "
             "(n_antennas, spacing) or the bandwidth")
     width = min(width, hi - lo)
-    return lo + (width - spread) * np.arange(n_bands), width
-
-
-def crb_stencil(scenario: Scenario, R) -> tuple[np.ndarray, float]:
-    """(stencil, h): the hypotheses R - h, R, R + h of crb along a new last
-    axis, with h = min(lambda/4, c/(80B)), which resolves both the
-    carrier-scale lobes and the bandwidth-limited main lobe (about
-    width/35). Refuses a scene whose delay lattice is over budget
-    (_crb_lattice), and any hypothesis that is not positive and finite or
-    lies below the validity floor, naming the first."""
-    h = min(scenario.wavelength / 4.0,
-            SPEED_OF_LIGHT / (80.0 * scenario.bandwidth))
-    _crb_lattice(scenario, h)
     R = np.asarray(R, dtype=float)
     stencil = np.stack([R - h, R, R + h], axis=-1)
     _validate_hypothesis(scenario, stencil)
-    return stencil, h
+    bad = np.diff(stencil.reshape(-1, 3)).min(axis=1) == 0
+    if bad.any():
+        raise ValueError(
+            f"range {float(R.ravel()[bad.argmax()])!r} m: its crb stencil "
+            f"step {h:g} m is below half the float spacing there, so "
+            "R - h or R + h rounds to R")
+    return stencil, lo + (width - spread) * np.arange(n_bands), width
 
 
-def _stencil_objective(scenario: Scenario, stencil: np.ndarray, h: float,
+def _stencil_objective(scenario: Scenario, stencil: np.ndarray, start, width,
                        coherence: str, snr_normalization: str
                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(J, signal_power, e) of crb: full-model J at every stencil point (shape
-    of stencil, rows R = stencil[:, 1], spaced by h) against the noise-free
+    """(J, signal_power, e) of crb: full-model J at every point of
+    crb_stencil's stencil, start and width its delay bands (shape of stencil,
+    rows R = stencil[:, 1], its step h) against the noise-free
     synthesis at R, and its signal power per range, both of range i times
     2^(-2e[i]) exactly: _scale scales the gains at each stencil point, those at
     R by 2^(-e[i]), and J has degree 0 in the model gains. Pair p's received
@@ -437,7 +440,6 @@ def _stencil_objective(scenario: Scenario, stencil: np.ndarray, h: float,
     abs_d, group, (_, of_class), of_pair = groups
     count = np.bincount(of_pair)[:, None, None]
     d_sq = abs_d[:, None, None] ** 2
-    start, width = _crb_lattice(scenario, h)
     t = sample_times(scenario, 0.0)
     coef, gram = _envelope_coefficients(scenario, t, start + width / 2.0,
                                         np.full(start.size, width / 2.0))
@@ -488,16 +490,17 @@ def crb(scenario: Scenario, R, snr: float = 1.0,
     result's fields are arrays of its length.
 
     The noise-free objective is evaluated at R - h, R, R + h, h fixed by
-    the scene (crb_stencil); the central second difference gives the
-    curvature, and the bound is noise_power / (2 |J''|) with noise_power
-    set by the constant receive SNR convention: "total" references the
-    mean sample power over all traces, "per_pair" the strongest pair's
-    mean sample power. Absolute levels therefore depend on that convention;
-    shapes across sweeps do not. J and the signal power carry one power of
-    two per range (_stencil_objective), which the bound cancels and the
-    curvature takes back. Refused: a stencil not concave by more than J's
-    rounding (_CURVATURE_FLOOR), a curvature that is not a normal float
-    (7.85e12 g^2 at 4 m, gain factor g) and an overflowing bound.
+    the scene (crb_stencil); the second difference on the steps those
+    floats really take gives the curvature, and the bound is
+    noise_power / (2 |J''|) with noise_power set by the constant receive
+    SNR convention: "total" references the mean sample power over all
+    traces, "per_pair" the strongest pair's mean sample power. Absolute
+    levels therefore depend on that convention; shapes across sweeps do
+    not. J and the signal power carry one power of two per range
+    (_stencil_objective), which the bound cancels and the curvature takes
+    back. Refused: a stencil not concave by more than J's rounding
+    (_CURVATURE_FLOOR), a curvature that is not a normal float (7.85e12
+    g^2 at 4 m, gain factor g) and an overflowing bound.
 
     The received data is the noise-free synthesis at R, correlated in
     closed form without forming a trace. An array of ranges is all or
@@ -519,18 +522,21 @@ def crb(scenario: Scenario, R, snr: float = 1.0,
     if np.ndim(R) > 1:
         raise ValueError("R must be a scalar or a 1-D array of ranges")
     ranges = np.atleast_1d(np.asarray(R, dtype=float))
-    stencil, h = crb_stencil(scenario, ranges)
-    j, signal_power, e = _stencil_objective(scenario, stencil, h, coherence,
-                                            snr_normalization)
+    stencil, start, width = crb_stencil(scenario, ranges)
+    j, signal_power, e = _stencil_objective(scenario, stencil, start, width,
+                                            coherence, snr_normalization)
     j0, j1, j2 = j.T
-    second = j0 - 2.0 * j1 + j2
+    # the steps the stencil's floats really take (off h by 1e-5 relative
+    # past 1e9 m), and their second difference, j0 - 2 j1 + j2 if equal
+    below, above = ranges - stencil[:, 0], stencil[:, 2] - ranges
+    second = 2.0 * (below * (j2 - j1) - above * (j1 - j0)) / (below + above)
     bad = ~((j1 > j0) & (j1 > j2) & (-second > _CURVATURE_FLOOR * j1))
     if bad.any():
         raise ValueError(
             f"non-concave stencil at R = {float(ranges[bad.argmax()])!r}"
             " m: the objective's second difference there is not resolved "
             "above its rounding")
-    scaled = np.abs(second) / (h * h)
+    scaled = np.abs(second) / (below * above)
     with np.errstate(over="ignore"):
         curvature = np.ldexp(scaled, 2 * e)
         bound = signal_power / (2.0 * scaled) / snr

@@ -43,27 +43,20 @@ def waveform_value(bandwidth: float, t, delay) -> np.ndarray:
 class SignalSet:
     """Sampled complex traces, one per ordered (tx, rx) pair.
 
-    All traces share the uniform time base t_start + n / sample_rate,
-    n = 0 .. samples-1. traces has shape (pairs, samples), rows in
+    All traces share the time base times, shape (samples,): synthesis
+    holds sample_times' array. traces has shape (pairs, samples), rows in
     tx-major order: for an N-element array row i is tx i // N, rx i % N.
-    Identity comparison only (the array field makes elementwise == a trap).
+    Identity comparison only (the array fields make elementwise == a trap).
     """
 
-    sample_rate: float
-    t_start: float
+    times: np.ndarray
     traces: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.sample_rate <= 0:
-            raise ValueError("sample_rate must be positive")
-        if self.traces.ndim != 2:
-            raise ValueError(f"traces shape {self.traces.shape} does not "
-                             "match (pairs, samples)")
-
-    @property
-    def times(self) -> np.ndarray:
-        return (self.t_start
-                + np.arange(self.traces.shape[1]) / self.sample_rate)
+        times, traces = self.times.shape, self.traces.shape
+        if len(traces) != 2 or times != traces[1:]:
+            raise ValueError(f"times shape {times} and traces shape {traces} "
+                             "do not match (samples,) and (pairs, samples)")
 
 
 def sample_times(scenario: Scenario, R) -> np.ndarray:
@@ -131,9 +124,7 @@ def synthesize(scenario: Scenario, true_range: float | None = None,
         from .em_exact import exact_received_signal
         traces = exact_received_signal(work, t)
 
-    return SignalSet(sample_rate=DEFAULT_OVERSAMPLING * scenario.bandwidth,
-                     t_start=float(t[0]),
-                     traces=np.ascontiguousarray(traces, dtype=complex))
+    return SignalSet(t, np.ascontiguousarray(traces, dtype=complex))
 
 
 # numpy's SeedSequence hash (numpy/random/bit_generator.pyx): the
@@ -173,32 +164,21 @@ def _pcg64_children(seed: int, count: int) -> list[tuple[int, int]]:
     the same as np.random.PCG64(child).state, with all children hashed at
     once in uint32 arrays.
 
-    A child's entropy is the seed's 32-bit words, low first, padded with
-    zeros to the pool's 4 words, then its spawn key i (one word, as
-    count < 2^32). PCG64 takes generate_state(4, uint64) of its pool:
-    initstate from words 0-1 and initseq from words 2-3, high word first,
-    and seeds as inc = 2 initseq + 1, state = (inc + initstate) M + inc
-    mod 2^128."""
+    A child's entropy is the seed's, padded with zeros to the pool's 4
+    words, then its spawn key i (one word, as count < 2^32), so its pool is
+    the parent's, np.random.SeedSequence(seed).pool, with i mixed into each
+    word by the hash that continues after the parent's calls. PCG64 takes
+    generate_state(4, uint64) of its pool: initstate from words 0-1 and
+    initseq from words 2-3, high word first, and seeds as inc = 2 initseq
+    + 1, state = (inc + initstate) M + inc mod 2^128."""
     seed = operator.index(seed)
-    if seed < 0:
-        raise ValueError(f"seed must be a nonnegative integer, got {seed}")
-    words = [seed & _MASK32]
-    while seed := seed >> 32:
-        words.append(seed & _MASK32)
-    words += [0] * (_POOL_WORDS - len(words))
-    entropy = np.empty((len(words) + 1, count), dtype=np.uint32)
-    entropy[:-1] = np.array(words, dtype=np.uint32)[:, None]
-    entropy[-1] = np.arange(count)
-
-    hashmix = _hasher(*_HASH_A)
-    pool = [hashmix(word) for word in entropy[:_POOL_WORDS]]
-    for src in range(_POOL_WORDS):
-        for dst in range(_POOL_WORDS):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[_POOL_WORDS:]:
-        for dst in range(_POOL_WORDS):
-            pool[dst] = _mix(pool[dst], hashmix(word))
+    parent = np.random.SeedSequence(seed).pool[:, None]
+    # the parent's hash calls: 16 for its pool, 4 per seed word past it
+    calls = _POOL_WORDS * max(_POOL_WORDS, -(-seed.bit_length() // 32))
+    const, mult = _HASH_A
+    hashmix = _hasher(const * pow(mult, calls, 1 << 32) & _MASK32, mult)
+    key = np.arange(count, dtype=np.uint32)
+    pool = [_mix(word, hashmix(key)) for word in parent]
     hash_out = _hasher(*_HASH_B)
     out = np.array([hash_out(pool[i % _POOL_WORDS])
                     for i in range(2 * _POOL_WORDS)])

@@ -102,8 +102,7 @@ def objective_loop(received, sc, r_hat: float, full: bool,
     n = sc.n_antennas
     z = [(l - (n - 1) / 2.0) * sc.spacing for l in range(n)]
     k = 2.0 * math.pi / (_C / sc.carrier_freq)
-    t = (received.t_start
-         + np.arange(received.traces.shape[1]) / received.sample_rate)
+    t = received.times
     ips, energies = [], []
     for p in range(n * n):
         gain, delay, r_s = pair_gain(sc, z[p // n], z[p % n], r_hat)

@@ -321,14 +321,41 @@ class TestParseConfig:
 
     def test_later_crb_line_refused(self, tmp_path):
         # at 30 wavelengths the floor is 0.117 m at 77 GHz and 1.8 m at
-        # 5 GHz: the second line's stencil at 1 m is refused, naming it
+        # 5 GHz: the second line's stencil at 1 m is refused, naming its
+        # point 1 - h = 0.98501 m
         out = tmp_path / "out.csv"
         with pytest.raises(ValueError, match=re.escape(
-                "sweep.range = 1.0: crb stencil at carrier 5e+09 Hz")):
+                "sweep.range: crb stencil at carrier 5e+09 Hz, bandwidth "
+                "1e+08 Hz: hypothesized range 0.98501 m below validity "
+                "floor")):
             main(["crb", "--set", "scenario.min_range_wavelengths=30",
                   "--set", "sweep.carrier_freq=77e9,5e9",
                   "--set", "sweep.range=1.0", "--out", str(out)])
         assert not out.exists()
+
+    def test_unresolved_crb_stencil_refused(self):
+        # at 1e13 m floats are 2 mm apart and the 77 GHz step h 0.97 mm:
+        # the stencil collapses onto R. It used to pass parse_config and
+        # stop at run time as a non-concave stencil; 8e12 m still runs
+        with pytest.raises(ValueError, match=re.escape(
+                "sweep.range: crb stencil at carrier 7.7e+10 Hz, bandwidth "
+                "1e+08 Hz: range 10000000000000.0 m")):
+            parse_config(experiment="crb", overrides=("sweep.range=4,1e13",))
+        cfg = parse_config(experiment="crb", overrides=("sweep.range=8e12",))
+        assert len(run_crb(cfg)[1]) == 1
+
+    @pytest.mark.parametrize("experiment, lo, hi", [
+        ("ambiguity", "4.0", "4.000000000000001"),
+        ("crb", "2.0", "2.000000000000001")])
+    def test_unresolved_grid_step_refused(self, experiment, lo, hi):
+        # a step below the floats' spacing gives coinciding grid points:
+        # ambiguity used to stop at run time, crb to write rows of one
+        # range
+        with pytest.raises(ValueError, match=re.escape(
+                f"grid.step = 1e-16 m is below the float spacing of the "
+                f"range grid at {lo} m")):
+            parse_config(experiment=experiment, overrides=(
+                f"grid.min={lo}", f"grid.max={hi}", "grid.step=1e-16"))
 
     def test_overflowing_crb_bound_refused(self, tmp_path):
         # the noise power signal_power / snr overflows at a subnormal snr;

@@ -51,6 +51,11 @@ def objective(received, sc, r_hat, kind=PARTIAL, coherence="coherent"):
                               coherence)
 
 
+def stencil_step(sc):
+    """crb's stencil step h = min(lambda/4, c/(80B))."""
+    return min(sc.wavelength / 4.0, 299792458.0 / (80.0 * sc.bandwidth))
+
+
 class TestModelSignals:
     def test_full_equals_synthesize(self, ref_sc, received):
         # at the truth the full model trace of every pair is the received
@@ -71,8 +76,7 @@ class TestModelSignals:
         t = base.times
         template = (np.exp(-2j * sc.wavenumber * 4.2)
                     * np.sinc(sc.bandwidth * (t - 2 * 4.2 / 299792458.0)))
-        received = SignalSet(base.sample_rate, base.t_start,
-                             template[None, :])
+        received = SignalSet(t, template[None, :])
         j = objective(received, sc, [4.19, 4.2, 4.21])
         assert j[1] == pytest.approx(np.sum(np.abs(template) ** 2),
                                      rel=1e-12)
@@ -669,11 +673,12 @@ class TestCrb:
         # = 37.5 mm at 100 MHz and 3.7 mm at 1 GHz, lambda/4 = 15 mm at
         # 5 GHz and 75 mm at 1 GHz
         sc = reference_scenario(**overrides)
-        stencil, h = estimator.crb_stencil(sc, [3.0, 4.0])
-        assert h == min(sc.wavelength / 4.0,
-                        299792458.0 / (80.0 * sc.bandwidth))
+        stencil, start, _ = estimator.crb_stencil(sc, [3.0, 4.0])
+        h = stencil_step(sc)
         assert np.array_equal(stencil, [[3.0 - h, 3.0, 3.0 + h],
                                         [4.0 - h, 4.0, 4.0 + h]])
+        # the lattice's first band starts at the delay of R - h, -2h/c
+        assert start[0] == -2.0 * h / 299792458.0
 
     @pytest.mark.parametrize("overrides", [
         {"n_antennas": 1}, {"n_antennas": 4}, {}, {"plate_height": 0.5}])
@@ -684,11 +689,11 @@ class TestCrb:
         # sample powers
         sc = reference_scenario(**overrides)
         ranges = np.array([3.3, 4.0])
-        stencil, h = estimator.crb_stencil(sc, ranges)
+        stencil, start, width = estimator.crb_stencil(sc, ranges)
         received = [synthesize(sc, true_range=R) for R in ranges]
         for coherence in ("coherent", "incoherent"):
-            j, total, e = estimator._stencil_objective(sc, stencil, h,
-                                                       coherence, "total")
+            j, total, e = estimator._stencil_objective(
+                sc, stencil, start, width, coherence, "total")
             j = np.ldexp(j, 2 * e[:, None])
             total = np.ldexp(total, 2 * e)
             for i, rx in enumerate(received):
@@ -696,8 +701,8 @@ class TestCrb:
                     slow = objective_loop(rx, sc, float(stencil[i, k]), True,
                                           coherence == "coherent")
                     assert j[i, k] == pytest.approx(slow, rel=1e-12)
-        _, per_pair, e = estimator._stencil_objective(sc, stencil, h,
-                                                      "coherent", "per_pair")
+        _, per_pair, e = estimator._stencil_objective(
+            sc, stencil, start, width, "coherent", "per_pair")
         per_pair = np.ldexp(per_pair, 2 * e)
         for i, rx in enumerate(received):
             power = np.abs(rx.traces) ** 2
@@ -734,9 +739,9 @@ class TestCrb:
         ranges = [2.0, 4.0, 7.5]
         for coherence in ("coherent", "incoherent"):
             got = crb(sc, ranges, coherence=coherence).curvature
-            h = estimator.crb_stencil(sc, 4.0)[1]
             for R, curvature in zip(ranges, got):
-                want = stencil_curvature(sc, R, h, coherence == "coherent")
+                want = stencil_curvature(sc, R, stencil_step(sc),
+                                         coherence == "coherent")
                 assert curvature == pytest.approx(float(want), rel=2e-9)
 
     def test_non_concave_names_first_range(self, ref_sc, monkeypatch):
@@ -761,6 +766,24 @@ class TestCrb:
         with pytest.raises(ValueError,
                            match=r"0\.300027 m below validity floor"):
             crb(ref_sc, [4.0, 0.301, 0.2])
+
+    def test_far_field_bound_saturates(self, ref_sc):
+        # past about 1e9 m the floats of R -+ h sit off h by 1e-5 relative
+        # and more; on the steps they really take the bound stays at its
+        # far-field value up to 8e12 m, where h = 0.97 mm is one float
+        # spacing. On the nominal h, 1e10 m read +1.2e-3 and 1e11-8e12 m
+        # read -6.6e-3 against 1e6 m
+        bound = crb(ref_sc, [1e3, 1e6, 1e9, 1e10, 1e11, 1e12, 8e12]).bound
+        assert bound == pytest.approx(np.full(7, bound[1]), rel=1e-6)
+
+    def test_unresolved_stencil_refused(self, ref_sc):
+        # at 1e13 m floats are 2 mm apart and h 0.97 mm: R - h and R + h
+        # both round to R, whose second difference would divide by 0
+        with pytest.raises(ValueError, match=re.escape(
+                "range 10000000000000.0 m: its crb stencil step")):
+            crb(ref_sc, [4.0, 1e13])
+        with pytest.raises(ValueError, match="rounds to R"):
+            estimator.crb_stencil(ref_sc, 1e13)
 
     def test_one_gain_block_per_range_chunk(self, ref_sc, monkeypatch):
         # Fresnel work per hypothesis is the y factor of the 13 distinct

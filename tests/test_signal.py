@@ -1,4 +1,6 @@
+import dataclasses
 import inspect
+import re
 
 import numpy as np
 import pytest
@@ -113,20 +115,26 @@ class TestWaveform:
 
 class TestSignalSet:
     def test_shape_validation(self):
-        with pytest.raises(ValueError, match="does not match"):
-            SignalSet(sample_rate=1.0, t_start=0.0,
+        with pytest.raises(ValueError, match="do not match"):
+            SignalSet(times=np.zeros(3),
                       traces=np.zeros((1, 3, 1), dtype=complex))
-        with pytest.raises(ValueError, match="does not match"):
-            SignalSet(sample_rate=1.0, t_start=0.0,
-                      traces=np.zeros(3, dtype=complex))
-        with pytest.raises(ValueError, match="sample_rate"):
-            SignalSet(sample_rate=0.0, t_start=0.0,
+        with pytest.raises(ValueError, match="do not match"):
+            SignalSet(times=np.zeros(3), traces=np.zeros(3, dtype=complex))
+        # times and traces must agree on the samples
+        with pytest.raises(ValueError, match=re.escape(
+                "times shape (4,) and traces shape (1, 3) do not match")):
+            SignalSet(times=np.zeros(4),
+                      traces=np.zeros((1, 3), dtype=complex))
+        with pytest.raises(ValueError, match="do not match"):
+            SignalSet(times=np.zeros((1, 3)),
                       traces=np.zeros((1, 3), dtype=complex))
 
     def test_times(self):
-        s = SignalSet(sample_rate=2.0, t_start=1.0,
-                      traces=np.zeros((1, 3), dtype=complex))
-        assert np.array_equal(s.times, [1.0, 1.5, 2.0])
+        t = np.array([1.0, 1.5, 2.0])
+        s = SignalSet(times=t, traces=np.zeros((1, 3), dtype=complex))
+        assert s.times is t
+        assert [field.name for field in dataclasses.fields(SignalSet)] == [
+            "times", "traces"]
 
 class TestSynthesize:
     def test_sample_times_bracket_round_trip(self, ref_sc):
@@ -150,7 +158,7 @@ class TestSynthesize:
 
     def test_shapes_and_defaults(self, ref_sc):
         s = synthesize(ref_sc)
-        assert s.sample_rate == 4.0 * ref_sc.bandwidth
+        assert np.array_equal(s.times, sample_times(ref_sc, 4.0))
         assert s.traces.shape == (169, 128)
         assert s.traces.dtype == np.complex128
 
@@ -159,7 +167,7 @@ class TestSynthesize:
         # trace 84 is the monostatic center pair (6, 6)
         i = 6 * 13 + 6
         peak_t = s.times[np.argmax(np.abs(s.traces[i]))]
-        assert abs(peak_t - CENTER_DELAY) <= 1.0 / s.sample_rate
+        assert abs(peak_t - CENTER_DELAY) <= 1.0 / (4.0 * ref_sc.bandwidth)
 
     def test_peak_value_is_pair_gain(self, ref_sc):
         # the time base starts 16/B before 2R/c, so at 4B sampling sample
@@ -181,7 +189,7 @@ class TestSynthesize:
         cen_c = np.sum(s.times * w_c) / np.sum(w_c)
         cen_o = np.sum(s.times * w_o) / np.sum(w_o)
         assert cen_o > cen_c
-        assert abs(t_outer - t_center) <= 2.0 / s.sample_rate
+        assert abs(t_outer - t_center) <= 2.0 / (4.0 * ref_sc.bandwidth)
 
     def test_energy_locality(self, ref_sc):
         # at least 99% of each trace's energy within +-8/B of its delay
@@ -217,7 +225,8 @@ class TestSynthesize:
         s = synthesize(ref_sc, true_range=5.0)
         i = 6 * 13 + 6
         peak_t = s.times[np.argmax(np.abs(s.traces[i]))]
-        assert abs(peak_t - 2.0 * 5.0 / SPEED_OF_LIGHT) <= 1.0 / s.sample_rate
+        assert abs(peak_t - 2.0 * 5.0 / SPEED_OF_LIGHT) <= \
+            1.0 / (4.0 * ref_sc.bandwidth)
 
     @pytest.mark.parametrize("backend", ["spa", "exact"])
     @pytest.mark.parametrize("true_range", [0.1, -1.0, float("nan")])
@@ -269,8 +278,8 @@ class TestSynthesize:
         # bit for bit
         sc = reference_scenario(bandwidth=200e6)
         s = synthesize(sc)
-        assert s.sample_rate == 800e6
         assert np.array_equal(s.times, sample_times(sc, sc.range))
+        assert np.diff(s.times) == pytest.approx(1.0 / 800e6, rel=1e-6)
         gain, delay = pair_arrays(sc)
         assert np.array_equal(
             s.traces, gain[:, None] * waveform_value(2e8, s.times, delay))
@@ -348,7 +357,8 @@ class TestAwgn:
 
     def test_variance(self):
         # >= 1e5 complex samples, sample variance within 2%
-        base = SignalSet(1.0, 0.0, np.zeros((100, 1024), dtype=complex))
+        base = SignalSet(np.arange(1024.0),
+                         np.zeros((100, 1024), dtype=complex))
         noisy = add_awgn(base, 0.25, seed=99)
         n = noisy.traces.ravel()
         assert n.size >= 1e5
@@ -361,8 +371,8 @@ class TestAwgn:
     def test_noise_independent_of_trace_count(self, ref_sc):
         # child streams are spawned per trace: the first trace's noise
         # must not depend on how many other traces exist
-        a = SignalSet(1.0, 0.0, np.zeros((1, 64), dtype=complex))
-        b = SignalSet(1.0, 0.0, np.zeros((2, 64), dtype=complex))
+        a = SignalSet(np.arange(64.0), np.zeros((1, 64), dtype=complex))
+        b = SignalSet(np.arange(64.0), np.zeros((2, 64), dtype=complex))
         na = add_awgn(a, 1.0, seed=5)
         nb = add_awgn(b, 1.0, seed=5)
         assert np.array_equal(na.traces[0], nb.traces[0])
@@ -374,7 +384,7 @@ class TestAwgn:
         # draws; seeds of one, three and five 32-bit words
         traces = (rng.standard_normal((pairs, 128))
                   + 1j * rng.standard_normal((pairs, 128)))
-        s = SignalSet(1.0, 0.0, traces)
+        s = SignalSet(np.arange(128.0), traces)
         for seed in (11, 2 ** 64 + 5, 10 ** 40):
             got = add_awgn(s, 1e6, seed=seed).traces
             assert np.array_equal(got, awgn_loop(traces, 1e6, seed=seed))
