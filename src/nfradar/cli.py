@@ -27,8 +27,9 @@ import numpy as np
 from . import __version__
 from .em_exact import exact_received_signal, plate_node_counts
 from .em_spa import spa_received_signal
-from .estimator import (ModelKind, _validate_hypothesis, ambiguity, crb,
-                        crb_stencil, half_power_width)
+from .estimator import (_COHERENCE, _SNR_NORMALIZATIONS, ModelKind,
+                        _validate_hypothesis, ambiguity, crb, crb_stencil,
+                        half_power_width)
 from .scenario import Scenario, reference_scenario
 from .signal import add_awgn, synthesize
 
@@ -81,12 +82,12 @@ _FIELDS = tuple(
      _require(lambda v: v <= MAX_ANTENNAS, f"at most {MAX_ANTENNAS}")
      if key == "n_antennas" else None)
     for key, value in dataclasses.asdict(reference_scenario()).items()) + (
-    ("experiment", "model", "auto", str, _one_of("auto", "full", "partial")),
-    ("experiment", "coherence", "coherent", str,
-     _one_of("coherent", "incoherent")),
+    ("experiment", "model", "auto", str,
+     _one_of("auto", *(kind.value for kind in ModelKind))),
+    ("experiment", "coherence", "coherent", str, _one_of(*_COHERENCE)),
     ("experiment", "snr", "1.0", float, _FINITE_POSITIVE),
     ("experiment", "snr_normalization", "total", str,
-     _one_of("total", "per_pair")),
+     _one_of(*_SNR_NORMALIZATIONS)),
     ("experiment", "validation_carrier", "10000000000.0", float,
      _FINITE_POSITIVE),
     ("grid", "min", "2.0", float, _FINITE),
@@ -166,10 +167,8 @@ def parse_config(path: str | None = None,
     if text is not None:
         cp.read_string(text)
     for item in overrides:
-        if "=" not in item:
-            raise ValueError(f"override {item!r} is not section.key=value")
-        target, value = item.split("=", 1)
-        if "." not in target:
+        target, eq, value = item.partition("=")
+        if not eq or "." not in target:
             raise ValueError(f"override {item!r} is not section.key=value")
         section, key = (part.strip() for part in target.split(".", 1))
         if not cp.has_section(section):
@@ -317,7 +316,7 @@ def _crb_lines(cfg: ExperimentConfig):
     """crb's plan: (ranges, lines), the ranges sorted and a (carrier,
     bandwidth, scene) per line in row order. Refuses the partial model,
     and on every line a stencil that crb_stencil refuses at any range."""
-    if cfg.model == "partial":
+    if cfg.model == ModelKind.PARTIAL_INFORMATION.value:
         raise ValueError(
             "experiment.model = partial: crb needs the full model. The "
             "partial template lacks the received gains' Fresnel phase, so "
@@ -387,7 +386,8 @@ def run_ambiguity(cfg: ExperimentConfig):
     plus a summary row (width, argmax) per sweep value. noise_power > 0
     perturbs the received traces with the configured seed (the same root
     seed for every sweep value)."""
-    kind = ModelKind.parse(cfg.model if cfg.model != "auto" else "partial")
+    kind = (ModelKind.PARTIAL_INFORMATION if cfg.model == "auto"
+            else ModelKind(cfg.model))
     columns = ["row_kind", "sweep_param", "sweep_value", "r_hat", "value",
                "width", "argmax"]
     rows = []

@@ -2,13 +2,13 @@
 Cramer-Rao bound.
 
 The estimator correlates the received multistatic traces against model
-signals regenerated at hypothesized standoffs R_hat. Two knowledge levels:
+signals regenerated at hypothesized standoffs R_hat. Two ModelKind levels:
 
-  full_information     model traces are the complete closed-form synthesis
-                       at R_hat, per-pair Fresnel coefficients included;
-  partial_information  only the delay and carrier-phase structure is kept,
-                       s(t - 2 r_s(R_hat)/c) exp(-j 2 k r_s(R_hat)) per
-                       pair, with the unknown complex gains profiled out.
+  full     model traces are the complete closed-form synthesis at R_hat,
+           per-pair Fresnel coefficients included;
+  partial  only the delay and carrier-phase structure is kept,
+           s(t - 2 r_s(R_hat)/c) exp(-j 2 k r_s(R_hat)) per pair, with the
+           unknown complex gains profiled out.
 
 The matched-energy objective is
 
@@ -36,6 +36,7 @@ from .special_fn import (chebyshev_basis, chebyshev_node_count,
                          chebyshev_nodes, cis)
 
 _COHERENCE = ("coherent", "incoherent")
+_SNR_NORMALIZATIONS = ("total", "per_pair")
 
 # grid chunks of the objective: at most _GRID_CHUNK points and
 # _CHUNK_CELLS pair-points (bounding the per-class arrays), over which the
@@ -64,13 +65,6 @@ class ModelKind(enum.Enum):
     FULL_INFORMATION = "full"
     PARTIAL_INFORMATION = "partial"
 
-    @classmethod
-    def parse(cls, text: str) -> "ModelKind":
-        for kind in cls:
-            if text in (kind.value, kind.name.lower()):
-                return kind
-        raise ValueError(f"unknown model kind {text!r}")
-
 
 @dataclass(frozen=True, eq=False)
 class AmbiguityCurve:
@@ -86,10 +80,8 @@ class AmbiguityCurve:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.grid.ndim != 1 or self.grid.size != self.values.size:
+        if _as_grid(self.grid).size != self.values.size:
             raise ValueError("grid and values must be 1-D and equal length")
-        if self.grid.size > 1 and not np.all(np.diff(self.grid) > 0):
-            raise ValueError("grid must be strictly increasing")
         if not np.all((self.values >= 0) & (self.values <= 1 + 1e-12)):
             raise ValueError("values must be finite and lie in [0, 1]")
 
@@ -97,8 +89,9 @@ class AmbiguityCurve:
 @dataclass(frozen=True)
 class CrbResult:
     """The variance lower bound noise / (2 |J''|) and the curvature |J''| at
-    one range, or arrays of both over an array of ranges. Known defect: half
-    the textbook Cramer-Rao bound in variance (see crb)."""
+    one range, or arrays of both over an array of ranges, positive normal
+    floats. Known defect: half the textbook Cramer-Rao bound in variance
+    (see crb)."""
 
     range: float
     bound: float
@@ -498,9 +491,11 @@ def crb(scenario: Scenario, R, snr: float = 1.0,
     levels therefore depend on that convention; shapes across sweeps do
     not. J and the signal power carry one power of two per range
     (_stencil_objective), which the bound cancels and the curvature takes
-    back. Refused: a stencil not concave by more than J's rounding
-    (_CURVATURE_FLOOR), a curvature that is not a normal float (7.85e12
-    g^2 at 4 m, gain factor g) and an overflowing bound.
+    back. Refused: an snr that is not finite and positive, a range
+    crb_stencil refuses, a stencil not concave by more than J's rounding
+    (_CURVATURE_FLOOR), and a curvature or bound that is not a positive
+    normal float (the curvature 7.85e12 g^2 at 4 m, gain factor g; the
+    bound at snr 1e308 is subnormal, at 1e-320 inf).
 
     The received data is the noise-free synthesis at R, correlated in
     closed form without forming a trace. An array of ranges is all or
@@ -512,11 +507,10 @@ def crb(scenario: Scenario, R, snr: float = 1.0,
     is 0.280 mm against 0.397 mm, and 300 noisy trials of the full-model
     coherent estimator gave an RMSE of 0.407 mm.
     """
-    if snr <= 0:
-        raise ValueError("snr must be positive")
-    if snr_normalization not in ("total", "per_pair"):
-        raise ValueError(
-            f"unknown snr normalization {snr_normalization!r}")
+    if not (np.isfinite(snr) and snr > 0):
+        raise ValueError(f"snr {snr!r} must be finite and positive")
+    if snr_normalization not in _SNR_NORMALIZATIONS:
+        raise ValueError(f"unknown snr normalization {snr_normalization!r}")
     if coherence not in _COHERENCE:
         raise ValueError(f"unknown coherence {coherence!r}")
     if np.ndim(R) > 1:
@@ -540,16 +534,12 @@ def crb(scenario: Scenario, R, snr: float = 1.0,
     with np.errstate(over="ignore"):
         curvature = np.ldexp(scaled, 2 * e)
         bound = signal_power / (2.0 * scaled) / snr
-    bad = ~np.isfinite(curvature) | (curvature < np.finfo(float).tiny)
-    if bad.any():
-        raise ValueError(
-            f"curvature at R = {float(ranges[bad.argmax()])!r} m is "
-            f"{float(curvature[bad.argmax()]):g}, not a normal float")
-    bad = np.isinf(bound)
-    if bad.any():
-        raise ValueError(
-            f"bound at R = {float(ranges[bad.argmax()])!r} m overflows at "
-            f"snr {snr:g}: it exceeds the largest float")
+    for name, column in (("curvature", curvature), ("bound", bound)):
+        bad = ~np.isfinite(column) | (column < np.finfo(float).tiny)
+        if bad.any():
+            raise ValueError(
+                f"{name} at R = {float(ranges[bad.argmax()])!r} m is "
+                f"{float(column[bad.argmax()]):g}, not a normal float")
     if np.ndim(R) == 0:
         return CrbResult(range=float(ranges[0]), bound=float(bound[0]),
                          curvature=float(curvature[0]))

@@ -20,12 +20,17 @@ SPEED_OF_LIGHT = 299792458.0
 FREE_SPACE_IMPEDANCE = 376.730313668
 """CODATA free-space impedance, ohms."""
 
+# Largest range, array half-length and wavelength, m: wavelength r_s^3, the
+# backends' highest power of lengths, is at most 2^1.5 MAX_LENGTH^4 = 2.8e304
+MAX_LENGTH = 1e76
+
 
 @dataclass(frozen=True)
 class Scenario:
     """Complete experiment description. Every field is finite and, but for
     min_range_wavelengths, strictly positive: a plate of zero width or
-    height, or a zero gain factor, returns nothing and is refused.
+    height, or a zero gain factor, returns nothing and is refused. The
+    range, the array half-length and the wavelength are at most MAX_LENGTH.
 
     Parameters
     ----------
@@ -82,6 +87,14 @@ class Scenario:
                     raise ValueError(f"{name} must be nonnegative")
             elif value <= 0:
                 raise ValueError(f"{name} must be strictly positive")
+        half = self.spacing * ((self.n_antennas - 1) / 2.0)
+        for what, length in (
+                ("range", self.range),
+                ("array half-length spacing (n_antennas - 1) / 2", half),
+                ("wavelength c / carrier_freq", self.wavelength)):
+            if length > MAX_LENGTH:
+                raise ValueError(
+                    f"{what} = {length:g} m exceeds {MAX_LENGTH:g} m")
         if self.bandwidth > self.carrier_freq / 10.0:
             raise ValueError(
                 "narrowband assumption violated: bandwidth "

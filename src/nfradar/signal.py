@@ -107,9 +107,9 @@ def synthesize(scenario: Scenario, true_range: float | None = None,
     scenario bandwidth.
 
     backend "spa" is the closed form; "exact" integrates the physical-optics
-    field at any carrier (on the reference scene, one core: 0.02-0.035 s
-    at 10 GHz and 0.35-0.55 s at 77 GHz). A true_range the Scenario
-    refuses as its range is refused.
+    field at any carrier (its time on the reference scene: the
+    exact-backend synthesize row of ROADMAP.md's baseline). A true_range
+    the Scenario refuses as its range is refused.
     """
     if backend not in ("spa", "exact"):
         raise ValueError(f"unknown backend {backend!r}")
@@ -203,10 +203,11 @@ def add_awgn(signals: SignalSet, noise_power: float, seed: int) -> SignalSet:
     PCG64 generator is set to each child's state in turn. Trace i's
     stream gives 2n standard normals in one draw: the first n scaled are
     its real noise, the last n its imaginary noise, the same bits as two
-    draws of n. seed must be a nonnegative integer.
+    draws of n. noise_power must be finite and nonnegative, seed a
+    nonnegative integer.
     """
-    if noise_power < 0:
-        raise ValueError("noise_power must be nonnegative")
+    if not 0 <= noise_power < math.inf:
+        raise ValueError("noise_power must be finite and nonnegative")
     if noise_power == 0:
         return dataclasses.replace(signals, traces=signals.traces.copy())
     pairs, n = signals.traces.shape

@@ -22,6 +22,7 @@ from nfradar.cli import (
     run_validate_spa,
     write_table,
 )
+from nfradar.estimator import _COHERENCE, _SNR_NORMALIZATIONS, ModelKind
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -153,6 +154,54 @@ class TestParseConfig:
         cfg = parse_config(
             overrides=(f"scenario.n_antennas={MAX_ANTENNAS}",))
         assert cfg.scenario.n_antennas == MAX_ANTENNAS
+
+    @pytest.mark.parametrize("overrides, message", [
+        # each wrote nan or -inf cells: r_s^3 overflowed at 6e102 m, d^2 at
+        # a 6e200 m half-length; a wavelength of inf made the validity
+        # floor 0 inf = nan, and one of 3e208 m underflowed k^2
+        (("scenario.range=6e102",),
+         "scenario.range = '6e102': range = 6e+102 m exceeds 1e+76 m"),
+        (("scenario.spacing=1e200",),
+         "scenario.spacing = '1e200': array half-length spacing "
+         "(n_antennas - 1) / 2 = 6e+200 m exceeds 1e+76 m"),
+        (("scenario.carrier_freq=1e-300", "scenario.bandwidth=1e-301",
+          "scenario.min_range_wavelengths=0"),
+         "scenario.carrier_freq = '1e-300': wavelength c / carrier_freq = "
+         "inf m exceeds 1e+76 m"),
+        (("scenario.carrier_freq=1e-200", "scenario.bandwidth=1e-201",
+          "scenario.min_range_wavelengths=0"),
+         "scenario.carrier_freq = '1e-200': wavelength c / carrier_freq = "
+         "2.99792e+208 m exceeds 1e+76 m"),
+    ])
+    @pytest.mark.parametrize("experiment",
+                             ["validate-spa", "ambiguity", "crb"])
+    def test_overlong_scene_refused_at_parse(self, overrides, message,
+                                             experiment, tmp_path):
+        out = tmp_path / "out.csv"
+        argv = [experiment, "--out", str(out)]
+        for item in overrides:
+            argv += ["--set", item]
+        with pytest.raises(ValueError, match=re.escape(message)):
+            main(argv)
+        assert not out.exists()
+
+    def test_longest_scene_finite(self, tmp_path):
+        # range, array half-length and wavelength all at MAX_LENGTH: every
+        # validate-spa cell is finite, without a numpy warning
+        out = tmp_path / "out.csv"
+        carrier = 299792458.0 / 1e76
+        main(["validate-spa", "--set", "scenario.range=1e76",
+              "--set", "scenario.spacing=1.6e75",
+              "--set", f"scenario.carrier_freq={carrier!r}",
+              "--set", f"scenario.bandwidth={carrier / 20}",
+              "--set", "scenario.min_range_wavelengths=0",
+              "--out", str(out)])
+        _, _, data = read_csv(out)
+        assert len(data) == 169
+        assert all(math.isfinite(float(cell)) for row in data
+                   for cell in row[2:] if cell)
+        # the 13 pairs whose specular point is the plate's centre
+        assert sum(row[3] != "" for row in data) == 13
 
     def test_scenario_refusal_names_key(self):
         with pytest.raises(ValueError, match=re.escape(
@@ -362,8 +411,17 @@ class TestParseConfig:
         # the crb cell used to read inf
         out = tmp_path / "out.csv"
         with pytest.raises(ValueError, match=re.escape(
-                "bound at R = 4.0 m overflows")):
+                "bound at R = 4.0 m is inf, not a normal float")):
             main(["crb", "--set", "experiment.snr=1e-320",
+                  "--set", "sweep.range=4.0", "--out", str(out)])
+        assert not out.exists()
+
+    def test_subnormal_crb_bound_refused(self, tmp_path):
+        # the crb cell used to read 7.86609153e-316
+        out = tmp_path / "out.csv"
+        with pytest.raises(ValueError, match=re.escape(
+                "bound at R = 4.0 m is 7.86609e-316, not a normal float")):
+            main(["crb", "--set", "experiment.snr=1e308",
                   "--set", "sweep.range=4.0", "--out", str(out)])
         assert not out.exists()
 
@@ -441,6 +499,23 @@ class TestParseConfig:
                 "experiment.snr_normalization = 'max': must be one of "
                 "total, per_pair")):
             parse_config(overrides=("experiment.snr_normalization=max",))
+
+    def test_choices_are_the_estimators(self):
+        # the model, coherence and normalization names are the estimator's
+        # own: every one is accepted, and the removed model aliases are not
+        for kind in ModelKind:
+            assert parse_config(overrides=(
+                f"experiment.model={kind.value}",)).model == kind.value
+        for coherence in _COHERENCE:
+            assert parse_config(overrides=(
+                f"experiment.coherence={coherence}",)).coherence == coherence
+        for name in _SNR_NORMALIZATIONS:
+            assert parse_config(experiment="crb", overrides=(
+                f"experiment.snr_normalization={name}",
+            )).snr_normalization == name
+        with pytest.raises(ValueError, match=re.escape(
+                "experiment.model = 'full_information': must be one of")):
+            parse_config(overrides=("experiment.model=full_information",))
 
     def test_unknown_experiment(self):
         with pytest.raises(ValueError, match="unknown experiment"):

@@ -38,12 +38,11 @@ def received(ref_sc=None):
 
 class TestModelKind:
     def test_parse(self):
-        assert ModelKind.parse("full") is FULL
-        assert ModelKind.parse("partial") is PARTIAL
-        assert ModelKind.parse("full_information") is FULL
-        assert ModelKind.parse("partial_information") is PARTIAL
-        with pytest.raises(ValueError, match="unknown model kind"):
-            ModelKind.parse("oracle")
+        # the enum's own lookup by value; the CLI's names are its values
+        assert ModelKind("full") is FULL
+        assert ModelKind("partial") is PARTIAL
+        with pytest.raises(ValueError, match="'oracle' is not a valid"):
+            ModelKind("oracle")
 
 
 def objective(received, sc, r_hat, kind=PARTIAL, coherence="coherent"):
@@ -555,7 +554,8 @@ class TestCrb:
         assert per_pair >= total
 
     def test_validation(self, ref_sc):
-        with pytest.raises(ValueError, match="snr must be positive"):
+        with pytest.raises(ValueError,
+                           match="snr 0.0 must be finite and positive"):
             crb(ref_sc, 4.0, snr=0.0)
         with pytest.raises(ValueError, match="snr normalization"):
             crb(ref_sc, 4.0, snr_normalization="median")
@@ -572,10 +572,32 @@ class TestCrb:
         # at a subnormal snr the noise power signal_power / snr overflows,
         # and the bound was inf: refused, naming the first such range,
         # without an overflow warning
-        with pytest.raises(ValueError,
-                           match=r"bound at R = 4\.0 m overflows at snr"):
+        with pytest.raises(ValueError, match=(
+                r"bound at R = 4\.0 m is inf, not a normal float")):
             crb(ref_sc, [4.0, 2.0], snr=1e-320)
         assert np.all(np.isfinite(crb(ref_sc, [4.0, 2.0], snr=1e-300).bound))
+
+    def test_subnormal_bound_refused(self, ref_sc):
+        # at snr 1e308 the bound 7.87e-8 / 1e308 is subnormal (it was
+        # written as 7.86609153e-316): refused by the curvature's rule,
+        # naming the first such range
+        with pytest.raises(ValueError, match=(
+                r"bound at R = 4\.0 m is 7\.86609e-316, not a normal float")):
+            crb(ref_sc, [4.0, 2.0], snr=1e308)
+        assert np.all(crb(ref_sc, [4.0, 2.0], snr=1e299).bound
+                      >= np.finfo(float).tiny)
+
+    @pytest.mark.parametrize("snr", [np.inf, np.nan, -1.0])
+    def test_non_finite_snr_refused_first(self, ref_sc, snr, monkeypatch):
+        # snr inf gave a bound of 0.0 and nan a bound of nan: refused
+        # before the stencil is built
+        def no_work(*args):
+            raise AssertionError("crb built its stencil")
+
+        monkeypatch.setattr(estimator, "crb_stencil", no_work)
+        with pytest.raises(ValueError, match=re.escape(
+                f"snr {snr!r} must be finite and positive")):
+            crb(ref_sc, 4.0, snr=snr)
 
     @pytest.mark.parametrize("power", [300, -300])
     def test_power_of_two_gain_moves_no_bit(self, power):

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from nfradar import SPEED_OF_LIGHT, Scenario, reference_scenario
-from nfradar.scenario import antenna_positions
+from nfradar.scenario import MAX_LENGTH, antenna_positions
 
 
 def test_reference_values(ref_sc):
@@ -101,6 +101,24 @@ def test_rejects_invalid_min_range_wavelengths(value, match):
     with pytest.raises(ValueError, match=f"min_range_wavelengths .*{match}"):
         reference_scenario(min_range_wavelengths=value)
     assert reference_scenario(min_range_wavelengths=0.0).range == 4.0
+
+
+@pytest.mark.parametrize("field, longest, past", [
+    ("range", dict(range=MAX_LENGTH), dict(range=2 * MAX_LENGTH)),
+    # half-length (N - 1) spacing / 2 with N = 13
+    ("spacing", dict(spacing=MAX_LENGTH / 6), dict(spacing=MAX_LENGTH / 5)),
+    ("carrier_freq",
+     dict(carrier_freq=SPEED_OF_LIGHT / MAX_LENGTH, bandwidth=1e-70,
+          min_range_wavelengths=0.0),
+     dict(carrier_freq=SPEED_OF_LIGHT / MAX_LENGTH / 2, bandwidth=1e-70,
+          min_range_wavelengths=0.0)),
+])
+def test_max_length(field, longest, past):
+    # the backends form wavelength r_s^3: at most 2.8e304 up to MAX_LENGTH
+    reference_scenario(**longest)
+    with pytest.raises(ValueError,
+                       match=rf"^[^_]*{field}\b.* exceeds 1e\+76 m"):
+        reference_scenario(**past)
 
 
 def test_scenario_is_frozen(ref_sc):

@@ -347,6 +347,14 @@ class TestAwgn:
         with pytest.raises(ValueError, match="nonnegative"):
             add_awgn(self._small_set(ref_sc), -1.0, seed=0)
 
+    @pytest.mark.parametrize("power", [np.nan, np.inf])
+    def test_non_finite_noise_rejected(self, ref_sc, power):
+        # NaN passed the old noise_power < 0 check, and both gave
+        # non-finite traces; the CLI's noise.noise_power refuses both
+        with pytest.raises(ValueError,
+                           match="noise_power must be finite and nonnegative"):
+            add_awgn(self._small_set(ref_sc), power, seed=0)
+
     def test_deterministic_per_seed(self, ref_sc):
         s = self._small_set(ref_sc)
         a = add_awgn(s, 1e-3, seed=123)
