@@ -13,11 +13,13 @@ from __future__ import annotations
 import argparse
 import configparser
 import contextlib
+import ctypes
 import dataclasses
 import functools
 import itertools
 import math
 import operator
+import os
 import re
 import sys
 from dataclasses import dataclass
@@ -489,7 +491,35 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
+# glibc's mallopt parameters (malloc.h)
+M_TRIM_THRESHOLD = -1
+M_MMAP_THRESHOLD = -3
+
+
+def _keep_freed_heap() -> None:
+    """Has glibc keep freed memory on the heap for reuse, where the C
+    library is glibc; elsewhere does nothing. Never raises.
+
+    numpy's per-chunk temporaries (150-300 kB in crb) cross glibc's
+    default 128 kB mmap threshold, and its trim threshold hands the freed
+    top of the heap back to the kernel, so each chunk re-faults fresh
+    pages after every trim. 32 MiB is glibc's own ceiling for its dynamic
+    mmap threshold on 64-bit; no number a run computes changes.
+    """
+    try:
+        if "glibc" not in (os.confstr("CS_GNU_LIBC_VERSION") or ""):
+            return
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, ValueError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(M_TRIM_THRESHOLD, 64 << 20)
+
+
 def main(argv=None) -> int:
+    _keep_freed_heap()
     args = _parser().parse_args(argv)
     overrides = list(args.overrides)
     if args.seed is not None:

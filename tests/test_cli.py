@@ -1,8 +1,13 @@
 import configparser
 import csv
+import ctypes
 import io
 import math
+import os
+import platform
 import re
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -24,7 +29,8 @@ from nfradar.cli import (
 )
 from nfradar.estimator import _COHERENCE, _SNR_NORMALIZATIONS, ModelKind
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 # a valid value other than the default for every config key
 NON_DEFAULT = {
@@ -828,3 +834,51 @@ class TestMain:
             write_table(str(want), *runners[experiment](cfg), cfg)
             assert out.read_bytes() == want.read_bytes()
         assert cli._parser() is cli._parser()
+
+
+def _raising(error):
+    def fake(*args):
+        raise error
+    return fake
+
+
+class TestAllocatorPolicy:
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                        reason="the policy is glibc's mallopt")
+    def test_repeat_crb_run_faults_no_pages(self, tmp_path):
+        # crb frees and reallocates 150-300 kB temporaries per 64-range
+        # chunk; with glibc's default thresholds each run re-faulted about
+        # 1,400 pages, with the freed heap kept a second run reuses them
+        ranges = ",".join(map(repr, np.linspace(2.0, 8.0, 200).tolist()))
+        argv = ["crb", "--set", "sweep.range=" + ranges,
+                "--out", str(tmp_path / "crb.csv")]
+        code = (
+            "import resource\n"
+            "from nfradar.cli import main\n"
+            f"main({argv!r})\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            f"main({argv!r})\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt"
+            " - before)\n")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join(filter(None, [
+                       str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+        result = subprocess.run([sys.executable, "-c", code], env=env,
+                                capture_output=True, text=True, check=True)
+        assert int(result.stdout.splitlines()[-1]) < 100
+
+    @pytest.mark.parametrize("target, name, fake", [
+        (os, "confstr", _raising(ValueError("unrecognized name"))),
+        (os, "confstr", lambda name: None),
+        (ctypes, "CDLL", _raising(OSError("no C library"))),
+        (ctypes, "CDLL", lambda name: object()),
+    ], ids=["no-libc-name", "libc-name-unset", "no-libc", "no-mallopt"])
+    def test_policy_that_cannot_apply_changes_nothing(self, tmp_path,
+                                                      monkeypatch, target,
+                                                      name, fake):
+        argv = ["crb", "--set", "sweep.range=3,4"]
+        want, got = tmp_path / "want.csv", tmp_path / "got.csv"
+        assert main(argv + ["--out", str(want)]) == 0
+        monkeypatch.setattr(target, name, fake)
+        assert main(argv + ["--out", str(got)]) == 0
+        assert got.read_bytes() == want.read_bytes()
