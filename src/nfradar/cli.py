@@ -18,7 +18,6 @@ import dataclasses
 import functools
 import itertools
 import math
-import operator
 import os
 import re
 import sys
@@ -36,7 +35,7 @@ from .scenario import Scenario, reference_scenario
 from .signal import add_awgn, synthesize
 
 EXPERIMENTS = ("validate-spa", "ambiguity", "crb")
-SWEEPABLE = ("bandwidth", "carrier_freq", "range")
+SWEEPABLE = ("carrier_freq", "bandwidth", "range")
 # largest range grid a run may allocate (the default grid has 12,329 points)
 MAX_GRID_POINTS = 1_000_000
 # largest array a run may model: memory grows as N^2 pairs (an ambiguity
@@ -285,38 +284,47 @@ def _validation_scene(cfg: ExperimentConfig) -> Scenario:
     return scene
 
 
-def _ambiguity_scenes(cfg: ExperimentConfig):
-    """ambiguity's plan: (param, value, scene, grid) per value of its one
-    sweep parameter, or of the scene's own range when nothing is swept.
-    Refuses a second sweep parameter, and a range grid that reaches below
-    its scene's validity floor or misses its true range."""
-    if len(cfg.sweep) > 1:
-        raise ValueError(", ".join(f"sweep.{key}" for key, _ in cfg.sweep)
-                         + ": ambiguity sweeps one parameter at a time")
-    param, values = (cfg.sweep[0] if cfg.sweep
-                     else ("range", (cfg.scenario.range,)))
+def _scenes(cfg: ExperimentConfig, keys):
+    """The plan's scenes: the cartesian product of the sorted [sweep] values
+    of keys, in SWEEPABLE's order, so scene order is row order. Returns the
+    swept keys and a (label, values, scene) per scene, the label naming its
+    swept values; a scene Scenario refuses is refused with its label."""
+    sweep = dict(cfg.sweep)
+    swept = [key for key in SWEEPABLE if key in keys and key in sweep]
     plan = []
-    for value in values:
-        label = f"sweep.{param} = {value!r}"
+    for values in itertools.product(*(sorted(sweep[key]) for key in swept)):
+        label = ", ".join(f"sweep.{key} = {value!r}"
+                          for key, value in zip(swept, values))
         with _named(label):
-            scene = dataclasses.replace(cfg.scenario, **{param: value})
+            scene = dataclasses.replace(cfg.scenario,
+                                        **dict(zip(swept, values)))
+        plan.append((label, values, scene))
+    return swept, plan
+
+
+def _ambiguity_scenes(cfg: ExperimentConfig):
+    """ambiguity's plan: the swept keys and a (values, scene, grid) per
+    scene of _scenes. Refuses a range grid that reaches below its scene's
+    validity floor or misses its true range."""
+    swept, scenes = _scenes(cfg, SWEEPABLE)
+    plan = []
+    for label, values, scene in scenes:
         grid = _range_grid(cfg, scene)
-        at = f" at {label}" if cfg.sweep else ""
+        at = f" at {label}" if label else ""
         with _named(f"grid.min = {cfg.grid_min!r} starts the range grid{at}"):
             _validate_hypothesis(scene, grid[0])
         if not grid[0] <= scene.range <= grid[-1]:
-            key = f"sweep.{param}" if param == "range" and cfg.sweep \
-                else "scenario.range"
+            key = "sweep.range" if "range" in swept else "scenario.range"
             raise ValueError(
                 f"{key} = {scene.range!r} lies outside the range grid "
                 f"[{grid[0]:g}, {grid[-1]:g}] m (grid.min, grid.max)")
-        plan.append((param, value, scene, grid))
-    return plan
+        plan.append((values, scene, grid))
+    return swept, plan
 
 
 def _crb_lines(cfg: ExperimentConfig):
-    """crb's plan: (ranges, lines), the ranges sorted and a (carrier,
-    bandwidth, scene) per line in row order. Refuses the partial model,
+    """crb's plan: the swept carrier and bandwidth keys, the ranges sorted,
+    and the lines, the scenes of _scenes. Refuses the partial model,
     and on every line a stencil that crb_stencil refuses at any range."""
     if cfg.model == ModelKind.PARTIAL_INFORMATION.value:
         raise ValueError(
@@ -328,21 +336,12 @@ def _crb_lines(cfg: ExperimentConfig):
     key = "sweep.range" if "range" in sweep else "grid.min..grid.max"
     ranges = np.sort(sweep["range"] if "range" in sweep
                      else _range_grid(cfg, cfg.scenario))
-    base = cfg.scenario
-    lines = []
-    for fc in sorted(sweep.get("carrier_freq", (base.carrier_freq,))):
-        for bw in sorted(sweep.get("bandwidth", (base.bandwidth,))):
-            with _named(", ".join(
-                    f"sweep.{name} = {value!r}" for name, value
-                    in (("carrier_freq", fc), ("bandwidth", bw))
-                    if name in sweep)):
-                scene = dataclasses.replace(base, carrier_freq=fc,
-                                            bandwidth=bw)
-            with _named(f"{key}: crb stencil at carrier {fc:g} Hz, "
-                        f"bandwidth {bw:g} Hz"):
-                crb_stencil(scene, ranges)
-            lines.append((fc, bw, scene))
-    return ranges, lines
+    swept, scenes = _scenes(cfg, ("carrier_freq", "bandwidth"))
+    for _, _, scene in scenes:
+        with _named(f"{key}: crb stencil at carrier {scene.carrier_freq:g} "
+                    f"Hz, bandwidth {scene.bandwidth:g} Hz"):
+            crb_stencil(scene, ranges)
+    return swept, ranges, scenes
 
 
 def run_validate_spa(cfg: ExperimentConfig):
@@ -384,22 +383,22 @@ def run_validate_spa(cfg: ExperimentConfig):
 
 
 def run_ambiguity(cfg: ExperimentConfig):
-    """Ambiguity curves over the range grid, one sweep parameter at a time,
-    plus a summary row (width, argmax) per sweep value. noise_power > 0
-    perturbs the received traces with the configured seed (the same root
-    seed for every sweep value)."""
+    """Ambiguity curves over the range grid, plus a summary row (width,
+    argmax), per scene of the sorted [sweep] product; each row leads with
+    its scene's swept values. noise_power > 0 perturbs the received traces
+    with the configured seed (the same root seed for every scene)."""
     kind = (ModelKind.PARTIAL_INFORMATION if cfg.model == "auto"
             else ModelKind(cfg.model))
-    columns = ["row_kind", "sweep_param", "sweep_value", "r_hat", "value",
-               "width", "argmax"]
+    swept, plan = _ambiguity_scenes(cfg)
+    columns = [*swept, "row_kind", "r_hat", "value", "width", "argmax"]
     rows = []
-    for param, value, scenario, grid in _ambiguity_scenes(cfg):
+    for values, scenario, grid in plan:
         received = synthesize(scenario)
         if cfg.noise_power > 0:
             received = add_awgn(received, cfg.noise_power, cfg.seed)
         curve = ambiguity(scenario, scenario.range, grid, kind,
                           cfg.coherence, received=received)
-        rows.extend(("curve", param, value, r_hat, v, "", "") for r_hat, v
+        rows.extend((*values, "curve", r_hat, v, "", "") for r_hat, v
                     in zip(curve.grid.tolist(), curve.values.tolist()))
         try:
             width = half_power_width(curve)
@@ -409,21 +408,22 @@ def run_ambiguity(cfg: ExperimentConfig):
             # has no width to report
             width = ""
         est = float(curve.grid[int(np.argmax(curve.values))])
-        rows.append(("summary", param, value, "", "", width, est))
+        rows.append((*values, "summary", "", "", width, est))
     return columns, rows
 
 
 def run_crb(cfg: ExperimentConfig):
-    """Bound vs range per (carrier, bandwidth) line, one crb call per line;
-    rows sorted."""
-    ranges, lines = _crb_lines(cfg)
-    columns = ["carrier_freq", "bandwidth", "range", "crb", "curvature"]
+    """Bound vs range per (carrier, bandwidth) line of the sorted [sweep]
+    product, one crb call per line; rows sorted, each leading with its
+    line's swept values."""
+    swept, ranges, lines = _crb_lines(cfg)
+    columns = [*swept, "range", "crb", "curvature"]
     rows = []
-    for fc, bw, scenario in lines:
+    for _, values, scenario in lines:
         result = crb(scenario, ranges, snr=cfg.snr,
                      snr_normalization=cfg.snr_normalization,
                      coherence=cfg.coherence)
-        rows.extend((fc, bw, *row) for row in zip(
+        rows.extend((*values, *row) for row in zip(
             result.range.tolist(), result.bound.tolist(),
             result.curvature.tolist()))
     return columns, rows
@@ -447,22 +447,13 @@ def write_table(path: str, columns, rows, cfg: ExperimentConfig) -> None:
 
     Row cells are Python ints, floats and strings, written with str, which
     for a float is its shortest round-trip repr; every row gives the line
-    ",".join(map(str, row)). The rows are formatted a column at a time,
-    and a column whose cells are all one object (a run's sweep value) is
-    formatted once. One object, not equal values: 0.0 and -0.0, or 1,
-    1.0 and True, compare equal but print differently. Rows of unequal
-    length raise a ValueError."""
+    ",".join(map(str, row)). The rows are formatted a column at a time;
+    rows of unequal length raise a ValueError."""
     lines = [f"# nfradar {__version__}", f"# experiment: {cfg.experiment}"]
     lines += [f"# {line}" if line else "#"
               for line in emit_config(cfg).rstrip("\n").split("\n")]
     lines.append(",".join(columns))
-    cells = []
-    for column in zip(*rows, strict=True):
-        first = column[0]
-        if all(map(operator.is_, column, itertools.repeat(first))):
-            cells.append([str(first)] * len(column))
-        else:
-            cells.append(list(map(str, column)))
+    cells = [list(map(str, column)) for column in zip(*rows, strict=True)]
     lines += map(",".join, zip(*cells))
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")

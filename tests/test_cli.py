@@ -124,7 +124,10 @@ class TestParseConfig:
             parse_config(text="[scenario]\nrange_m = 4\n")
 
     def test_unknown_sweep_parameter(self):
-        with pytest.raises(ValueError, match="not a sweepable"):
+        # the keys are listed in the plan's (row) order
+        with pytest.raises(ValueError, match=re.escape(
+                "not a sweepable Scenario field (choose from carrier_freq, "
+                "bandwidth, range)")):
             parse_config(overrides=("sweep.plate_width=0.4,0.8",))
 
     def test_sweep_sorted_by_name(self):
@@ -618,32 +621,49 @@ class TestRunners:
         cfg = parse_config(overrides=("grid.min=3.8", "grid.max=4.2",
                                       "grid.step=0.01"))
         columns, rows = run_ambiguity(cfg)
-        curve_rows = [r for r in rows if r[0] == "curve"]
-        summary_rows = [r for r in rows if r[0] == "summary"]
+        # nothing is swept: row_kind leads, the scene is in the header
+        assert columns == ["row_kind", "r_hat", "value", "width", "argmax"]
+        records = [dict(zip(columns, r, strict=True)) for r in rows]
+        curve_rows = [r for r in records if r["row_kind"] == "curve"]
+        summary_rows = [r for r in records if r["row_kind"] == "summary"]
         assert len(curve_rows) == 41
         assert len(summary_rows) == 1
         # the peak sits on the true range
-        assert summary_rows[0][6] == pytest.approx(4.0, abs=1e-12)
+        assert summary_rows[0]["argmax"] == pytest.approx(4.0, abs=1e-12)
 
     def test_ambiguity_narrow_grid_blank_width(self):
         # a grid too narrow to bracket the half-power crossings still
         # yields curve rows; only the summary width stays empty
         cfg = parse_config(overrides=("grid.min=3.95", "grid.max=4.05",
                                       "grid.step=0.01"))
-        _, rows = run_ambiguity(cfg)
-        summary = [r for r in rows if r[0] == "summary"][0]
-        assert summary[5] == ""
-        assert summary[6] == pytest.approx(4.0, abs=1e-12)
+        columns, rows = run_ambiguity(cfg)
+        summary = next(r for r in (dict(zip(columns, row)) for row in rows)
+                       if r["row_kind"] == "summary")
+        assert summary["width"] == ""
+        assert summary["argmax"] == pytest.approx(4.0, abs=1e-12)
 
-    def test_ambiguity_rejects_two_sweeps(self, tmp_path):
-        # refused at parse time, naming both keys, before anything is run
-        out = tmp_path / "out.csv"
+    def test_ambiguity_sweep_product(self):
+        # two swept keys run their sorted product, one block per scene in
+        # (carrier, range) order, led by the swept values; each block is
+        # an unswept run of its scene
+        grid = ("grid.min=3.9", "grid.max=4.1", "grid.step=0.01")
+        cfg = parse_config(overrides=grid + ("sweep.carrier_freq=77e9,24e9",
+                                             "sweep.range=4.05,3.95"))
+        columns, rows = run_ambiguity(cfg)
+        assert columns == ["carrier_freq", "range", "row_kind", "r_hat",
+                           "value", "width", "argmax"]
+        scenes = [(24e9, 3.95), (24e9, 4.05), (77e9, 3.95), (77e9, 4.05)]
+        assert list(dict.fromkeys(r[:2] for r in rows)) == scenes
+        for fc, r in scenes:
+            _, alone = run_ambiguity(parse_config(overrides=grid + (
+                f"scenario.carrier_freq={fc!r}", f"scenario.range={r!r}")))
+            assert [row[2:] for row in rows if row[:2] == (fc, r)] == alone
+        # a refused scene of a product names all its swept values
         with pytest.raises(ValueError, match=re.escape(
-                "sweep.bandwidth, sweep.range: ambiguity sweeps one "
-                "parameter at a time")):
-            main(["ambiguity", "--set", "sweep.range=3.9,4.0",
-                  "--set", "sweep.bandwidth=1e8", "--out", str(out)])
-        assert not out.exists()
+                "sweep.carrier_freq = 77000000000.0, sweep.bandwidth = "
+                "10000000000.0: narrowband assumption")):
+            parse_config(overrides=grid + ("sweep.carrier_freq=77e9",
+                                           "sweep.bandwidth=1e8,1e10"))
 
     def test_ambiguity_gain_scale_free(self):
         # a 2^600 gain factor once overflowed J into 411 NaN value cells;
@@ -668,12 +688,32 @@ class TestRunners:
             "sweep.carrier_freq=77e9,24e9",
         ))
         columns, rows = run_crb(cfg)
-        assert columns == ["carrier_freq", "bandwidth", "range", "crb",
-                           "curvature"]
-        key = [(r[0], r[1], r[2]) for r in rows]
+        # the unswept bandwidth stays in the header
+        assert columns == ["carrier_freq", "range", "crb", "curvature"]
+        key = [r[:2] for r in rows]
         assert key == sorted(key)
         assert len(rows) == 6
-        assert all(r[3] > 0 for r in rows)
+        assert all(r[columns.index("crb")] > 0 for r in rows)
+
+    def test_crb_scene_order_is_row_order(self):
+        # cfg.sweep is sorted by name (bandwidth first); the plan runs
+        # carrier, then bandwidth, then range, and each (carrier,
+        # bandwidth) block is the unswept run of its scene
+        cfg = parse_config(experiment="crb", overrides=(
+            "sweep.bandwidth=1e9,1e8", "sweep.carrier_freq=77e9,24e9",
+            "sweep.range=4,2"))
+        columns, rows = run_crb(cfg)
+        assert columns == ["carrier_freq", "bandwidth", "range", "crb",
+                           "curvature"]
+        assert len(rows) == 8
+        key = [r[:3] for r in rows]
+        assert key == sorted(key)
+        for fc in (24e9, 77e9):
+            for bw in (1e8, 1e9):
+                _, alone = run_crb(parse_config(experiment="crb", overrides=(
+                    f"scenario.carrier_freq={fc!r}",
+                    f"scenario.bandwidth={bw!r}", "sweep.range=4,2")))
+                assert [r[2:] for r in rows if r[:2] == (fc, bw)] == alone
 
 
 class TestWriteTable:
@@ -716,8 +756,7 @@ def _table_by_rows(columns, rows, cfg) -> str:
 _REPEATED = 0.1 + 0.2
 
 TABLES = {
-    # equal cells that print differently: only one object may be
-    # formatted once for a whole column
+    # equal cells that print differently
     "signed zeros": [(0.0, 1), (-0.0, 1), (0.0, 1)],
     "one, one point zero, true": [(1, "a"), (1.0, "a"), (True, "a")],
     "empty strings and floats": [("", 2.5), (1.5, ""), ("", "")],
@@ -737,12 +776,13 @@ class TestWriteTableByColumns:
             ["a", "b"], rows, cfg)
 
     def test_sweep_blocks_match_rows(self, tmp_path):
-        # the constant sweep_value column changes between the two blocks
+        # the swept range column changes between the two blocks
         cfg = parse_config(overrides=("grid.min=3.9", "grid.max=4.1",
                                       "grid.step=0.01",
                                       "sweep.range=3.95,4.05"))
         columns, rows = run_ambiguity(cfg)
-        assert {row[2] for row in rows} == {3.95, 4.05}
+        assert columns[0] == "range"
+        assert {row[0] for row in rows} == {3.95, 4.05}
         out = tmp_path / "amb.csv"
         write_table(str(out), columns, rows, cfg)
         assert out.read_text(encoding="ascii") == _table_by_rows(
@@ -798,9 +838,10 @@ class TestMain:
         assert main(["crb", "--set", "sweep.range=4,8",
                      "--out", str(out)]) == 0
         comments, header, data = read_csv(out)
-        assert header[0] == "carrier_freq"
+        assert header == ["range", "crb", "curvature"]
         assert len(data) == 2
-        assert float(data[0][3]) < float(data[1][3])  # bound grows with R
+        bound = header.index("crb")
+        assert float(data[0][bound]) < float(data[1][bound])  # grows with R
 
     def test_validate_spa_subcommand(self, tmp_path):
         out = tmp_path / "val.csv"
