@@ -21,7 +21,7 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -130,7 +130,10 @@ _ALL_FINITE = _require(lambda values: all(map(math.isfinite, values)),
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Fully resolved experiment description (defaults filled)."""
+    """Fully resolved experiment description (defaults filled), with the
+    experiment's checked plan (_PLANS), which its runner reads: parse_config
+    builds it once. The plan is not a config key: emit_config leaves it out
+    and equality ignores it."""
 
     scenario: Scenario
     experiment: str
@@ -145,6 +148,7 @@ class ExperimentConfig:
     snr: float
     snr_normalization: str
     validation_carrier: float
+    plan: object = field(default=None, compare=False, repr=False)
 
 
 def parse_config(path: str | None = None,
@@ -154,7 +158,8 @@ def parse_config(path: str | None = None,
     """Builds an ExperimentConfig from an optional INI file plus
     section.key=value override strings (later wins), and builds the
     experiment's plan (_PLANS) from it, so that a scene, grid or stencil
-    its runner would refuse fails here, with its key named."""
+    its runner would refuse fails here, with its key named; the result
+    carries the plan for the runner."""
     if experiment not in EXPERIMENTS:
         raise ValueError(f"unknown experiment {experiment!r}")
     cp = configparser.ConfigParser(interpolation=None)
@@ -219,8 +224,7 @@ def parse_config(path: str | None = None,
         raise ValueError("grid min must be below grid max")
     if cfg.grid_step is not None:
         _grid_size(cfg.grid_min, cfg.grid_max, cfg.grid_step)
-    _PLANS[experiment](cfg)
-    return cfg
+    return dataclasses.replace(cfg, plan=_PLANS[experiment](cfg))
 
 
 def emit_config(cfg: ExperimentConfig) -> str:
@@ -355,7 +359,7 @@ def run_validate_spa(cfg: ExperimentConfig):
     point is off the plate the closed form is exactly 0, and the spa_db,
     amp_err_db and phase_err_deg cells stay empty.
     """
-    scenario = _validation_scene(cfg)
+    scenario = cfg.plan
     unit = dataclasses.replace(scenario, antenna_gain_factor=1.0,
                                free_space_impedance=1.0)
     columns = ["tx", "rx", "exact_db", "spa_db", "amp_err_db",
@@ -389,7 +393,7 @@ def run_ambiguity(cfg: ExperimentConfig):
     with the configured seed (the same root seed for every scene)."""
     kind = (ModelKind.PARTIAL_INFORMATION if cfg.model == "auto"
             else ModelKind(cfg.model))
-    swept, plan = _ambiguity_scenes(cfg)
+    swept, plan = cfg.plan
     columns = [*swept, "row_kind", "r_hat", "value", "width", "argmax"]
     rows = []
     for values, scenario, grid in plan:
@@ -416,7 +420,7 @@ def run_crb(cfg: ExperimentConfig):
     """Bound vs range per (carrier, bandwidth) line of the sorted [sweep]
     product, one crb call per line; rows sorted, each leading with its
     line's swept values."""
-    swept, ranges, lines = _crb_lines(cfg)
+    swept, ranges, lines = cfg.plan
     columns = [*swept, "range", "crb", "curvature"]
     rows = []
     for _, values, scenario in lines:
@@ -445,16 +449,20 @@ def write_table(path: str, columns, rows, cfg: ExperimentConfig) -> None:
     """CSV with a comment block recording tool version and effective
     config. No timestamps or environment state: reruns are byte-identical.
 
-    Row cells are Python ints, floats and strings, written with str, which
-    for a float is its shortest round-trip repr; every row gives the line
-    ",".join(map(str, row)). The rows are formatted a column at a time;
-    rows of unequal length raise a ValueError."""
+    Rows are tuples of Python ints, floats and strings, written with str
+    (through one "%s,%s,..." template), which for a float is its shortest
+    round-trip repr; every row gives the line ",".join(map(str, row)). A
+    row without one cell per column raises a ValueError."""
     lines = [f"# nfradar {__version__}", f"# experiment: {cfg.experiment}"]
     lines += [f"# {line}" if line else "#"
               for line in emit_config(cfg).rstrip("\n").split("\n")]
     lines.append(",".join(columns))
-    cells = [list(map(str, column)) for column in zip(*rows, strict=True)]
-    lines += map(",".join, zip(*cells))
+    template = ",".join(["%s"] * len(columns))
+    try:
+        lines += [template % row for row in rows]
+    except TypeError:
+        raise ValueError(f"a row does not have {len(columns)} cells, one "
+                         "per column") from None
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -851,6 +851,25 @@ class TestMain:
         assert len(data) == 9
         assert max(abs(float(r[4])) for r in data) <= 0.5
 
+    def test_each_plan_built_once(self, tmp_path, monkeypatch):
+        # parse_config builds the experiment's plan and its runner reads it
+        # from the config; a runner that rebuilt it would count twice
+        args = {"validate-spa": ["--set", "scenario.n_antennas=3"],
+                "ambiguity": ["--set", "grid.min=3.9", "--set", "grid.max=4.1",
+                              "--set", "grid.step=0.05"],
+                "crb": ["--set", "sweep.range=4,8"]}
+        for experiment, plan in dict(cli._PLANS).items():
+            calls = []
+
+            def counted(cfg, plan=plan, calls=calls):
+                calls.append(cfg.experiment)
+                return plan(cfg)
+            monkeypatch.setitem(cli._PLANS, experiment, counted)
+            monkeypatch.setattr(cli, plan.__name__, counted)
+            assert main([experiment, *args[experiment],
+                         "--out", str(tmp_path / "t.csv")]) == 0
+            assert calls == [experiment]
+
     def test_parser_reused_without_leaks(self, tmp_path):
         # the parser is built once per process; successive calls with
         # different --set and --seed values each write what their own

@@ -702,16 +702,24 @@ class TestCrb:
         # the lattice's first band starts at the delay of R - h, -2h/c
         assert start[0] == -2.0 * h / 299792458.0
 
-    @pytest.mark.parametrize("overrides", [
-        {"n_antennas": 1}, {"n_antennas": 4}, {}, {"plate_height": 0.5}])
-    def test_stencil_objective_matches_loop(self, overrides):
+    @pytest.mark.parametrize("overrides, ranges, bands", [
+        ({"n_antennas": 1}, [3.3, 4.0], 1), ({"n_antennas": 4}, [3.3, 4.0], 1),
+        ({}, [3.3, 4.0], 1), ({"plate_height": 0.5}, [3.3, 4.0], 1),
+        ({"bandwidth": 1e9}, [0.4, 4.0], 4)])
+    def test_stencil_objective_matches_loop(self, overrides, ranges, bands):
         # crb correlates the synthesis in closed form; every stencil J,
         # unscaled by its exact power of two, must equal the per-pair loop
         # on the synthesized traces, and the signal powers the traces'
-        # sample powers
+        # sample powers. At 1 GHz the delays of 0.4 m, just above the
+        # validity floor, fall in all 4 bands of the lattice, those of
+        # 4 m in the first: the chunk's delay groups alternate between bands
         sc = reference_scenario(**overrides)
-        ranges = np.array([3.3, 4.0])
+        ranges = np.array(ranges)
         stencil, start, width = estimator.crb_stencil(sc, ranges)
+        r_s = np.hypot(stencil[:, 0], pair_groups(sc)[0][:, None])
+        band = np.searchsorted(
+            start, 2.0 * (r_s - ranges) / 299792458.0, side="right") - 1
+        assert np.unique(np.maximum(band, 0)).size == bands
         received = [synthesize(sc, true_range=R) for R in ranges]
         for coherence in ("coherent", "incoherent"):
             j, total, e = estimator._stencil_objective(
